@@ -13,30 +13,28 @@ from .fields import Field, PrimeField, QQ, RationalField, parse_field_spec
 from .forest import (Forest, build_forest, connected_components,
                      induced_subgraph, path, second_vertex)
 from .generate import random_matrix
-from .kernel import (MatchingInfo, SupportInfo, maximum_matching,
-                     null_dimension, sparsest_null_basis, support)
+from .kernel import (Analysis, MatchingInfo, SupportInfo, analyze,
+                     maximum_matching, null_dimension, sparsest_null_basis,
+                     support)
 from .matrix import (AcyclicMatrix, Basis, SparseVector, adjacency_matrix,
                      same_pattern, unit_vector)
-from .rank import (RankBasis, core_vertices, in_row_space, rank_basis,
-                   rank_normalization, supported_neighborhood_vector,
-                   transfer_rank, vertex_normalization)
+from .rank import (in_row_space, rank_basis, rank_normalization,
+                   supported_neighborhood_vector, transfer_rank)
 from .scaling import (DiagonalScaling, null_basis, restriction_check,
-                      support_transversal, transfer_null,
-                      transversal_scaling, vertex_scaling)
+                      transfer_null, transversal_scaling)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcyclicMatrix", "Basis", "DiagonalScaling", "Field", "Forest",
-    "ForestNullError", "MatchingInfo", "OracleBoundError", "ParseError",
-    "PrimeField", "QQ", "RankBasis", "RationalField", "SparseVector",
-    "SupportInfo", "ValidationError", "adjacency_matrix", "build_forest",
-    "connected_components", "core_vertices", "in_row_space",
+    "AcyclicMatrix", "Analysis", "Basis", "DiagonalScaling", "Field",
+    "Forest", "ForestNullError", "MatchingInfo", "OracleBoundError",
+    "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
+    "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
+    "build_forest", "connected_components", "in_row_space",
     "induced_subgraph", "maximum_matching", "null_basis", "null_dimension",
     "parse_field_spec", "path", "random_matrix", "rank_basis",
     "rank_normalization", "restriction_check", "same_pattern",
-    "second_vertex", "sparsest_null_basis",
-    "support", "support_transversal", "supported_neighborhood_vector",
-    "transfer_null", "transfer_rank", "transversal_scaling", "unit_vector",
-    "vertex_normalization", "vertex_scaling",
+    "second_vertex", "sparsest_null_basis", "support",
+    "supported_neighborhood_vector", "transfer_null", "transfer_rank",
+    "transversal_scaling", "unit_vector",
 ]

@@ -17,8 +17,7 @@ from . import matrixio, oracle
 from .errors import ForestNullError, ValidationError
 from .fields import parse_field_spec
 from .generate import random_matrix
-from .kernel import maximum_matching, support
-from .matrix import Basis
+from .kernel import analyze
 from .rank import rank_basis, transfer_rank
 from .scaling import null_basis, transfer_null
 
@@ -97,8 +96,8 @@ def _format_ids(ids) -> str:
 
 def _cmd_support(args) -> int:
     m = matrixio.read_matrix(args.file)
-    matching = maximum_matching(m.pattern)
-    info = support(m.pattern, matching)
+    analysis = analyze(m.pattern)
+    matching, info = analysis.matching, analysis.support
     null_dim = m.n - 2 * matching.nu
     if args.json:
         doc = {
@@ -150,7 +149,7 @@ def _cmd_rank_basis(args) -> int:
     if args.check:
         if m.n <= oracle.oracle_bound():
             reference = oracle.dense_row_space(m)
-            if not oracle.same_span(Basis(list(basis.vectors)), reference):
+            if not oracle.same_span(basis, reference):
                 raise ValidationError("check failed: span differs from the oracle")
             print("check: ok (dimension %d, oracle span verified)" % basis.dimension,
                   file=sys.stderr)

@@ -13,11 +13,14 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: The smallest strong pseudoprime to all of _MR_WITNESSES (Sorenson and
+#: Webster, Math. Comp. 2017); the test is exact below it.
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below _MR_EXACT_BELOW."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -148,6 +151,10 @@ class PrimeField(Field):
     """Integers mod a prime p; residues stored reduced in [0, p)."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= _MR_EXACT_BELOW:
+            raise ValidationError("prime field order must be below %d, the "
+                                  "range of the exact primality test, got %d"
+                                  % (_MR_EXACT_BELOW, p))
         if not isinstance(p, int) or p < 2 or not _is_prime(p):
             raise ValidationError("prime field order must be a prime >= 2, got %r" % (p,))
         self.p = p

@@ -3,9 +3,9 @@
 Vertices are 0-based ints.  Neighbors are stored in one flat array with
 per-vertex offsets (CSR layout) and are sorted ascending; every
 traversal in the package walks them in that order, which makes all
-downstream output reproducible byte for byte.  ``adjacency`` exposes
-the same data as per-vertex lists for convenience.  A ``Forest`` is
-never mutated after ``build_forest`` returns; concurrent reads are safe.
+downstream output reproducible byte for byte.  ``adjacency`` copies
+the same data out as per-vertex lists.  A ``Forest`` is never mutated
+after ``build_forest`` returns; concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ VertexPath = tuple
 
 class Forest:
     __slots__ = ("vertex_count", "edges", "neighbors", "offsets",
-                 "component_id", "component_count", "_adjacency",
-                 "_matching", "_support")
+                 "component_id", "component_count")
 
     def __init__(self, vertex_count, edges, neighbors, offsets,
                  component_id, component_count):
@@ -31,18 +30,12 @@ class Forest:
         self.offsets = offsets       # vertex v owns neighbors[offsets[v]:offsets[v+1]]
         self.component_id = component_id
         self.component_count = component_count
-        self._adjacency = None
-        self._matching = None   # memoized deterministic matching
-        self._support = None    # memoized support info
 
     @property
     def adjacency(self) -> list:
-        """Per-vertex sorted neighbor lists (materialized on demand)."""
-        if self._adjacency is None:
-            nbs, off = self.neighbors, self.offsets
-            self._adjacency = [list(nbs[off[v]:off[v + 1]])
-                               for v in range(self.vertex_count)]
-        return self._adjacency
+        """Per-vertex sorted neighbor lists, built afresh on each access."""
+        nbs, off = self.neighbors, self.offsets
+        return [list(nbs[off[v]:off[v + 1]]) for v in range(self.vertex_count)]
 
     @property
     def edge_count(self) -> int:

@@ -4,6 +4,11 @@ Maximum matching, the support of the kernel (vertices that can carry a
 nonzero coordinate in a null vector), and the sparsest {-1, 0, +1} basis
 of the null space of the forest's adjacency matrix.
 
+``analyze`` bundles the matching, the support and the support
+transversal of one pattern into an immutable ``Analysis``; everything
+downstream that needs this structure takes the ``Analysis`` as an
+argument, so it is computed once per call and never cached on objects.
+
 Everything here is deterministic: the matching processes vertices in
 post-order of a DFS started at the smallest id of each component, with
 neighbors visited ascending, so repeated runs produce identical output.
@@ -37,16 +42,33 @@ class SupportInfo:
     s_set: frozenset  # supp | core
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """The pattern-only structure every fast path needs, built once."""
+
+    forest: Forest
+    matching: MatchingInfo
+    support: SupportInfo
+    transversal: tuple  # smallest support vertex per component, ascending
+
+
+def analyze(f: Forest) -> Analysis:
+    """Matching, support and support transversal of the pattern f."""
+    matching = maximum_matching(f)
+    info = support(f, matching)
+    first = {}
+    for v in sorted(info.supp):
+        first.setdefault(f.component_id[v], v)
+    return Analysis(f, matching, info, tuple(first.values()))
+
+
 def maximum_matching(f: Forest) -> MatchingInfo:
     """Greedy leaf-first matching; maximum on forests.
 
     One iterative DFS per component (root = smallest id, children
     ascending); a vertex is matched to its parent at post-visit time
-    exactly when both are still free.  The result is deterministic, so
-    it is memoized on the forest.
+    exactly when both are still free.
     """
-    if f._matching is not None:
-        return f._matching
     n = f.vertex_count
     neighbors, offsets = f.neighbors, f.offsets
     parent = [-2] * n  # -2 = unvisited, -1 = root
@@ -82,28 +104,23 @@ def maximum_matching(f: Forest) -> MatchingInfo:
                     partner[p] = v
     exposed = frozenset(v for v in range(n) if partner[v] < 0)
     nu = (n - len(exposed)) // 2
-    info = MatchingInfo([p if p >= 0 else None for p in partner], nu, exposed)
-    f._matching = info
-    return info
+    return MatchingInfo([p if p >= 0 else None for p in partner], nu, exposed)
 
 
 def null_dimension(f: Forest) -> int:
     return f.vertex_count - 2 * maximum_matching(f).nu
 
 
-def support(f: Forest, matching: MatchingInfo = None) -> SupportInfo:
+def support(f: Forest, matching: MatchingInfo) -> SupportInfo:
     """Support, core and their union for the forest's null space.
 
     supp is every vertex reachable from an unmatched vertex by an
     alternating path of even length (non-matching edge first).  This is
     exactly {v : removing v keeps the matching number unchanged}, and
     also the intersection of all maximum independent sets; the test
-    suite checks both characterizations against brute force.
+    suite checks both characterizations against brute force.  The
+    matching must be a maximum matching of f.
     """
-    if matching is None:
-        matching = maximum_matching(f)
-    if f._support is not None and matching is f._matching:
-        return f._support
     n = f.vertex_count
     partner = matching.partner
     neighbors, offsets = f.neighbors, f.offsets
@@ -133,14 +150,10 @@ def support(f: Forest, matching: MatchingInfo = None) -> SupportInfo:
         for j in range(offsets[v], offsets[v + 1]):
             core_add(neighbors[j])
     core -= supp
-    info = SupportInfo(supp, frozenset(core), frozenset(supp | core))
-    if matching is f._matching:
-        f._support = info
-    return info
+    return SupportInfo(supp, frozenset(core), frozenset(supp | core))
 
 
-def sparsest_null_basis(f: Forest, field: Field = QQ,
-                        matching: MatchingInfo = None) -> Basis:
+def sparsest_null_basis(analysis: Analysis, field: Field = QQ) -> Basis:
     """Sparsest basis of the null space of the forest's adjacency matrix.
 
     One vector per unmatched vertex u (ascending): coordinate +1 at u,
@@ -149,8 +162,7 @@ def sparsest_null_basis(f: Forest, field: Field = QQ,
     an identity pattern on the unmatched vertices, and the total nonzero
     count is minimum over all bases (verified exhaustively in tests).
     """
-    if matching is None:
-        matching = maximum_matching(f)
+    f, matching = analysis.forest, analysis.matching
     n = f.vertex_count
     partner = matching.partner
     neighbors, offsets = f.neighbors, f.offsets

@@ -6,7 +6,7 @@ has to be symmetric.  Values live in flat arrays aligned with the
 pattern's CSR neighbor array: slot j holds the row-side entry
 M[v, neighbors[j]] in ``row_flat`` and the column-side entry
 M[neighbors[j], v] in ``col_flat`` for the vertex v owning slot j.
-``entries`` offers the same data as a plain (row, col) -> value dict.
+``entries`` copies the same data out as a (row, col) -> value dict.
 Instances are immutable after construction.
 """
 
@@ -118,8 +118,7 @@ class Basis:
 class AcyclicMatrix:
     """Square matrix over an exact field, zero diagonal, forest pattern."""
 
-    __slots__ = ("n", "field", "pattern", "row_flat", "col_flat", "_entries",
-                 "_null_basis", "_rank_normalization")
+    __slots__ = ("n", "field", "pattern", "row_flat", "col_flat")
 
     def __init__(self, n: int, field: Field, pattern: Forest,
                  row_flat: list, col_flat: list):
@@ -128,9 +127,6 @@ class AcyclicMatrix:
         self.pattern = pattern
         self.row_flat = row_flat
         self.col_flat = col_flat
-        self._entries = None
-        self._null_basis = None          # memoized by scaling.null_basis
-        self._rank_normalization = None  # memoized by rank.rank_normalization
 
     @classmethod
     def from_entries(cls, n: int, triples, field: Field = QQ) -> "AcyclicMatrix":
@@ -189,16 +185,12 @@ class AcyclicMatrix:
 
     @property
     def entries(self) -> dict:
-        """(row, col) -> value view of the stored entries (built lazily)."""
-        if self._entries is None:
-            neighbors, offsets = self.pattern.neighbors, self.pattern.offsets
-            row_flat = self.row_flat
-            out = {}
-            for u in range(self.n):
-                for j in range(offsets[u], offsets[u + 1]):
-                    out[(u, neighbors[j])] = row_flat[j]
-            self._entries = out
-        return self._entries
+        """(row, col) -> value dict of the stored entries, built afresh on
+        each access."""
+        neighbors, offsets = self.pattern.neighbors, self.pattern.offsets
+        row_flat = self.row_flat
+        return {(u, neighbors[j]): row_flat[j]
+                for u in range(self.n) for j in range(offsets[u], offsets[u + 1])}
 
     def entry(self, u: int, v: int):
         offsets = self.pattern.offsets

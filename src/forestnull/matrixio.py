@@ -25,6 +25,17 @@ from .matrix import AcyclicMatrix, Basis, SparseVector
 _BANNER_FIELDS = ("real", "integer", "rational")
 
 
+def _parse_int(value, what: str) -> int:
+    """An int or a decimal integer string; int() alone would also
+    truncate floats such as 1.9."""
+    if type(value) in (int, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError("%s must be an integer, got %r" % (what, value))
+
+
 def _banner_qualifier(field: Field) -> str:
     return "rational" if field == QQ else "integer"
 
@@ -126,13 +137,16 @@ def _parse_matrix_json(text: str) -> AcyclicMatrix:
         if key not in doc:
             raise ParseError("matrix JSON needs a %r key" % key)
     field = parse_field_spec(doc.get("field", "rational"))
+    if not isinstance(doc["entries"], list):
+        raise ParseError("matrix JSON 'entries' must be a list")
     triples = []
     for item in doc["entries"]:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError("each entry must be [row, col, value], got %r" % (item,))
         u, v, value = item
-        triples.append((int(u) - 1, int(v) - 1, field.coerce(value)))
-    return AcyclicMatrix.from_entries(int(doc["n"]), triples, field)
+        triples.append((_parse_int(u, "entry row") - 1,
+                        _parse_int(v, "entry column") - 1, field.coerce(value)))
+    return AcyclicMatrix.from_entries(_parse_int(doc["n"], "n"), triples, field)
 
 
 def read_matrix(path) -> AcyclicMatrix:
@@ -179,7 +193,7 @@ def parse_basis(text: str) -> Basis:
         except json.JSONDecodeError as exc:
             raise ParseError("bad JSON: %s" % exc, line=exc.lineno)
         field = parse_field_spec(doc.get("field", "rational"))
-        n = int(doc["n"])
+        n = _parse_int(doc["n"], "n")
         vectors = [_vector_from_map(n, field, vec) for vec in doc["vectors"]]
         return Basis(vectors)
     lines = [ln.strip() for ln in text.splitlines()]
@@ -192,11 +206,19 @@ def parse_basis(text: str) -> Basis:
                 field = parse_field_spec(payload[len("field:"):])
     if not body:
         raise ParseError("empty basis file")
-    n, dim, _ = (int(p) for p in body[0].split())
+    size = body[0].split()
+    if len(size) != 3:
+        raise ParseError("size line must be 'rows cols nnz'")
+    n, dim = _parse_int(size[0], "row count"), _parse_int(size[1], "column count")
     columns = [dict() for _ in range(dim)]
     for ln in body[1:]:
-        v, j, value = ln.split()
-        columns[int(j) - 1][int(v) - 1] = field.parse(value)
+        parts = ln.split()
+        if len(parts) != 3:
+            raise ParseError("entry line must be 'row col value'")
+        v, j = _parse_int(parts[0], "entry row"), _parse_int(parts[1], "entry column")
+        if not 1 <= j <= dim:
+            raise ParseError("entry column %d out of range for %d columns" % (j, dim))
+        columns[j - 1][v - 1] = field.parse(parts[2])
     return Basis([SparseVector(n, field, col) for col in columns])
 
 
@@ -205,9 +227,11 @@ def _vector_map(vec: SparseVector) -> dict:
 
 
 def _vector_from_map(n: int, field: Field, mapping: dict) -> SparseVector:
+    if not isinstance(mapping, dict):
+        raise ParseError("a vector must be a {vertex: value} object, got %r" % (mapping,))
     entries = {}
     for key, value in mapping.items():
-        entries[int(key) - 1] = field.coerce(value)
+        entries[_parse_int(key, "vector index") - 1] = field.coerce(value)
     return SparseVector(n, field, entries)
 
 
@@ -225,7 +249,7 @@ def parse_vector(text: str) -> SparseVector:
         if key not in doc:
             raise ParseError("vector JSON needs a %r key" % key)
     field = parse_field_spec(doc.get("field", "rational"))
-    return _vector_from_map(int(doc["n"]), field, doc["vector"])
+    return _vector_from_map(_parse_int(doc["n"], "n"), field, doc["vector"])
 
 
 def read_vector(path) -> SparseVector:

@@ -228,10 +228,10 @@ def min_support_total(m: AcyclicMatrix) -> int:
     return total
 
 
-def _dp_matching_number(f: Forest, skip: int = -1) -> int:
-    """Matching number by subtree DP (independent of the greedy code)."""
-    n = f.vertex_count
-    adjacency = f.adjacency
+def _dp_matching_number(adjacency: list, skip: int = -1) -> int:
+    """Matching number of the forest with these per-vertex neighbor
+    lists, by subtree DP (independent of the greedy code)."""
+    n = len(adjacency)
     state = [0] * n  # 0 new, 1 opened, 2 done
     if skip >= 0:
         state[skip] = 2
@@ -269,9 +269,10 @@ def _dp_matching_number(f: Forest, skip: int = -1) -> int:
 
 def support_by_matching(f: Forest) -> frozenset:
     """{v : deleting v does not drop the matching number}."""
-    nu = _dp_matching_number(f)
+    adjacency = f.adjacency
+    nu = _dp_matching_number(adjacency)
     return frozenset(v for v in range(f.vertex_count)
-                     if _dp_matching_number(f, skip=v) == nu)
+                     if _dp_matching_number(adjacency, skip=v) == nu)
 
 
 def support_by_mis(f: Forest) -> frozenset:

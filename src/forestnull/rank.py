@@ -1,4 +1,4 @@
-"""Structured bases of the row space and the scalings that move one
+"""Structured bases of the row space, and the row scaling that moves one
 matrix's row space onto another's.
 
 The row space of a zero-diagonal forest-patterned matrix is spanned by,
@@ -7,112 +7,77 @@ restricted to v's support neighbors (the "supported-neighborhood
 vector"); zero vectors are dropped.  Row space is what "rank" means
 throughout this module; for symmetric matrices it coincides with the
 column space, in general it does not.
+
+The row scaling R is the entrywise product, over the non-support
+vertices v, of the diagonal that holds at each w of v's component
+(w != v) the entry M[v, v'] of v's first step v' toward w, and 1
+elsewhere.  R maps each structured vector of the pattern's adjacency
+matrix onto a nonzero multiple of m's.  Across a tree edge s -> t only
+the factors of s and t change, so
+
+    R[t] = R[s] * M[s, t]  (if s is not in supp)
+                * M[t, s]^-1  (if t is not in supp),
+
+and at the root r of a component, R[r] is the product of M[t, parent(t)]
+over the component's non-support vertices t != r.  ``rank_normalization``
+runs this rule over the tree-edge walk of ``scaling``: O(n) field
+operations instead of the O(n^2) of the literal product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import ValidationError
 from .fields import require_same_field
-from .kernel import SupportInfo, support
-from .matrix import AcyclicMatrix, SparseVector, same_pattern, unit_vector
-from .scaling import DiagonalScaling, null_basis
+from .kernel import Analysis, analyze
+from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern, unit_vector
+from .scaling import DiagonalScaling, _tree_edges, null_basis
 
 
-@dataclass(eq=True)
-class RankBasis:
-    """Ordered basis of the row space: unit vectors first (ascending
-    vertex), then nonzero supported-neighborhood vectors (ascending)."""
-
-    vectors: list
-    dimension: int = dc_field(init=False)
-
-    def __post_init__(self):
-        self.dimension = len(self.vectors)
-
-
-def supported_neighborhood_vector(m: AcyclicMatrix, supp_info: SupportInfo,
+def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
                                   v: int) -> SparseVector:
     """Row v of m restricted to v's support neighbors.  May be zero."""
-    if v in supp_info.supp:
+    supp = analysis.support.supp
+    if v in supp:
         raise ValidationError("vertex %d is a support vertex" % v)
-    supp = supp_info.supp
     return SparseVector(m.n, m.field,
                         {w: x for w, x in m.row_items(v) if w in supp})
 
 
-def rank_basis(m: AcyclicMatrix) -> RankBasis:
-    """Basis of the row space of m; its size is twice the matching number."""
-    supp_info = support(m.pattern)
-    non_supp = [v for v in range(m.n) if v not in supp_info.supp]
+def rank_basis(m: AcyclicMatrix) -> Basis:
+    """Basis of the row space of m, of size twice the matching number:
+    unit vectors first (ascending vertex), then the nonzero
+    supported-neighborhood vectors (ascending vertex)."""
+    analysis = analyze(m.pattern)
+    supp = analysis.support.supp
+    non_supp = [v for v in range(m.n) if v not in supp]
     vectors = [unit_vector(m.n, m.field, v) for v in non_supp]
     for v in non_supp:
-        s_v = supported_neighborhood_vector(m, supp_info, v)
+        s_v = supported_neighborhood_vector(m, analysis, v)
         if not s_v.is_zero():
             vectors.append(s_v)
-    return RankBasis(vectors)
+    return Basis(vectors)
 
 
-def core_vertices(m: AcyclicMatrix, supp_info: SupportInfo = None) -> frozenset:
-    """Vertices with at least one support neighbor."""
-    if supp_info is None:
-        supp_info = support(m.pattern)
-    supp = supp_info.supp
-    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
-    return frozenset(v for v in range(m.n)
-                     if any(neighbors[j] in supp
-                            for j in range(offsets[v], offsets[v + 1])))
-
-
-def vertex_normalization(m: AcyclicMatrix, v: int,
-                         supp_info: SupportInfo = None) -> DiagonalScaling:
-    """Diagonal with, at each w in v's component, the entry of row v
-    toward w (the entry at v's first step on the path to w); 1 at v and
-    outside the component."""
-    if supp_info is None:
-        supp_info = support(m.pattern)
-    if v in supp_info.supp:
-        raise ValidationError("vertex %d is a support vertex" % v)
+def rank_normalization(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling:
+    """The row scaling of m: maps the pattern's row space onto m's."""
     field = m.field
+    mul, inv = field.mul, field.inv
+    supp = analysis.support.supp
+    row_flat, col_flat = m.row_flat, m.col_flat
+    component_id = m.pattern.component_id
     diag = [field.one] * m.n
-    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
-    seen = bytearray(m.n)
-    seen[v] = 1
-    for t, factor in m.row_items(v):
-        # Everything reached through neighbor t gets the (v, t) entry.
-        stack = [t]
-        seen[t] = 1
-        diag[t] = factor
-        while stack:
-            w = stack.pop()
-            for j in range(offsets[w], offsets[w + 1]):
-                u = neighbors[j]
-                if not seen[u]:
-                    seen[u] = 1
-                    diag[u] = factor
-                    stack.append(u)
-    return DiagonalScaling(m.n, field, diag)
-
-
-def rank_normalization(m: AcyclicMatrix) -> DiagonalScaling:
-    """Entrywise product of the vertex normalizations over all
-    non-support vertices; maps the pattern's row space onto m's.
-    Deterministic, memoized on the matrix."""
-    if m._rank_normalization is not None:
-        return m._rank_normalization
-    supp_info = support(m.pattern)
-    field = m.field
-    mul = field.mul
-    diag = [field.one] * m.n
-    for v in range(m.n):
-        if v in supp_info.supp:
-            continue
-        step = vertex_normalization(m, v, supp_info).diag
-        diag = [mul(a, b) for a, b in zip(diag, step)]
-    scaling = DiagonalScaling(m.n, field, diag)
-    m._rank_normalization = scaling
-    return scaling
+    root_value = [field.one] * m.pattern.component_count
+    for s, t, j in _tree_edges(m.pattern, range(m.n)):
+        d = diag[s]
+        if s not in supp:
+            d = mul(d, row_flat[j])
+        if t not in supp:
+            d = mul(d, inv(col_flat[j]))
+            c = component_id[t]
+            root_value[c] = mul(root_value[c], col_flat[j])
+        diag[t] = d
+    return DiagonalScaling(m.n, field, [mul(d, root_value[component_id[v]])
+                                        for v, d in enumerate(diag)])
 
 
 def in_row_space(m: AcyclicMatrix, x: SparseVector) -> bool:
@@ -133,6 +98,7 @@ def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
         raise ValidationError("matrices do not share a pattern")
     if not in_row_space(m, x):
         raise ValidationError("vector is not in the row space of the source matrix")
-    r_m = rank_normalization(m)
-    r_n = rank_normalization(n_mat)
+    analysis = analyze(m.pattern)
+    r_m = rank_normalization(m, analysis)
+    r_n = rank_normalization(n_mat, analysis)
     return r_n.apply(r_m.inverse().apply(x))

@@ -1,9 +1,14 @@
-"""Diagonal scalings that carry the null space of a matrix onto the null
-space of its pattern's adjacency matrix, and back.
+"""Diagonal scalings that carry the null space and the row space of a
+matrix onto those of its pattern's adjacency matrix, and back.
 
-For a matrix M with support set S, the scaling anchored at a support
-vertex v is built by one walk of v's component: the anchor gets 1, and
-each tree edge crossed from s to t multiplies the running product by
+Both scalings are loops over one walk of the pattern, ``_tree_edges``,
+which yields every tree edge s -> t once, parent before child.  Each
+loop sets D[t] from D[s] and the two entries of the edge, so either
+scaling costs O(n) field operations.
+
+The null scaling (``transversal_scaling``) roots every component that
+has support at its smallest support vertex, the transversal vertex,
+with D = 1 there; crossing s -> t multiplies by
 
     M[s, t]        if t is a support vertex,
     M[t, s]^-1     if s is a support vertex,
@@ -14,7 +19,9 @@ whose column is the support endpoint; that is the one orientation for
 which D[w] / D[w'] = M[u, w] / M[u, w'] holds for any two support
 neighbors w, w' of a vertex u, which is the identity the null-space
 transfer rests on.  Support vertices are never adjacent, so the two
-cases cannot collide.  One field multiplication per vertex, O(n) total.
+cases cannot collide.  Components without support keep D = 1.  The
+row scaling, ``rank.rank_normalization``, runs its own rule over the
+same walk.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .fields import Field, require_same_field
-from .forest import induced_subgraph
-from .kernel import SupportInfo, maximum_matching, sparsest_null_basis, support
+from .forest import Forest
+from .kernel import Analysis, analyze, sparsest_null_basis
 from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern
 
 
@@ -57,15 +64,6 @@ class DiagonalScaling:
         return SparseVector(x.n, x.field,
                             {v: mul(diag[v], xv) for v, xv in x.entries.items()})
 
-    def compose(self, other: "DiagonalScaling") -> "DiagonalScaling":
-        """Entrywise product (diagonal matrices commute)."""
-        require_same_field(self.field, other.field, "scalings")
-        if other.n != self.n:
-            raise ValidationError("dimension mismatch: %d vs %d" % (self.n, other.n))
-        mul = self.field.mul
-        return DiagonalScaling(self.n, self.field,
-                               [mul(a, b) for a, b in zip(self.diag, other.diag)])
-
     def __eq__(self, other):
         return (isinstance(other, DiagonalScaling) and self.n == other.n
                 and self.field == other.field and self.diag == other.diag)
@@ -74,90 +72,49 @@ class DiagonalScaling:
         return "DiagonalScaling(n=%d, field=%s)" % (self.n, self.field.name)
 
 
-def _scale_component(m: AcyclicMatrix, supp_flags: bytearray, v: int, diag: list,
-                     seen: bytearray):
-    """Fill diag over v's component by the edge-factor walk from v.
+def _tree_edges(f: Forest, roots):
+    """Yield (s, t, j) for every tree edge of the components of ``roots``,
+    parent s before child t, with j the slot of t in s's row.
 
-    ``seen`` is shared across calls; components are disjoint.
+    Each component is walked from the first of ``roots`` inside it; later
+    roots in an already walked component are skipped.
+    """
+    neighbors, offsets = f.neighbors, f.offsets
+    seen = bytearray(f.vertex_count)
+    for r in roots:
+        if seen[r]:
+            continue
+        seen[r] = 1
+        stack = [r]
+        pop, push = stack.pop, stack.append
+        while stack:
+            s = pop()
+            for j in range(offsets[s], offsets[s + 1]):
+                t = neighbors[j]
+                if not seen[t]:
+                    seen[t] = 1
+                    yield s, t, j
+                    push(t)
+
+
+def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling:
+    """The null scaling of m, rooted at the analysis's transversal: D x
+    is a null vector of the adjacency matrix for every null vector x of m.
     """
     field = m.field
     mul, inv = field.mul, field.inv
-    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    supp = analysis.support.supp
     row_flat = m.row_flat  # slot j of vertex s: M[s, neighbors[j]]
     col_flat = m.col_flat  # slot j of vertex s: M[neighbors[j], s]
-    diag[v] = field.one
-    stack = [v]
-    pop, push = stack.pop, stack.append
-    seen[v] = 1
-    while stack:
-        s = pop()
-        ds = diag[s]
-        s_in_supp = supp_flags[s]
-        for j in range(offsets[s], offsets[s + 1]):
-            t = neighbors[j]
-            if seen[t]:
-                continue
-            seen[t] = 1
-            if supp_flags[t]:
-                diag[t] = mul(ds, row_flat[j])
-            elif s_in_supp:
-                diag[t] = mul(ds, inv(col_flat[j]))
-            else:
-                diag[t] = ds
-            push(t)
-
-
-def _supp_flags(n: int, supp) -> bytearray:
-    flags = bytearray(n)
-    for v in supp:
-        flags[v] = 1
-    return flags
-
-
-def vertex_scaling(m: AcyclicMatrix, supp_info: SupportInfo, v: int) -> DiagonalScaling:
-    """Scaling anchored at support vertex v; 1 outside v's component."""
-    if v not in supp_info.supp:
-        raise ValidationError("vertex %d is not in the support" % v)
-    diag = [m.field.one] * m.n
-    _scale_component(m, _supp_flags(m.n, supp_info.supp), v, diag, bytearray(m.n))
-    return DiagonalScaling(m.n, m.field, diag)
-
-
-def support_transversal(m: AcyclicMatrix, supp_info: SupportInfo = None) -> frozenset:
-    """Smallest support vertex of every component whose support is nonempty."""
-    if supp_info is None:
-        supp_info = support(m.pattern)
-    component_id = m.pattern.component_id
-    best = {}
-    for v in sorted(supp_info.supp):
-        best.setdefault(component_id[v], v)
-    return frozenset(best.values())
-
-
-def transversal_scaling(m: AcyclicMatrix, supp_info: SupportInfo,
-                        transversal) -> DiagonalScaling:
-    """Componentwise product of the anchored scalings, identity where the
-    support is empty."""
-    component_id = m.pattern.component_id
-    seen_components = set()
-    for v in transversal:
-        if v not in supp_info.supp:
-            raise ValidationError("transversal vertex %d is not in the support" % v)
-        c = component_id[v]
-        if c in seen_components:
-            raise ValidationError("two transversal vertices in component %d" % c)
-        seen_components.add(c)
-    needed = {component_id[v] for v in supp_info.supp}
-    missing = needed - seen_components
-    if missing:
-        raise ValidationError("component %d has support but no transversal vertex"
-                              % min(missing))
-    diag = [m.field.one] * m.n
-    flags = _supp_flags(m.n, supp_info.supp)
-    seen = bytearray(m.n)
-    for v in sorted(transversal):
-        _scale_component(m, flags, v, diag, seen)
-    return DiagonalScaling(m.n, m.field, diag)
+    diag = [field.one] * m.n
+    for s, t, j in _tree_edges(m.pattern, analysis.transversal):
+        if t in supp:
+            diag[t] = mul(diag[s], row_flat[j])
+        elif s in supp:
+            diag[t] = mul(diag[s], inv(col_flat[j]))
+        else:
+            diag[t] = diag[s]
+    return DiagonalScaling(m.n, field, diag)
 
 
 def null_basis(m: AcyclicMatrix) -> Basis:
@@ -165,16 +122,11 @@ def null_basis(m: AcyclicMatrix) -> Basis:
 
     The pattern's {-1, 0, +1} basis is pulled back through the inverse
     transversal scaling; a nonsingular diagonal never changes supports,
-    so sparsity carries over.  O(n + total nonzeros) field operations;
-    the (deterministic) result is memoized on the matrix.
+    so sparsity carries over.  O(n + total nonzeros) field operations.
     """
-    if m._null_basis is not None:
-        return m._null_basis
-    f = m.pattern
-    matching = maximum_matching(f)
-    supp_info = support(f, matching)
-    pattern_basis = sparsest_null_basis(f, m.field, matching)
-    scaling = transversal_scaling(m, supp_info, support_transversal(m, supp_info))
+    analysis = analyze(m.pattern)
+    pattern_basis = sparsest_null_basis(analysis, m.field)
+    scaling = transversal_scaling(m, analysis)
     inv, mul = m.field.inv, m.field.mul
     diag = scaling.diag
     inv_cache = {}
@@ -187,9 +139,7 @@ def null_basis(m: AcyclicMatrix) -> Basis:
                 d = inv_cache[v] = inv(diag[v])
             out[v] = mul(d, x)
         vectors.append(SparseVector(m.n, m.field, out))
-    basis = Basis(vectors)
-    m._null_basis = basis
-    return basis
+    return Basis(vectors)
 
 
 def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
@@ -204,34 +154,32 @@ def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
         raise ValidationError("matrices do not share a pattern")
     if not m.apply(x).is_zero():
         raise ValidationError("vector is not in the null space of the source matrix")
-    supp_info = support(m.pattern)
-    transversal = support_transversal(m, supp_info)
-    d_m = transversal_scaling(m, supp_info, transversal)
-    d_n = transversal_scaling(n_mat, supp_info, transversal)
+    analysis = analyze(m.pattern)
+    d_m = transversal_scaling(m, analysis)
+    d_n = transversal_scaling(n_mat, analysis)
     return d_n.inverse().apply(d_m.apply(x))
 
 
 def restriction_check(m: AcyclicMatrix, x: SparseVector) -> bool:
     """True iff x vanishes outside supp+core and its restriction there is
-    annihilated by the induced matrix (equivalent to x in Null(m))."""
+    annihilated by the matrix induced on supp+core (equivalent to x in
+    Null(m))."""
     if x.n != m.n:
         raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
     require_same_field(m.field, x.field, "matrix and vector")
-    supp_info = support(m.pattern)
-    s_set = supp_info.s_set
+    s_set = analyze(m.pattern).support.s_set
     if any(v not in s_set for v in x.entries):
         return False
-    induced = induced_subgraph(m.pattern, s_set)
-    sub = induced.forest
-    remap = induced.from_parent
-    triples = []
-    for u in induced.to_parent:
-        nu = remap[u]
-        for v, val in m.row_items(u):
-            nv = remap.get(v)
-            if nv is not None:
-                triples.append((nu, nv, val))
-    m_sub = AcyclicMatrix.from_entries(sub.vertex_count, triples, m.field)
-    x_sub = SparseVector(sub.vertex_count, m.field,
-                         {remap[v]: val for v, val in x.entries.items()})
-    return m_sub.apply(x_sub).is_zero()
+    zero = m.field.zero
+    add, mul = m.field.add, m.field.mul
+    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    row_flat = m.row_flat
+    for u in s_set:
+        acc = zero
+        for j in range(offsets[u], offsets[u + 1]):
+            v = neighbors[j]
+            if v in s_set:
+                acc = add(acc, mul(row_flat[j], x.get(v)))
+        if acc != zero:
+            return False
+    return True

@@ -16,10 +16,9 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
-                        build_forest, maximum_matching, null_basis,
-                        rank_basis, rank_normalization, restriction_check,
-                        sparsest_null_basis, support, transfer_null,
-                        transfer_rank)
+                        analyze, build_forest, null_basis, rank_basis,
+                        rank_normalization, restriction_check,
+                        sparsest_null_basis, transfer_null, transfer_rank)
 from forestnull.bench import run_bench
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
@@ -82,12 +81,12 @@ class Corpus:
             t0 = time.time()
             recs = []
             for m in self.instances:
-                matching = maximum_matching(m.pattern)
-                info = support(m.pattern, matching)
+                analysis = analyze(m.pattern)
                 recs.append({
                     "m": m,
-                    "matching": matching,
-                    "support": info,
+                    "analysis": analysis,
+                    "matching": analysis.matching,
+                    "support": analysis.support,
                     "fast": null_basis(m),
                     "oracle": oracle.dense_analysis(m),
                 })
@@ -139,7 +138,7 @@ def test_criterion_3_support_laws(corpus):
     for n in range(1, 13):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert support(f).supp == oracle.support_by_mis(f)
+            assert analyze(f).support.supp == oracle.support_by_mis(f)
             count += 1
     print("ACCEPTANCE 3 PASS - support characterizations agree "
           "(%d instances; %d forests vs exhaustive independent sets)"
@@ -151,7 +150,7 @@ def test_criterion_4_sparsest_contract():
     for n in range(1, 9):
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
-            pattern_basis = sparsest_null_basis(f, QQ)
+            pattern_basis = sparsest_null_basis(analyze(f), QQ)
             assert pattern_basis.total_nonzeros == \
                 oracle.min_support_total(adjacency_matrix(f, QQ))
             one, minus = QQ.one, QQ.neg(QQ.one)
@@ -161,7 +160,7 @@ def test_criterion_4_sparsest_contract():
                 m = matrix_on(f, seed, field)
                 fast = null_basis(m)
                 assert [v.support() for v in fast.vectors] == \
-                    [v.support() for v in sparsest_null_basis(f, field).vectors]
+                    [v.support() for v in sparsest_null_basis(analyze(f), field).vectors]
             trees += 1
     print("ACCEPTANCE 4 PASS - sparsest {-1,0,1} contract matches brute force "
           "on all %d trees up to 8 vertices" % trees)
@@ -199,14 +198,14 @@ def test_criterion_6_rank_structure(corpus, m_p3):
     for rec in corpus.records:
         m = rec["m"]
         basis = rank_basis(m)
-        assert oracle.same_span(Basis(list(basis.vectors)), rec["oracle"].row_basis)
+        assert oracle.same_span(basis, rec["oracle"].row_basis)
         a = adjacency_matrix(m.pattern, m.field)
-        r = rank_normalization(m)
+        r = rank_normalization(m, rec["analysis"])
         scaled = [r.apply(vec) for vec in rank_basis(a).vectors]
         assert oracle.same_span(Basis(scaled), rec["oracle"].row_basis)
     # the structured basis spans the ROW space; for the standard
     # non-symmetric path fixture it must NOT span the column space
-    row_reading = Basis(list(rank_basis(m_p3).vectors))
+    row_reading = rank_basis(m_p3)
     column_space = oracle.dense_row_space(m_p3.transpose())
     assert not oracle.same_span(row_reading, column_space)
     assert oracle.same_span(row_reading, oracle.dense_row_space(m_p3))

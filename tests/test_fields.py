@@ -43,6 +43,16 @@ def test_prime_field_rejects_composites():
     PrimeField(1000003)
 
 
+def test_prime_field_rejects_strong_pseudoprimes():
+    # composite, yet a strong probable prime to each of the bases 2..37
+    with pytest.raises(ValidationError, match="prime"):
+        PrimeField(399165290221 * 798330580441)
+    # the smallest strong pseudoprime to 2..41: beyond the exact range
+    with pytest.raises(ValidationError, match="below"):
+        PrimeField(3317044064679887385961981)
+    PrimeField(2 ** 61 - 1)
+
+
 @given(rationals, rationals, rationals)
 def test_rational_axioms(a, b, c):
     assert QQ.add(QQ.add(a, b), c) == QQ.add(a, QQ.add(b, c))

@@ -1,8 +1,15 @@
+import ast
+import importlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import forestnull
 from forestnull import ParseError, PrimeField, QQ, ValidationError
 from forestnull import matrixio
 from forestnull.cli import main
@@ -77,6 +84,18 @@ def test_parse_errors_carry_line_numbers():
                               "2 2 5\n"
                               "1 2 1\n"
                               "2 1 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix coordinate rational general\n3 x 1\n1 1 1\n",
+    "%%MatrixMarket matrix coordinate rational general\n3 1\n",
+    "%%MatrixMarket matrix coordinate rational general\n3 1 1\n1 one 1\n",
+    "%%MatrixMarket matrix coordinate rational general\n3 1 1\n1 0 1\n",
+    '{"n": "three", "field": "rational", "vectors": []}',
+])
+def test_parse_basis_rejects_malformed_text(text):
+    with pytest.raises(ParseError):
+        matrixio.parse_basis(text)
 
 
 def test_basis_round_trip(m_star):
@@ -235,3 +254,46 @@ def test_cli_determinism(p3_file, capsys):
         assert main(["gen", "--n", "40", "--seed", "9"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("matrix_text, vector_text", [
+    ('{"n": 2, "field": "rational", "entries": [["a", 1, "3"]]}', None),
+    ('{"n": 2, "field": "rational", "entries": 5}', None),
+    ('{"n": 2, "field": "rational", "entries": [[1.9, 2, "1"], [2, 1, "1"]]}', None),
+    (None, '{"n": 3, "field": "rational", "vector": {"x": "1"}}'),
+    (None, '{"n": 3, "field": "rational", "vector": [1]}'),
+])
+def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
+                                                  vector_text):
+    matrix_path = tmp_path / "m.json"
+    if matrix_text is None:
+        matrixio.write_matrix(m_p3, matrix_path, fmt="json")
+        vector_path = tmp_path / "x.json"
+        vector_path.write_text(vector_text)
+        argv = ["transfer", "--space", "null", "--from", str(matrix_path),
+                "--to", str(matrix_path), "--vector", str(vector_path)]
+    else:
+        matrix_path.write_text(matrix_text)
+        argv = ["validate", str(matrix_path)]
+    src = str(Path(forestnull.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "forestnull.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_traced_layer_functions_exist():
+    # perfbench/tracing.py wraps these functions by name; each must resolve
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    for _, module_name, attr in traced:
+        obj = importlib.import_module("forestnull." + module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module_name, attr)

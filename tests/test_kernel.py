@@ -1,8 +1,12 @@
+import dataclasses
 import random
 from itertools import combinations
 
-from forestnull import (QQ, adjacency_matrix, build_forest, maximum_matching,
-                        null_dimension, sparsest_null_basis, support)
+import pytest
+
+from forestnull import (QQ, adjacency_matrix, analyze, build_forest,
+                        maximum_matching, null_dimension, sparsest_null_basis,
+                        support)
 from forestnull.generate import random_forest_edges
 from forestnull import oracle
 from treegen import free_forests, free_trees
@@ -77,16 +81,16 @@ def test_matching_is_maximum_exhaustive():
 
 
 def test_support_examples(p3):
-    info = support(p3)
+    info = support(p3, maximum_matching(p3))
     assert sorted(info.supp) == [0, 2]
     assert sorted(info.core) == [1]
 
     p4 = path_forest(4)
-    info4 = support(p4)
+    info4 = support(p4, maximum_matching(p4))
     assert info4.supp == frozenset() and info4.core == frozenset()
 
     star = build_forest(4, [(0, 1), (0, 2), (0, 3)])
-    info_s = support(star)
+    info_s = support(star, maximum_matching(star))
     assert sorted(info_s.supp) == [1, 2, 3]
     assert sorted(info_s.core) == [0]
 
@@ -109,14 +113,14 @@ def test_support_matches_deletion_oracle():
     for n in range(1, 10):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert support(f).supp == oracle.support_by_matching(f)
+            assert analyze(f).support.supp == oracle.support_by_matching(f)
 
 
 def test_support_matches_mis_intersection_small():
     for n in range(1, 9):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert support(f).supp == oracle.support_by_mis(f)
+            assert analyze(f).support.supp == oracle.support_by_mis(f)
 
 
 def test_null_dimension():
@@ -126,15 +130,15 @@ def test_null_dimension():
 
 
 def test_sparsest_basis_examples():
-    b5 = sparsest_null_basis(path_forest(5))
+    b5 = sparsest_null_basis(analyze(path_forest(5)))
     assert [v.entries for v in b5.vectors] == [{0: 1, 2: -1, 4: 1}]
 
     star = build_forest(4, [(0, 1), (0, 2), (0, 3)])
-    bs = sparsest_null_basis(star)
+    bs = sparsest_null_basis(analyze(star))
     assert [v.entries for v in bs.vectors] == [{2: 1, 1: -1}, {3: 1, 1: -1}]
     assert bs.total_nonzeros == 4
 
-    assert sparsest_null_basis(path_forest(4)).dimension == 0
+    assert sparsest_null_basis(analyze(path_forest(4))).dimension == 0
 
 
 def test_basis_vectors_annihilated_and_structured():
@@ -144,7 +148,7 @@ def test_basis_vectors_annihilated_and_structured():
         f = build_forest(n, random_forest_edges(n, rng, rng.randint(1, min(3, n))))
         mi = maximum_matching(f)
         info = support(f, mi)
-        basis = sparsest_null_basis(f, QQ, mi)
+        basis = sparsest_null_basis(analyze(f), QQ)
         a = adjacency_matrix(f)
         assert basis.dimension == n - 2 * mi.nu
         exposed = sorted(mi.exposed)
@@ -162,5 +166,17 @@ def test_basis_vectors_annihilated_and_structured():
 
 def test_isolated_vertices_give_unit_vectors():
     f = build_forest(3, [(1, 2)])
-    basis = sparsest_null_basis(f)
+    basis = sparsest_null_basis(analyze(f))
     assert basis.vectors[0].entries == {0: 1}
+
+
+def test_analyze_bundles_matching_support_and_transversal():
+    # P3 + P2 + P2 + an isolated vertex: the P2s carry no support
+    f = build_forest(8, [(0, 1), (1, 2), (3, 4), (5, 6)])
+    a = analyze(f)
+    assert a.forest is f
+    assert a.matching == maximum_matching(f)
+    assert a.support == support(f, a.matching)
+    assert a.transversal == (0, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.transversal = ()

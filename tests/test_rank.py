@@ -4,26 +4,60 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, ValidationError,
-                        adjacency_matrix, build_forest, core_vertices,
-                        in_row_space, maximum_matching, rank_basis,
-                        rank_normalization, support,
-                        supported_neighborhood_vector, transfer_rank,
-                        vertex_normalization)
+                        adjacency_matrix, analyze, build_forest, in_row_space,
+                        rank_basis, rank_normalization,
+                        supported_neighborhood_vector, transfer_rank)
 from forestnull.generate import random_matrix
 from forestnull import oracle
 from conftest import sv
+from test_acceptance import Corpus, matrix_on
 from treegen import free_trees
 
 GF = PrimeField(10007)
 
 
+def vertex_normalization(m, v):
+    """Diagonal with, at each w in v's component, the entry of row v
+    toward w (the entry at v's first step on the path to w); 1 at v and
+    outside the component (test-only reference)."""
+    diag = [m.field.one] * m.n
+    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    seen = bytearray(m.n)
+    seen[v] = 1
+    for t, factor in m.row_items(v):
+        # Everything reached through neighbor t gets the (v, t) entry.
+        stack = [t]
+        seen[t] = 1
+        diag[t] = factor
+        while stack:
+            w = stack.pop()
+            for j in range(offsets[w], offsets[w + 1]):
+                u = neighbors[j]
+                if not seen[u]:
+                    seen[u] = 1
+                    diag[u] = factor
+                    stack.append(u)
+    return diag
+
+
+def product_rank_normalization(m, supp):
+    """The row scaling by its definition: the entrywise product of the
+    vertex normalizations over all non-support vertices, O(n^2)."""
+    mul = m.field.mul
+    diag = [m.field.one] * m.n
+    for v in range(m.n):
+        if v not in supp:
+            diag = [mul(a, b) for a, b in zip(diag, vertex_normalization(m, v))]
+    return diag
+
+
 def test_supported_neighborhood_vector(m_p3, m_star):
-    info = support(m_p3.pattern)
-    assert supported_neighborhood_vector(m_p3, info, 1) == sv(3, {0: 3, 2: 5})
-    info_s = support(m_star.pattern)
-    assert supported_neighborhood_vector(m_star, info_s, 0) == sv(4, {1: 1, 2: 2, 3: 3})
+    analysis = analyze(m_p3.pattern)
+    assert supported_neighborhood_vector(m_p3, analysis, 1) == sv(3, {0: 3, 2: 5})
+    assert supported_neighborhood_vector(m_star, analyze(m_star.pattern), 0) \
+        == sv(4, {1: 1, 2: 2, 3: 3})
     with pytest.raises(ValidationError, match="support"):
-        supported_neighborhood_vector(m_p3, info, 0)
+        supported_neighborhood_vector(m_p3, analysis, 0)
 
 
 def p4_matrix():
@@ -33,9 +67,9 @@ def p4_matrix():
 
 def test_supported_neighborhood_vector_zero_when_no_support():
     p4 = p4_matrix()
-    info = support(p4.pattern)
+    analysis = analyze(p4.pattern)
     for v in range(4):
-        assert supported_neighborhood_vector(p4, info, v).is_zero()
+        assert supported_neighborhood_vector(p4, analysis, v).is_zero()
 
 
 def test_rank_basis_m_p3(m_p3):
@@ -61,55 +95,49 @@ def test_rank_basis_spans_row_space():
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 71 * trial + 5, field, rng.randint(1, min(3, n)))
         basis = rank_basis(m)
-        nu = maximum_matching(m.pattern).nu
+        nu = analyze(m.pattern).matching.nu
         assert basis.dimension == 2 * nu
         reference = oracle.dense_row_space(m)
-        assert oracle.same_span(Basis(list(basis.vectors)), reference)
+        assert oracle.same_span(basis, reference)
         # complementarity
         assert basis.dimension + oracle.dense_null_space(m).dimension == n
 
 
 def test_core_vertices(m_p3, m_star):
-    assert core_vertices(m_p3) == {1}
-    assert core_vertices(m_star) == {0}
-    assert core_vertices(p4_matrix()) == frozenset()
+    assert analyze(m_p3.pattern).support.core == {1}
+    assert analyze(m_star.pattern).support.core == {0}
+    assert analyze(p4_matrix().pattern).support.core == frozenset()
 
 
 def test_vertex_normalization(m_p3, m_star):
-    assert vertex_normalization(m_p3, 1).diag == [3, 1, 5]
-    assert vertex_normalization(m_star, 0).diag == [1, 1, 2, 3]
+    assert vertex_normalization(m_p3, 1) == [3, 1, 5]
+    assert vertex_normalization(m_star, 0) == [1, 1, 2, 3]
     a = adjacency_matrix(m_p3.pattern)
-    assert vertex_normalization(a, 1).diag == [1, 1, 1]
-    with pytest.raises(ValidationError, match="support"):
-        vertex_normalization(m_p3, 0)
+    assert vertex_normalization(a, 1) == [1, 1, 1]
 
 
 def test_rank_normalization(m_p3):
-    r = rank_normalization(m_p3)
+    r = rank_normalization(m_p3, analyze(m_p3.pattern))
     assert r.diag == [3, 1, 5]
     assert r.apply(sv(3, {0: 1, 2: 1})) == sv(3, {0: 3, 2: 5})
     a = adjacency_matrix(m_p3.pattern)
-    assert rank_normalization(a).diag == [1, 1, 1]
+    assert rank_normalization(a, analyze(a.pattern)).diag == [1, 1, 1]
 
 
 def test_rank_normalization_is_product_of_vertex_normalizations():
-    for n in range(2, 7):
+    # rerooting walk == literal product, on every tree up to 8 vertices
+    # over both fields and on the acceptance corpus
+    instances = []
+    for n in range(1, 9):
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
-            triples = []
-            rng = random.Random(idx)
-            for u, v in f.edges:
-                triples.append((u, v, Fraction(rng.randint(1, 9))))
-                triples.append((v, u, Fraction(rng.randint(1, 9))))
-            m = AcyclicMatrix.from_entries(n, triples, QQ)
-            info = support(f)
-            expected = [QQ.one] * n
-            for v in range(n):
-                if v in info.supp:
-                    continue
-                step = vertex_normalization(m, v, info).diag
-                expected = [a * b for a, b in zip(expected, step)]
-            assert rank_normalization(m).diag == expected
+            instances.append(matrix_on(f, 31 * n + idx, QQ))
+            instances.append(matrix_on(f, 77 * n + idx, GF))
+    instances += Corpus().instances
+    for m in instances:
+        analysis = analyze(m.pattern)
+        assert rank_normalization(m, analysis).diag == \
+            product_rank_normalization(m, analysis.support.supp)
 
 
 def test_rank_normalization_carries_pattern_row_space():
@@ -119,16 +147,16 @@ def test_rank_normalization_carries_pattern_row_space():
         n = rng.randint(2, 25)
         m = random_matrix(n, 400 + trial, QQ, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern)
-        r = rank_normalization(m)
-        info = support(m.pattern)
+        analysis = analyze(m.pattern)
+        r = rank_normalization(m, analysis)
         scaled = [r.apply(vec) for vec in rank_basis(a).vectors]
         assert oracle.same_span(Basis(scaled), oracle.dense_row_space(m))
         # per-vector: scaled pattern vectors are scalar multiples of the
         # matrix's own structured vectors
-        non_supp = [v for v in range(n) if v not in info.supp]
+        non_supp = [v for v in range(n) if v not in analysis.support.supp]
         for v in non_supp:
-            sv_m = supported_neighborhood_vector(m, info, v)
-            sv_a = r.apply(supported_neighborhood_vector(a, info, v))
+            sv_m = supported_neighborhood_vector(m, analysis, v)
+            sv_a = r.apply(supported_neighborhood_vector(a, analysis, v))
             if sv_m.is_zero():
                 assert sv_a.is_zero()
                 continue
@@ -175,3 +203,28 @@ def test_transfer_rank_round_trip():
             out = transfer_rank(m, other, row_vec)
             assert in_row_space(other, out)
             assert transfer_rank(other, m, out) == row_vec
+
+
+class CountingField(PrimeField):
+    """GF(p) that counts its multiplications and inversions."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.ops = 0
+
+    def mul(self, a, b):
+        self.ops += 1
+        return super().mul(a, b)
+
+    def inv(self, a):
+        self.ops += 1
+        return super().inv(a)
+
+
+def test_rank_normalization_is_linear():
+    field = CountingField(1000003)
+    m = random_matrix(4096, 5, field)
+    analysis = analyze(m.pattern)
+    field.ops = 0
+    rank_normalization(m, analysis)
+    assert field.ops <= 6 * m.n

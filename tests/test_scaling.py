@@ -4,24 +4,26 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, SparseVector,
-                        ValidationError, adjacency_matrix, build_forest,
-                        null_basis, restriction_check, sparsest_null_basis,
-                        support, support_transversal, transfer_null,
+                        ValidationError, adjacency_matrix, analyze,
+                        build_forest, null_basis, restriction_check,
+                        sparsest_null_basis, transfer_null,
                         transversal_scaling)
 from forestnull.forest import path
 from forestnull.generate import random_matrix
-from forestnull.scaling import vertex_scaling
 from forestnull import oracle
 from conftest import sv
+from test_acceptance import Corpus, matrix_on
 from treegen import free_trees
 
 GF = PrimeField(10007)
 
 
-def direct_path_scaling(m, info, v):
-    """The anchored scaling computed straight from its per-path product
-    definition, one full path walk per vertex (slow, test-only)."""
+def direct_path_scaling(m, supp, v):
+    """The scaling anchored at v computed straight from its per-path
+    product definition, one full path walk per vertex; 1 outside v's
+    component (slow, test-only)."""
     field = m.field
+    entries = m.entries
     diag = [field.one] * m.n
     for w in range(m.n):
         if w == v or not m.pattern.same_component(v, w):
@@ -29,11 +31,27 @@ def direct_path_scaling(m, info, v):
         acc = field.one
         walk = path(m.pattern, v, w)
         for s, t in zip(walk, walk[1:]):
-            if t in info.supp:
-                acc = field.mul(acc, m.entries[(s, t)])
-            elif s in info.supp:
-                acc = field.mul(acc, field.inv(m.entries[(t, s)]))
+            if t in supp:
+                acc = field.mul(acc, entries[(s, t)])
+            elif s in supp:
+                acc = field.mul(acc, field.inv(entries[(t, s)]))
         diag[w] = acc
+    return diag
+
+
+def direct_null_scaling(m):
+    """Every component with support anchored at its smallest support
+    vertex, by per-path products; 1 on components without support."""
+    supp = analyze(m.pattern).support.supp
+    component_id = m.pattern.component_id
+    anchors = {}
+    for v in sorted(supp):
+        anchors.setdefault(component_id[v], v)
+    diag = [m.field.one] * m.n
+    for c, v in anchors.items():
+        for w, x in enumerate(direct_path_scaling(m, supp, v)):
+            if component_id[w] == c:
+                diag[w] = x
     return diag
 
 
@@ -49,8 +67,7 @@ def random_null_vector(m, rng):
 
 
 def test_vertex_scaling_m_p3(m_p3):
-    info = support(m_p3.pattern)
-    d = vertex_scaling(m_p3, info, 0)
+    d = transversal_scaling(m_p3, analyze(m_p3.pattern))
     assert d.diag == [Fraction(1), Fraction(1, 3), Fraction(5, 3)]
     scaled = d.apply(sv(3, {0: 5, 2: -3}))
     assert scaled == sv(3, {0: 5, 2: -5})
@@ -58,8 +75,7 @@ def test_vertex_scaling_m_p3(m_p3):
 
 
 def test_vertex_scaling_m_star(m_star):
-    info = support(m_star.pattern)
-    d = vertex_scaling(m_star, info, 1)
+    d = transversal_scaling(m_star, analyze(m_star.pattern))
     assert d.diag == [1, 1, 2, 3]
     x = sv(4, {1: -2, 2: 1})
     assert m_star.apply(x).is_zero()
@@ -68,14 +84,7 @@ def test_vertex_scaling_m_star(m_star):
 
 def test_vertex_scaling_of_adjacency_is_identity(p3):
     a = adjacency_matrix(p3)
-    info = support(p3)
-    assert vertex_scaling(a, info, 0).diag == [1, 1, 1]
-
-
-def test_vertex_scaling_requires_support_vertex(m_p3):
-    info = support(m_p3.pattern)
-    with pytest.raises(ValidationError, match="support"):
-        vertex_scaling(m_p3, info, 1)
+    assert transversal_scaling(a, analyze(p3)).diag == [1, 1, 1]
 
 
 def test_diagonal_scaling_invariants(m_p3):
@@ -87,21 +96,21 @@ def test_diagonal_scaling_invariants(m_p3):
     d = DiagonalScaling(3, QQ, [Fr(2), Fr(-1, 3), Fr(5)])
     x = sv(3, {0: 7, 2: -2})
     assert d.inverse().apply(d.apply(x)) == x
-    assert d.compose(d.inverse()).diag == [1, 1, 1]
 
 
 def test_vertex_scaling_matches_direct_path_products():
-    # recurrence walk == literal per-path product, exhaustively on trees
-    for n in range(2, 9):
+    # edge walk == literal per-path products, on every tree up to 8
+    # vertices over both fields and on the acceptance corpus
+    instances = []
+    for n in range(1, 9):
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
-            info = support(f)
-            if not info.supp:
-                continue
-            m = random_matrix_on(f, seed=idx, field=QQ)
-            for v in sorted(info.supp):
-                got = vertex_scaling(m, info, v)
-                assert got.diag == direct_path_scaling(m, info, v)
+            instances.append(matrix_on(f, 31 * n + idx, QQ))
+            instances.append(matrix_on(f, 77 * n + idx, GF))
+    instances += Corpus().instances
+    for m in instances:
+        got = transversal_scaling(m, analyze(m.pattern))
+        assert got.diag == direct_null_scaling(m)
 
 
 def random_matrix_on(f, seed, field):
@@ -124,23 +133,25 @@ def test_proportionality_law():
     for n in range(3, 8):
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
-            info = support(f)
-            if not info.supp:
+            analysis = analyze(f)
+            supp = analysis.support.supp
+            if not supp:
                 continue
             m = random_matrix_on(f, seed=1000 + idx, field=QQ)
-            d = vertex_scaling(m, info, min(info.supp)).diag
+            d = transversal_scaling(m, analysis).diag
+            entries = m.entries
             for u in range(n):
-                nbrs = [w for w in f.adjacency[u] if w in info.supp]
+                nbrs = [w for w in f.neighbors_of(u) if w in supp]
                 for w, w2 in zip(nbrs, nbrs[1:]):
-                    assert d[w] / d[w2] == m.entries[(u, w)] / m.entries[(u, w2)]
+                    assert d[w] / d[w2] == entries[(u, w)] / entries[(u, w2)]
 
 
 def test_support_transversal(m_p3):
-    assert support_transversal(m_p3) == {0}
+    assert analyze(m_p3.pattern).transversal == (0,)
     p4 = random_matrix_on(build_forest(4, [(0, 1), (1, 2), (2, 3)]), 5, QQ)
-    assert support_transversal(p4) == frozenset()
+    assert analyze(p4.pattern).transversal == ()
     two = two_component_p3_matrix()
-    assert support_transversal(two) == {0, 3}
+    assert analyze(two.pattern).transversal == (0, 3)
 
 
 def two_component_p3_matrix():
@@ -150,29 +161,16 @@ def two_component_p3_matrix():
 
 
 def test_transversal_scaling_componentwise(m_p3):
-    info = support(m_p3.pattern)
-    d = transversal_scaling(m_p3, info, support_transversal(m_p3, info))
+    d = transversal_scaling(m_p3, analyze(m_p3.pattern))
     assert d.diag == [Fraction(1), Fraction(1, 3), Fraction(5, 3)]
 
     two = two_component_p3_matrix()
-    info2 = support(two.pattern)
-    d2 = transversal_scaling(two, info2, support_transversal(two, info2))
+    d2 = transversal_scaling(two, analyze(two.pattern))
     assert d2.diag == [Fraction(1), Fraction(1, 3), Fraction(5, 3)] * 2
 
     p2 = random_matrix_on(build_forest(2, [(0, 1)]), 9, QQ)
-    d3 = transversal_scaling(p2, support(p2.pattern), frozenset())
+    d3 = transversal_scaling(p2, analyze(p2.pattern))
     assert d3.diag == [1, 1]
-
-
-def test_transversal_scaling_validates():
-    two = two_component_p3_matrix()
-    info = support(two.pattern)
-    with pytest.raises(ValidationError, match="no transversal"):
-        transversal_scaling(two, info, frozenset({0}))
-    with pytest.raises(ValidationError, match="two transversal"):
-        transversal_scaling(two, info, frozenset({0, 2, 3}))
-    with pytest.raises(ValidationError, match="not in the support"):
-        transversal_scaling(two, info, frozenset({0, 4}))
 
 
 def test_null_basis_m_p3(m_p3):
@@ -196,7 +194,7 @@ def test_null_basis_of_adjacency_is_pattern_basis():
             f = build_forest(n, list(edges))
             a = adjacency_matrix(f)
             assert [v.entries for v in null_basis(a).vectors] == \
-                [v.entries for v in sparsest_null_basis(f).vectors]
+                [v.entries for v in sparsest_null_basis(analyze(f)).vectors]
 
 
 def test_null_basis_support_and_quality_preserved():
@@ -206,7 +204,7 @@ def test_null_basis_support_and_quality_preserved():
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 777 + trial, field, rng.randint(1, min(4, n)))
         fast = null_basis(m)
-        pattern_basis = sparsest_null_basis(m.pattern, field)
+        pattern_basis = sparsest_null_basis(analyze(m.pattern), field)
         assert fast.total_nonzeros == pattern_basis.total_nonzeros
         assert [v.support() for v in fast.vectors] == \
             [v.support() for v in pattern_basis.vectors]
@@ -222,8 +220,7 @@ def test_null_space_transfer_both_directions():
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 31 * trial, field, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern, field)
-        info = support(m.pattern)
-        d = transversal_scaling(m, info, support_transversal(m, info))
+        d = transversal_scaling(m, analyze(m.pattern))
         x = random_null_vector(m, rng)
         assert m.apply(x).is_zero()
         assert a.apply(d.apply(x)).is_zero()
@@ -239,7 +236,7 @@ def test_support_equality_across_values():
         n = rng.randint(1, 30)
         m = random_matrix(n, 900 + trial, QQ, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern)
-        combinatorial = support(m.pattern).supp
+        combinatorial = analyze(m.pattern).support.supp
         assert oracle.dense_analysis(m).null_support == combinatorial
         assert oracle.dense_analysis(a).null_support == combinatorial
 
@@ -276,8 +273,8 @@ def test_restriction_check_iff_null_membership():
         m = random_matrix(n, trial, QQ, rng.randint(1, min(3, n)))
         x = random_null_vector(m, rng)
         assert restriction_check(m, x)
-        info = support(m.pattern)
-        outside = [v for v in range(n) if v not in info.s_set]
+        s_set = analyze(m.pattern).support.s_set
+        outside = [v for v in range(n) if v not in s_set]
         if outside:
             spoiled = x.add(sv(n, {outside[0]: 1}))
             assert not restriction_check(m, spoiled)
