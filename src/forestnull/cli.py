@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import bench as bench_mod
@@ -18,6 +19,7 @@ from .errors import ForestNullError, ValidationError
 from .fields import parse_field_spec
 from .generate import random_matrix
 from .kernel import analyze
+from .matrix import SparseVector
 from .rank import rank_basis, transfer_rank
 from .scaling import null_basis, transfer_null
 
@@ -123,40 +125,54 @@ def _cmd_support(args) -> int:
     return 0
 
 
-def _cmd_null_basis(args) -> int:
+def _cmd_basis(args) -> int:
     m = matrixio.read_matrix(args.file)
-    basis = null_basis(m)
+    null = args.command == "null-basis"
+    basis = null_basis(m) if null else rank_basis(m)
     _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
-    if args.check:
+    if not args.check:
+        return 0
+    if null:
         for vec in basis.vectors:
             if not m.apply(vec).is_zero():
                 raise ValidationError("check failed: output vector is not annihilated")
-        if m.n <= oracle.oracle_bound():
-            if not oracle.same_span(basis, oracle.dense_null_space(m)):
-                raise ValidationError("check failed: span differs from the oracle")
-            print("check: ok (dimension %d, oracle span verified)" % basis.dimension,
-                  file=sys.stderr)
-        else:
-            print("check: ok (dimension %d, oracle skipped for n > bound)"
-                  % basis.dimension, file=sys.stderr)
+    if m.n <= oracle.oracle_bound():
+        reference = oracle.dense_null_space(m) if null else oracle.dense_row_space(m)
+        if not oracle.same_span(basis, reference):
+            raise ValidationError("check failed: span differs from the oracle")
+        verified = "oracle span verified"
+    elif null:
+        verified = "oracle skipped for n > bound"
+    else:
+        _check_rank_basis_without_oracle(m, basis)
+        verified = ("equal to 2 * matching number by tree DP, orthogonal to a "
+                    "random null combination, oracle skipped for n > bound")
+    print("check: ok (dimension %d, %s)" % (basis.dimension, verified), file=sys.stderr)
     return 0
 
 
-def _cmd_rank_basis(args) -> int:
-    m = matrixio.read_matrix(args.file)
-    basis = rank_basis(m)
-    _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
-    if args.check:
-        if m.n <= oracle.oracle_bound():
-            reference = oracle.dense_row_space(m)
-            if not oracle.same_span(basis, reference):
-                raise ValidationError("check failed: span differs from the oracle")
-            print("check: ok (dimension %d, oracle span verified)" % basis.dimension,
-                  file=sys.stderr)
-        else:
-            print("check: ok (dimension %d, oracle skipped for n > bound)"
-                  % basis.dimension, file=sys.stderr)
-    return 0
+def _check_rank_basis_without_oracle(m, basis):
+    """Checks that stay cheap at any n: the dimension is 2 nu, with nu
+    from the oracle's tree DP, and every vector is orthogonal to one
+    seeded random combination of the null basis, as row-space vectors
+    are orthogonal to the whole null space."""
+    nu = oracle._dp_matching_number(m.pattern.adjacency)
+    if basis.dimension != 2 * nu:
+        raise ValidationError("check failed: dimension %d, expected 2 * %d"
+                              % (basis.dimension, nu))
+    field = m.field
+    add, mul, zero = field.add, field.mul, field.zero
+    rng = random.Random(0)
+    combination = {}
+    for vec in null_basis(m).vectors:
+        c = field.coerce(rng.randrange(1, 2 ** 31))
+        for v, x in vec.entries.items():
+            combination[v] = add(combination.get(v, zero), mul(c, x))
+    probe = SparseVector(m.n, field, combination)
+    for vec in basis.vectors:
+        if vec.dot(probe) != zero:
+            raise ValidationError("check failed: a basis vector is not orthogonal "
+                                  "to the null space")
 
 
 def _cmd_transfer(args) -> int:
@@ -204,8 +220,8 @@ def _cmd_oracle(args) -> int:
 _HANDLERS = {
     "validate": _cmd_validate,
     "support": _cmd_support,
-    "null-basis": _cmd_null_basis,
-    "rank-basis": _cmd_rank_basis,
+    "null-basis": _cmd_basis,
+    "rank-basis": _cmd_basis,
     "transfer": _cmd_transfer,
     "gen": _cmd_gen,
     "bench": _cmd_bench,

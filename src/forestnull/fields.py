@@ -210,6 +210,8 @@ QQ = RationalField()
 
 def parse_field_spec(text: str) -> Field:
     """Parse a field description: "rational", "gf 7" or "gf:7"."""
+    if not isinstance(text, str):
+        raise ValidationError("field spec must be a string, got %r" % (text,))
     words = text.strip().lower().replace(":", " ").split()
     if words == ["rational"]:
         return QQ

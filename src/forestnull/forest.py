@@ -4,8 +4,18 @@ Vertices are 0-based ints.  Neighbors are stored in one flat array with
 per-vertex offsets (CSR layout) and are sorted ascending; every
 traversal in the package walks them in that order, which makes all
 downstream output reproducible byte for byte.  ``adjacency`` copies
-the same data out as per-vertex lists.  A ``Forest`` is never mutated
-after ``build_forest`` returns; concurrent reads are safe.
+the same data out as per-vertex lists.
+
+Construction ends with one component sweep (``_indexed_forest``), shared by
+``build_forest`` and ``AcyclicMatrix.from_entries``: components are
+started at their smallest vertex, in ascending order, and a stack walk
+pushes a vertex's unvisited neighbors ascending and pops the largest
+first.  The forest keeps the sweep's preorder (``order``), every
+vertex's ``parent`` (-1 at a root) and ``parent_slot``, the slot j of
+the vertex in its parent's row.  Reversed, ``order`` is a post-order
+with children taken ascending; the kernel's matching and the row
+scaling run over it instead of walking the tree again.  A ``Forest`` is
+never mutated after it is built; concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -20,16 +30,20 @@ VertexPath = tuple
 
 class Forest:
     __slots__ = ("vertex_count", "edges", "neighbors", "offsets",
-                 "component_id", "component_count")
+                 "component_id", "component_count", "order", "parent",
+                 "parent_slot")
 
     def __init__(self, vertex_count, edges, neighbors, offsets,
-                 component_id, component_count):
+                 component_id, component_count, order, parent, parent_slot):
         self.vertex_count = vertex_count
         self.edges = edges            # canonical (u, v) pairs, u < v, sorted
         self.neighbors = neighbors   # flat sorted neighbor array
         self.offsets = offsets       # vertex v owns neighbors[offsets[v]:offsets[v+1]]
         self.component_id = component_id
         self.component_count = component_count
+        self.order = order            # preorder of the component sweep
+        self.parent = parent          # sweep parent, -1 at component roots
+        self.parent_slot = parent_slot  # slot of v in parent[v]'s row, -1 at roots
 
     @property
     def adjacency(self) -> list:
@@ -89,10 +103,24 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
         prev = e
 
     neighbors, offsets = _csr(vertex_count, canonical)
+    return _indexed_forest(vertex_count, canonical, neighbors, offsets)
 
-    # Label components by one sweep; forests have exactly n - #components
-    # edges, anything more means a cycle (named by a second, slower pass).
-    component_id = [-1] * vertex_count
+
+def _indexed_forest(vertex_count, canonical_edges, neighbors, offsets) -> Forest:
+    """The ``Forest`` over a symmetric CSR layout of the canonical edges.
+
+    One component sweep labels the components and records the walk:
+    each component starts at its smallest vertex, and a vertex's
+    unvisited neighbors are pushed ascending, so the largest is visited
+    first.  In a forest the only visited neighbor of a popped vertex is
+    its parent; meeting any other one means a cycle, which is then named
+    by a second, slower pass.  The per-vertex results are C int arrays.
+    """
+    component_id = array("i", [-1]) * vertex_count
+    parent = array("i", [-1]) * vertex_count
+    parent_slot = array("i", [-1]) * vertex_count
+    order = array("i")
+    visit = order.append
     count = 0
     for r in range(vertex_count):
         if component_id[r] >= 0:
@@ -103,18 +131,22 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
         push = stack.append
         while stack:
             x = pop()
+            visit(x)
+            p = parent[x]
             for j in range(offsets[x], offsets[x + 1]):
                 y = neighbors[j]
-                if component_id[y] < 0:
+                if y != p:
+                    if component_id[y] >= 0:
+                        raise ValidationError(
+                            "cycle detected at edge (%d, %d)"
+                            % _find_cycle_edge(vertex_count, canonical_edges))
                     component_id[y] = count
+                    parent[y] = x
+                    parent_slot[y] = j
                     push(y)
         count += 1
-    if len(canonical) != vertex_count - count:
-        raise ValidationError("cycle detected at edge (%d, %d)"
-                              % _find_cycle_edge(vertex_count, canonical))
-
-    return Forest(vertex_count, canonical, neighbors, offsets,
-                  component_id, count)
+    return Forest(vertex_count, canonical_edges, neighbors, offsets,
+                  component_id, count, order, parent, parent_slot)
 
 
 def _csr(vertex_count, canonical_edges):

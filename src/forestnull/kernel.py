@@ -9,9 +9,12 @@ transversal of one pattern into an immutable ``Analysis``; everything
 downstream that needs this structure takes the ``Analysis`` as an
 argument, so it is computed once per call and never cached on objects.
 
-Everything here is deterministic: the matching processes vertices in
-post-order of a DFS started at the smallest id of each component, with
-neighbors visited ascending, so repeated runs produce identical output.
+Everything here is deterministic.  The matching walks no tree of its
+own: it takes vertices in the reverse of the preorder the forest stored
+when it was built.  Within each component that is the post-order of a
+DFS from the smallest id with neighbors visited ascending (components
+come last to first, which cannot change a matching that never crosses
+them), so repeated runs produce identical output.
 All functions are pure; components could be processed concurrently and
 merged in component order without changing any result.
 """
@@ -65,43 +68,18 @@ def analyze(f: Forest) -> Analysis:
 def maximum_matching(f: Forest) -> MatchingInfo:
     """Greedy leaf-first matching; maximum on forests.
 
-    One iterative DFS per component (root = smallest id, children
-    ascending); a vertex is matched to its parent at post-visit time
-    exactly when both are still free.
+    Vertices are taken in the reversed preorder of the forest's sweep, a
+    post-order with children ascending; a vertex is matched to its
+    parent exactly when both are still free.
     """
     n = f.vertex_count
-    neighbors, offsets = f.neighbors, f.offsets
-    parent = [-2] * n  # -2 = unvisited, -1 = root
+    parent = f.parent
     partner = [-1] * n
-    for r in range(n):
-        if parent[r] != -2:
-            continue
-        parent[r] = -1
-        stack = [r]
-        cursor = [offsets[r]]
-        while stack:
-            v = stack[-1]
-            j = cursor[-1]
-            end = offsets[v + 1]
-            child = -1
-            while j < end:
-                c = neighbors[j]
-                j += 1
-                if parent[c] == -2:
-                    child = c
-                    break
-            cursor[-1] = j
-            if child >= 0:
-                parent[child] = v
-                stack.append(child)
-                cursor.append(offsets[child])
-            else:
-                stack.pop()
-                cursor.pop()
-                p = parent[v]
-                if p >= 0 and partner[v] < 0 and partner[p] < 0:
-                    partner[v] = p
-                    partner[p] = v
+    for v in reversed(f.order):
+        p = parent[v]
+        if p >= 0 and partner[v] < 0 and partner[p] < 0:
+            partner[v] = p
+            partner[p] = v
     exposed = frozenset(v for v in range(n) if partner[v] < 0)
     nu = (n - len(exposed)) // 2
     return MatchingInfo([p if p >= 0 else None for p in partner], nu, exposed)
@@ -184,5 +162,5 @@ def sparsest_null_basis(analysis: Analysis, field: Field = QQ) -> Basis:
                 if b is not None and b not in coeff:
                     coeff[b] = neg(cw)
                     stack.append(b)
-        vectors.append(SparseVector(n, field, coeff))
+        vectors.append(SparseVector._trusted(n, field, coeff))
     return Basis(vectors)

@@ -8,16 +8,29 @@ M[v, neighbors[j]] in ``row_flat`` and the column-side entry
 M[neighbors[j], v] in ``col_flat`` for the vertex v owning slot j.
 ``entries`` copies the same data out as a (row, col) -> value dict.
 Instances are immutable after construction.
+
+``from_entries`` sorts the triples once.  In row-major order they are
+the CSR layout itself: the columns are the neighbor array, the row
+counts give the offsets, the values are ``row_flat``, and the u < v
+pairs are the canonical edge list.  One pass of a cursor per row
+places the column-side values and checks symmetry on the way; the
+pattern forest is then indexed by the component sweep it shares with
+``build_forest``, without a second sort.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .errors import ValidationError
 from .fields import Field, QQ, require_same_field
-from .forest import Forest, build_forest
+from .forest import Forest, _indexed_forest, build_forest
+
+#: Largest vertex count: the CSR arrays hold vertex ids as C ints.
+MAX_VERTICES = 2 ** 31 - 1
 
 
 @dataclass(eq=False)
@@ -34,6 +47,16 @@ class SparseVector:
         if bad:
             raise ValidationError("vector index %r out of range for n=%d" % (bad[0], self.n))
         self.entries = {v: x for v, x in self.entries.items() if x != zero}
+
+    @classmethod
+    def _trusted(cls, n: int, field: Field, entries: dict) -> "SparseVector":
+        """A vector from entries already known to be in range and
+        nonzero, without the checks of the constructor."""
+        vec = cls.__new__(cls)
+        vec.n = n
+        vec.field = field
+        vec.entries = entries
+        return vec
 
     def support(self) -> frozenset:
         return frozenset(self.entries)
@@ -155,33 +178,33 @@ class AcyclicMatrix:
                 if x == zero:
                     raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
                 append((u, v, x))
+        if n < 0:
+            raise ValidationError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise ValidationError("vertex count %d exceeds the limit of %d"
+                                  % (n, MAX_VERTICES))
         items.sort()
         prev_u = prev_v = -1
         edges = []
         push_edge = edges.append
+        degree = [0] * (n + 1)
         for u, v, _ in items:
             if u == prev_u and v == prev_v:
                 raise ValidationError("duplicate entry at (%d, %d)" % (u, v))
             prev_u, prev_v = u, v
+            degree[u + 1] += 1
             if u < v:
                 push_edge((u, v))
         if 2 * len(edges) != len(items):
             _raise_asymmetric(items)
-        pattern = build_forest(n, edges)
-
-        # items are row-major sorted; if the pattern is symmetric they
-        # line up slot for slot with the CSR neighbor array.
-        neighbors, offsets = pattern.neighbors, pattern.offsets
-        for j, (u, v, _) in enumerate(items):
-            if neighbors[j] != v or not (offsets[u] <= j < offsets[u + 1]):
-                _raise_asymmetric(items)
-        row_flat = [x for _, _, x in items]
-        col_flat = [None] * len(items)
-        cursor = offsets[:n]
-        for j, v in enumerate(neighbors):
-            col_flat[cursor[v]] = row_flat[j]
-            cursor[v] += 1
-        return cls(n, field, pattern, row_flat, col_flat)
+        offsets = array("i", accumulate(degree))
+        neighbors = array("i", [v for _, v, _ in items])
+        col_flat = _column_side(items, neighbors, offsets)
+        if col_flat is None:
+            build_forest(n, edges)  # a cycle is reported before asymmetry
+            _raise_asymmetric(items)
+        pattern = _indexed_forest(n, edges, neighbors, offsets)
+        return cls(n, field, pattern, [x for _, _, x in items], col_flat)
 
     @property
     def entries(self) -> dict:
@@ -224,7 +247,7 @@ class AcyclicMatrix:
                     out.pop(u, None)
                 else:
                     out[u] = s
-        return SparseVector(self.n, self.field, out)
+        return SparseVector._trusted(self.n, self.field, out)
 
     def transpose(self) -> "AcyclicMatrix":
         return AcyclicMatrix(self.n, self.field, self.pattern,
@@ -254,6 +277,31 @@ class AcyclicMatrix:
 
     def __repr__(self):
         return "AcyclicMatrix(n=%d, nnz=%d, field=%s)" % (self.n, self.nnz(), self.field.name)
+
+
+def _column_side(items, neighbors, offsets):
+    """The column-side values of row-major sorted entries, aligned with
+    their slots, or None when the pattern is not symmetric.
+
+    Entry (u, v) belongs in the slot of u in v's row.  Rows come in
+    ascending order, so one cursor per row v meets v's neighbors in turn.
+    The pattern is symmetric iff every cursor finds u where it points
+    and ends exactly at the end of its row (so none ever left it).
+    """
+    col_flat = [None] * len(items)
+    cursor = array("i", offsets)
+    try:
+        for u, v, x in items:
+            k = cursor[v]
+            if neighbors[k] != u:
+                return None
+            col_flat[k] = x
+            cursor[v] = k + 1
+    except IndexError:  # a cursor ran past the last row
+        return None
+    if cursor[:-1] != offsets[1:]:
+        return None
+    return col_flat
 
 
 def _raise_asymmetric(items):

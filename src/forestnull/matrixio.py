@@ -4,8 +4,8 @@ Two interchangeable formats:
 
 * Matrix-Market-style coordinate text: a banner line
   ``%%MatrixMarket matrix coordinate <real|integer|rational> general``,
-  an optional ``% field: rational`` / ``% field: gf <p>`` comment, a
-  size line, then 1-based ``row col value`` lines.
+  an optional ``% field: rational`` / ``% field: gf <p>`` comment before
+  the size line, the size line, then 1-based ``row col value`` lines.
 * JSON: ``{"n": ..., "field": ..., "entries": [[u, v, "value"], ...]}``
   for matrices; basis and vector files carry sparse ``{vertex: value}``
   maps so the sparsity of the output stays visible.
@@ -16,11 +16,12 @@ trailing newline), so fixed inputs always produce identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 
 from .errors import ParseError
 from .fields import Field, QQ, parse_field_spec
-from .matrix import AcyclicMatrix, Basis, SparseVector
+from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector
 
 _BANNER_FIELDS = ("real", "integer", "rational")
 
@@ -63,69 +64,102 @@ def _row_major(m: AcyclicMatrix):
         yield from ((u, v, x) for v, x in m.row_items(u))
 
 
-def parse_matrix(text: str) -> AcyclicMatrix:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def parse_matrix(source) -> AcyclicMatrix:
+    """Read a matrix from a string or an open text file.
+
+    Matrix Market text is consumed line by line as it is read; only the
+    JSON layout is read in full first.
+    """
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    first = next(lines, "")
+    if first.startswith("%%MatrixMarket"):
+        return _parse_matrix_mm(first, lines)
+    text = first + "".join(lines)
+    if text.lstrip().startswith("{"):
         return _parse_matrix_json(text)
-    return _parse_matrix_mm(text)
+    raise ParseError("missing %%MatrixMarket banner", line=1)
 
 
-def _parse_matrix_mm(text: str) -> AcyclicMatrix:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError("missing %%MatrixMarket banner", line=1)
-    tokens = lines[0].split()
+def _field_comment(line: str):
+    """The field spec text of a ``% field: ...`` comment line, else None."""
+    body = line.lstrip("%").strip()
+    if body.lower().startswith("field:"):
+        return body[len("field:"):]
+    return None
+
+
+def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
+    tokens = banner.split()
     if (len(tokens) != 5 or tokens[1] != "matrix" or tokens[2] != "coordinate"
             or tokens[3] not in _BANNER_FIELDS or tokens[4] != "general"):
         raise ParseError("unsupported banner %r (expected 'matrix coordinate "
-                         "<real|integer|rational> general')" % lines[0], line=1)
-    field = None
-    size = None
-    triples = []
-    for idx, raw in enumerate(lines[1:], start=2):
+                         "<real|integer|rational> general')" % banner.rstrip("\r\n"),
+                         line=1)
+    field = QQ
+    for idx, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("%"):
-            body = line.lstrip("%").strip()
-            if body.lower().startswith("field:"):
+            spec = _field_comment(line)
+            if spec is not None:
                 try:
-                    field = parse_field_spec(body[len("field:"):])
+                    field = parse_field_spec(spec)
                 except Exception as exc:
                     raise ParseError(str(exc), line=idx)
             continue
         parts = line.split()
-        if size is None:
-            if len(parts) != 3:
-                raise ParseError("size line must be 'rows cols nnz'", line=idx)
-            try:
-                rows, cols, nnz = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError("size line must hold three integers", line=idx)
-            if rows != cols:
-                raise ParseError("matrix must be square, got %d x %d" % (rows, cols),
-                                 line=idx)
-            if field is None:
-                field = QQ
-            size = (rows, nnz)
-            continue
         if len(parts) != 3:
-            raise ParseError("entry line must be 'row col value'", line=idx)
+            raise ParseError("size line must be 'rows cols nnz'", line=idx)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            n, cols, nnz = (int(p) for p in parts)
         except ValueError:
-            raise ParseError("entry indices must be integers", line=idx)
+            raise ParseError("size line must hold three integers", line=idx)
+        if n != cols:
+            raise ParseError("matrix must be square, got %d x %d" % (n, cols), line=idx)
+        if n > MAX_VERTICES:
+            raise ParseError("matrix size %d exceeds the limit of %d vertices"
+                             % (n, MAX_VERTICES), line=idx)
+        break
+    else:
+        raise ParseError("missing size line")
+
+    parse = field.parse
+    triples = []
+    append = triples.append
+    for idx, raw in enumerate(lines, start=idx + 1):
         try:
-            value = field.parse(parts[2])
+            a, b, c = raw.split()
+            u = int(a) - 1
+            v = int(b) - 1
+        except ValueError:
+            _check_non_entry_line(raw, idx)
+            continue
+        try:
+            value = parse(c)
         except Exception as exc:
             raise ParseError(str(exc), line=idx)
-        triples.append((u - 1, v - 1, value))
-    if size is None:
-        raise ParseError("missing size line")
-    if len(triples) != size[1]:
+        append((u, v, value))
+    if len(triples) != nnz:
         raise ParseError("size line announced %d entries, found %d"
-                         % (size[1], len(triples)))
-    return AcyclicMatrix.from_entries(size[0], triples, field)
+                         % (nnz, len(triples)))
+    return AcyclicMatrix.from_entries(n, triples, field)
+
+
+def _check_non_entry_line(raw: str, idx: int):
+    """Accept a blank or comment line after the size line; anything else
+    that is not a well-formed entry line is an error."""
+    line = raw.strip()
+    if not line:
+        return
+    if line.startswith("%"):
+        if _field_comment(line) is not None:
+            raise ParseError("field comment after the size line; it must "
+                             "come before it", line=idx)
+        return
+    if len(line.split()) != 3:
+        raise ParseError("entry line must be 'row col value'", line=idx)
+    raise ParseError("entry indices must be integers", line=idx)
 
 
 def _parse_matrix_json(text: str) -> AcyclicMatrix:
@@ -149,9 +183,16 @@ def _parse_matrix_json(text: str) -> AcyclicMatrix:
     return AcyclicMatrix.from_entries(_parse_int(doc["n"], "n"), triples, field)
 
 
-def read_matrix(path) -> AcyclicMatrix:
+def _read_ascii(path, parse):
     with open(path, "r", encoding="ascii") as handle:
-        return parse_matrix(handle.read())
+        try:
+            return parse(handle)
+        except UnicodeDecodeError as exc:
+            raise ParseError("not an ASCII text file: %s" % exc)
+
+
+def read_matrix(path) -> AcyclicMatrix:
+    return _read_ascii(path, parse_matrix)
 
 
 def write_matrix(m: AcyclicMatrix, path, fmt: str = "mm"):
@@ -253,5 +294,4 @@ def parse_vector(text: str) -> SparseVector:
 
 
 def read_vector(path) -> SparseVector:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_vector(handle.read())
+    return _read_ascii(path, lambda handle: parse_vector(handle.read()))

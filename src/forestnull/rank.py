@@ -20,8 +20,9 @@ the factors of s and t change, so
 
 and at the root r of a component, R[r] is the product of M[t, parent(t)]
 over the component's non-support vertices t != r.  ``rank_normalization``
-runs this rule over the tree-edge walk of ``scaling``: O(n) field
-operations instead of the O(n^2) of the literal product.
+runs this rule over the preorder the pattern forest stored when it was
+built, taking each vertex's parent edge from ``parent``/``parent_slot``:
+O(n) field operations instead of the O(n^2) of the literal product.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ValidationError
 from .fields import require_same_field
 from .kernel import Analysis, analyze
 from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern, unit_vector
-from .scaling import DiagonalScaling, _tree_edges, null_basis
+from .scaling import DiagonalScaling, null_basis
 
 
 def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
@@ -64,10 +65,15 @@ def rank_normalization(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling:
     mul, inv = field.mul, field.inv
     supp = analysis.support.supp
     row_flat, col_flat = m.row_flat, m.col_flat
-    component_id = m.pattern.component_id
+    f = m.pattern
+    component_id, parent, parent_slot = f.component_id, f.parent, f.parent_slot
     diag = [field.one] * m.n
-    root_value = [field.one] * m.pattern.component_count
-    for s, t, j in _tree_edges(m.pattern, range(m.n)):
+    root_value = [field.one] * f.component_count
+    for t in f.order:
+        s = parent[t]
+        if s < 0:
+            continue
+        j = parent_slot[t]
         d = diag[s]
         if s not in supp:
             d = mul(d, row_flat[j])
@@ -101,4 +107,4 @@ def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     analysis = analyze(m.pattern)
     r_m = rank_normalization(m, analysis)
     r_n = rank_normalization(n_mat, analysis)
-    return r_n.apply(r_m.inverse().apply(x))
+    return r_n.apply(r_m.apply_inverse(x))

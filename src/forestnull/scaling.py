@@ -1,10 +1,11 @@
 """Diagonal scalings that carry the null space and the row space of a
 matrix onto those of its pattern's adjacency matrix, and back.
 
-Both scalings are loops over one walk of the pattern, ``_tree_edges``,
-which yields every tree edge s -> t once, parent before child.  Each
-loop sets D[t] from D[s] and the two entries of the edge, so either
-scaling costs O(n) field operations.
+Both scalings are loops over the tree edges s -> t of the pattern,
+parent before child; each step sets D[t] from D[s] and the two entries
+of the edge, so either scaling costs O(n) field operations.  The null
+scaling walks from its own roots with ``_tree_edges``; the row scaling
+reuses the preorder the pattern forest stored when it was built.
 
 The null scaling (``transversal_scaling``) roots every component that
 has support at its smallest support vertex, the transversal vertex,
@@ -21,7 +22,7 @@ neighbors w, w' of a vertex u, which is the identity the null-space
 transfer rests on.  Support vertices are never adjacent, so the two
 cases cannot collide.  Components without support keep D = 1.  The
 row scaling, ``rank.rank_normalization``, runs its own rule over the
-same walk.
+stored preorder.
 """
 
 from __future__ import annotations
@@ -51,18 +52,25 @@ class DiagonalScaling:
             if x == zero:
                 raise ValidationError("singular scaling: zero diagonal entry at vertex %d" % v)
 
-    def inverse(self) -> "DiagonalScaling":
-        inv = self.field.inv
-        return DiagonalScaling(self.n, self.field, [inv(x) for x in self.diag])
-
     def apply(self, x: SparseVector) -> SparseVector:
-        require_same_field(self.field, x.field, "scaling and vector")
-        if x.n != self.n:
-            raise ValidationError("dimension mismatch: %d vs %d" % (self.n, x.n))
+        self._check_vector(x)
         mul = self.field.mul
         diag = self.diag
         return SparseVector(x.n, x.field,
                             {v: mul(diag[v], xv) for v, xv in x.entries.items()})
+
+    def apply_inverse(self, x: SparseVector) -> SparseVector:
+        """D^-1 x, inverting the diagonal only on the support of x."""
+        self._check_vector(x)
+        mul, inv = self.field.mul, self.field.inv
+        diag = self.diag
+        return SparseVector(x.n, x.field,
+                            {v: mul(inv(diag[v]), xv) for v, xv in x.entries.items()})
+
+    def _check_vector(self, x: SparseVector):
+        require_same_field(self.field, x.field, "scaling and vector")
+        if x.n != self.n:
+            raise ValidationError("dimension mismatch: %d vs %d" % (self.n, x.n))
 
     def __eq__(self, other):
         return (isinstance(other, DiagonalScaling) and self.n == other.n
@@ -138,7 +146,7 @@ def null_basis(m: AcyclicMatrix) -> Basis:
             if d is None:
                 d = inv_cache[v] = inv(diag[v])
             out[v] = mul(d, x)
-        vectors.append(SparseVector(m.n, m.field, out))
+        vectors.append(SparseVector._trusted(m.n, m.field, out))
     return Basis(vectors)
 
 
@@ -157,7 +165,7 @@ def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     analysis = analyze(m.pattern)
     d_m = transversal_scaling(m, analysis)
     d_n = transversal_scaling(n_mat, analysis)
-    return d_n.inverse().apply(d_m.apply(x))
+    return d_n.apply_inverse(d_m.apply(x))
 
 
 def restriction_check(m: AcyclicMatrix, x: SparseVector) -> bool:

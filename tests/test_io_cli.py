@@ -297,3 +297,44 @@ def test_traced_layer_functions_exist():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module_name, attr)
+
+
+def test_cli_rank_basis_check_above_oracle_bound(tmp_path, capsys, monkeypatch):
+    from forestnull import Basis, cli
+    from forestnull.rank import rank_basis
+
+    path = tmp_path / "m.mtx"
+    matrixio.write_matrix(random_matrix(40, 11, QQ, components=2), path)
+    monkeypatch.setenv("FORESTNULL_ORACLE_BOUND", "8")
+    assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 0
+    err = capsys.readouterr().err
+    assert "check: ok" in err and "equal to 2 * matching number" in err
+    assert "orthogonal to a random null combination" in err
+    assert "oracle skipped" in err
+
+    def perturbed(m):
+        basis = rank_basis(m)
+        # add 1 at a support vertex to the last vector
+        first = min(null_basis(m).vectors[0].entries)
+        return Basis(basis.vectors[:-1] + [basis.vectors[-1].add(sv(m.n, {first: 1}))])
+
+    monkeypatch.setattr(cli, "rank_basis", perturbed)
+    assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
+    assert "not orthogonal to the null space" in capsys.readouterr().err
+
+    monkeypatch.setattr(cli, "rank_basis", lambda m: Basis(rank_basis(m).vectors[1:]))
+    assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
+    assert "check failed: dimension" in capsys.readouterr().err
+
+
+def test_cli_non_ascii_file_gives_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "m.mtx"
+    bad.write_bytes(b"%%MatrixMarket matrix coordinate rational general\n"
+                    b"2 2 2\n1 2 \xc3\xa9\n2 1 1\n")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "not an ASCII text file" in err[0]
+    vec = tmp_path / "x.json"
+    vec.write_bytes(b'{"n": 2, "vector": {"1": "\xc3\xa9"}}')
+    with pytest.raises(ParseError, match="not an ASCII text file"):
+        matrixio.read_vector(vec)
