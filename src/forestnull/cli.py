@@ -170,7 +170,7 @@ def _check_rank_basis_without_oracle(m, basis):
             combination[v] = add(combination.get(v, zero), mul(c, x))
     probe = SparseVector(m.n, field, combination)
     for vec in basis.vectors:
-        if vec.dot(probe) != zero:
+        if vec.dot(probe):
             raise ValidationError("check failed: a basis vector is not orthogonal "
                                   "to the null space")
 

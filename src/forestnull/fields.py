@@ -5,13 +5,36 @@ plain immutable Python values -- ``fractions.Fraction`` for the rationals,
 ``int`` residues in ``[0, p)`` for a prime field -- so they are cheap to
 hash, compare and share between threads.  The ``Field`` supplies the
 operations; no floating point is used anywhere.
+
+Truthiness is the zero test for every field: an element is zero iff
+``not x``.  For a ``Fraction`` that is ``__bool__`` on the numerator,
+which skips the ``numbers.Rational`` check that ``x == zero`` runs.
+
+``RationalField.parse`` reads the literals ``-?[0-9]+`` and
+``-?[0-9]+/[0-9]+`` (ASCII digits only) with ``int`` and builds the
+``Fraction`` from the two integers; every other text goes through
+``Fraction(text)``, which accepts decimals such as ``0.25`` or ``1e-3``.
+Both paths give the same value and the same error text.  A decimal
+whose exponent is larger than the integer string conversion limit
+(``sys.get_int_max_str_digits()``; 0 switches the limit off) is
+refused: it would take unbounded time to build and could not be
+printed.  ``RationalField.format`` turns a value too long to print
+under that limit into a ``ValidationError``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import ValidationError
+
+#: A literal that ``Fraction`` reads as a decimal with an exponent: the
+#: decimal branch of the pattern in ``fractions``.
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: The smallest strong pseudoprime to all of _MR_WITNESSES (Sorenson and
@@ -43,6 +66,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _exponent_beyond_limit(text: str) -> bool:
+    """True when ``Fraction(text)`` would read a decimal whose exponent
+    is larger than the integer string conversion limit.  An exponent
+    with more digits than the limit is left to ``Fraction``, whose
+    ``int`` call refuses it before any power is built.  Raises what
+    ``Fraction(text)`` raises when the digits before the exponent are
+    at fault, as ``Fraction`` reads those first."""
+    limit = sys.get_int_max_str_digits()
+    m = _DECIMAL_EXPONENT.fullmatch(text)
+    if m is None or not limit:
+        return False
+    exp = m["exp"].replace("_", "").lstrip("+-")
+    if len(exp) > limit or int(exp) <= limit:
+        return False
+    Fraction(text[:m.start("exp") - 1])
+    return True
+
+
 class Field:
     """An exact field.  Elements are canonical immutable values."""
 
@@ -71,9 +112,6 @@ class Field:
     def eq(self, a, b) -> bool:
         # Elements are kept canonical, so plain equality is field equality.
         return a == b
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def coerce(self, value):
         """Turn ``value`` (element, int, or text) into a canonical element."""
@@ -114,9 +152,9 @@ class RationalField(Field):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ValidationError("cannot invert zero")
-        return 1 / a
+        return Fraction(a.denominator, a.numerator)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -134,11 +172,29 @@ class RationalField(Field):
         return type(value) is Fraction
 
     def parse(self, text: str):
-        # Fraction accepts "5/3", "-3" and exact decimals like "0.25".
         try:
-            return Fraction(text)
+            num, slash, den = text.partition("/")
+            if text.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit():
+                    return Fraction(int(num), int(den))
+            if not _exponent_beyond_limit(text):
+                return Fraction(text)
+            problem = ("exponent larger than %d, the integer string conversion "
+                       "limit (PYTHONINTMAXSTRDIGITS)" % sys.get_int_max_str_digits())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError("bad rational literal %r: %s" % (text, exc))
+            problem = exc
+        raise ValidationError("bad rational literal %r: %s" % (text, problem))
+
+    def format(self, a) -> str:
+        try:
+            return str(a)
+        except ValueError:
+            raise ValidationError(
+                "cannot print an exact value of more than %d digits, the "
+                "integer string conversion limit (PYTHONINTMAXSTRDIGITS)"
+                % sys.get_int_max_str_digits())
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

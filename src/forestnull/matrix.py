@@ -42,11 +42,10 @@ class SparseVector:
     entries: dict  # vertex -> nonzero field element
 
     def __post_init__(self):
-        zero = self.field.zero
         bad = [v for v in self.entries if not (0 <= v < self.n)]
         if bad:
             raise ValidationError("vector index %r out of range for n=%d" % (bad[0], self.n))
-        self.entries = {v: x for v, x in self.entries.items() if x != zero}
+        self.entries = {v: x for v, x in self.entries.items() if x}
 
     @classmethod
     def _trusted(cls, n: int, field: Field, entries: dict) -> "SparseVector":
@@ -71,7 +70,7 @@ class SparseVector:
         return len(self.entries)
 
     def scale(self, c) -> "SparseVector":
-        if c == self.field.zero:
+        if not c:
             return SparseVector(self.n, self.field, {})
         mul = self.field.mul
         return SparseVector(self.n, self.field,
@@ -101,10 +100,10 @@ class SparseVector:
         zero = self.field.zero
         for v, y in other.entries.items():
             s = addop(out.get(v, zero), y)
-            if s == zero:
-                out.pop(v, None)
-            else:
+            if s:
                 out[v] = s
+            else:
+                out.pop(v, None)
         return SparseVector(self.n, self.field, out)
 
     def to_list(self) -> list:
@@ -160,7 +159,6 @@ class AcyclicMatrix:
         """
         coerce = field.coerce
         is_canonical = field.is_canonical
-        zero = field.zero
         items = []
         append = items.append
         for t in triples:
@@ -170,12 +168,12 @@ class AcyclicMatrix:
             if u == v:
                 raise ValidationError("nonzero diagonal entry at vertex %d" % u)
             if is_canonical(value):
-                if value == zero:
+                if not value:
                     raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
                 append(t if type(t) is tuple else (u, v, value))
             else:
                 x = coerce(value)
-                if x == zero:
+                if not x:
                     raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
                 append((u, v, x))
         if n < 0:
@@ -243,21 +241,15 @@ class AcyclicMatrix:
                 u = neighbors[j]
                 term = mul(col_flat[j], xv)
                 s = add(out.get(u, zero), term)
-                if s == zero:
-                    out.pop(u, None)
-                else:
+                if s:
                     out[u] = s
+                else:
+                    out.pop(u, None)
         return SparseVector._trusted(self.n, self.field, out)
 
     def transpose(self) -> "AcyclicMatrix":
         return AcyclicMatrix(self.n, self.field, self.pattern,
                              list(self.col_flat), list(self.row_flat))
-
-    def row(self, u: int) -> SparseVector:
-        lo, hi = self.pattern.offsets[u], self.pattern.offsets[u + 1]
-        return SparseVector(self.n, self.field,
-                            dict(zip(self.pattern.neighbors[lo:hi],
-                                     self.row_flat[lo:hi])))
 
     def row_items(self, u: int):
         """(column, value) pairs of row u, columns ascending."""

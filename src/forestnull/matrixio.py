@@ -162,14 +162,22 @@ def _check_non_entry_line(raw: str, idx: int):
     raise ParseError("entry indices must be integers", line=idx)
 
 
-def _parse_matrix_json(text: str) -> AcyclicMatrix:
+def _load_json(text: str, what: str, keys) -> dict:
+    """The JSON object in text, which must hold each of keys."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("bad JSON: %s" % exc, line=exc.lineno)
-    for key in ("n", "entries"):
+    if not isinstance(doc, dict):
+        raise ParseError("%s JSON must be an object" % what)
+    for key in keys:
         if key not in doc:
-            raise ParseError("matrix JSON needs a %r key" % key)
+            raise ParseError("%s JSON needs a %r key" % (what, key))
+    return doc
+
+
+def _parse_matrix_json(text: str) -> AcyclicMatrix:
+    doc = _load_json(text, "matrix", ("n", "entries"))
     field = parse_field_spec(doc.get("field", "rational"))
     if not isinstance(doc["entries"], list):
         raise ParseError("matrix JSON 'entries' must be a list")
@@ -229,14 +237,12 @@ def parse_basis(text: str) -> Basis:
     """Basis files round-trip through the same coordinate/JSON layouts."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError("bad JSON: %s" % exc, line=exc.lineno)
+        doc = _load_json(text, "basis", ("n", "vectors"))
         field = parse_field_spec(doc.get("field", "rational"))
         n = _parse_int(doc["n"], "n")
-        vectors = [_vector_from_map(n, field, vec) for vec in doc["vectors"]]
-        return Basis(vectors)
+        if not isinstance(doc["vectors"], list):
+            raise ParseError("basis JSON 'vectors' must be a list")
+        return Basis([_vector_from_map(n, field, vec) for vec in doc["vectors"]])
     lines = [ln.strip() for ln in text.splitlines()]
     body = [ln for ln in lines if ln and not ln.startswith("%")]
     field = QQ
@@ -282,13 +288,7 @@ def format_vector(vec: SparseVector) -> str:
 
 
 def parse_vector(text: str) -> SparseVector:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("bad JSON: %s" % exc, line=exc.lineno)
-    for key in ("n", "vector"):
-        if key not in doc:
-            raise ParseError("vector JSON needs a %r key" % key)
+    doc = _load_json(text, "vector", ("n", "vector"))
     field = parse_field_spec(doc.get("field", "rational"))
     return _vector_from_map(_parse_int(doc["n"], "n"), field, doc["vector"])
 

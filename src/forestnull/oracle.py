@@ -76,10 +76,10 @@ def _rref(rows, n_cols, field):
                 continue
             for k, v in prow.items():
                 s = sub(row.get(k, zero), mul(coef, v))
-                if s == zero:
-                    row.pop(k, None)
-                else:
+                if s:
                     row[k] = s
+                else:
+                    row.pop(k, None)
         pivots.append(c)
         piv_r += 1
     return rows[:piv_r], pivots
@@ -149,10 +149,10 @@ class _Echelon:
             row = self.rows[p]
             for k, v in row.items():
                 s = sub(work.get(k, zero), mul(coef, v))
-                if s == zero:
-                    work.pop(k, None)
-                else:
+                if s:
                     work[k] = s
+                else:
+                    work.pop(k, None)
         return work
 
     def insert(self, vec: SparseVector) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .fields import require_same_field
 from .kernel import Analysis, analyze
-from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern, unit_vector
+from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern
 from .scaling import DiagonalScaling, null_basis
 
 
@@ -40,8 +40,9 @@ def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
     supp = analysis.support.supp
     if v in supp:
         raise ValidationError("vertex %d is a support vertex" % v)
-    return SparseVector(m.n, m.field,
-                        {w: x for w, x in m.row_items(v) if w in supp})
+    # row_flat holds only nonzero values, so no entry needs dropping
+    return SparseVector._trusted(m.n, m.field,
+                                 {w: x for w, x in m.row_items(v) if w in supp})
 
 
 def rank_basis(m: AcyclicMatrix) -> Basis:
@@ -51,7 +52,8 @@ def rank_basis(m: AcyclicMatrix) -> Basis:
     analysis = analyze(m.pattern)
     supp = analysis.support.supp
     non_supp = [v for v in range(m.n) if v not in supp]
-    vectors = [unit_vector(m.n, m.field, v) for v in non_supp]
+    one = m.field.one
+    vectors = [SparseVector._trusted(m.n, m.field, {v: one}) for v in non_supp]
     for v in non_supp:
         s_v = supported_neighborhood_vector(m, analysis, v)
         if not s_v.is_zero():
@@ -92,8 +94,7 @@ def in_row_space(m: AcyclicMatrix, x: SparseVector) -> bool:
     require_same_field(m.field, x.field, "matrix and vector")
     if x.n != m.n:
         raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
-    zero = m.field.zero
-    return all(x.dot(b) == zero for b in null_basis(m).vectors)
+    return not any(x.dot(b) for b in null_basis(m).vectors)
 
 
 def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,

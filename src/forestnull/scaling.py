@@ -45,11 +45,10 @@ class DiagonalScaling:
     diag: list
 
     def __post_init__(self):
-        zero = self.field.zero
         if len(self.diag) != self.n:
             raise ValidationError("diagonal length %d != n=%d" % (len(self.diag), self.n))
         for v, x in enumerate(self.diag):
-            if x == zero:
+            if not x:
                 raise ValidationError("singular scaling: zero diagonal entry at vertex %d" % v)
 
     def apply(self, x: SparseVector) -> SparseVector:
@@ -188,6 +187,6 @@ def restriction_check(m: AcyclicMatrix, x: SparseVector) -> bool:
             v = neighbors[j]
             if v in s_set:
                 acc = add(acc, mul(row_flat[j], x.get(v)))
-        if acc != zero:
+        if acc:
             return False
     return True

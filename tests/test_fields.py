@@ -1,7 +1,9 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from forestnull import PrimeField, QQ, ValidationError, parse_field_spec
@@ -31,7 +33,15 @@ def test_inverse_of_zero_is_reported():
     with pytest.raises(ValidationError):
         QQ.inv(Fraction(0))
     with pytest.raises(ValidationError):
+        QQ.inv(0)
+    with pytest.raises(ValidationError):
         GF7.inv(0)
+
+
+@given(rationals.filter(bool))
+def test_rational_inverse_is_one_over(a):
+    got = QQ.inv(a)
+    assert type(got) is Fraction and got == 1 / a
 
 
 def test_prime_field_rejects_composites():
@@ -97,6 +107,74 @@ def test_parsing():
         GF7.parse("1/2")
     with pytest.raises(ValidationError):
         QQ.coerce(0.25)  # floats are banned, exact text only
+
+
+# --- the literal fast path against Fraction(text) --------------------------
+
+LITERAL_ALPHABET = "0123456789-+/_.eE \u00b2\u0663"
+LONG = st.integers(4295, 4310).map(lambda k: "7" * k)
+# Exponents stay below about 10^6 here, so that a parser which builds the
+# power instead of refusing it fails fast; test_io_cli runs 10^9 in a
+# subprocess with a timeout.
+literals = st.one_of(
+    st.text(LITERAL_ALPHABET, max_size=8),
+    st.tuples(st.sampled_from(("", "-", "+", " ")), LONG | st.text("0123456789", max_size=4),
+              st.sampled_from(("", "/", "/-", ".", "e", "e-", " ")),
+              LONG | st.text("0123456789_", max_size=4)).map("".join),
+    st.tuples(st.sampled_from(("1", "-2.5", "3/4", "1_0.", "\u0663")), st.sampled_from("eE"),
+              st.integers(-10 ** 6, 10 ** 6).map(str)).map("".join),
+)
+
+
+def reference_parse(text):
+    """Fraction(text), or the error text QQ.parse must give instead."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return "bad rational literal %r: %s" % (text, exc)
+
+
+def exponent_beyond_limit(text):
+    """True when text is a literal Fraction accepts apart from the size of
+    its exponent, and that exponent is larger than the digit limit."""
+    m = re.fullmatch(r"(.*)[eE]([-+]?[\d_]+)(\s*)", text, re.DOTALL)
+    limit = sys.get_int_max_str_digits()
+    if m is None or not limit:
+        return False
+    try:
+        exponent = int(m[2])
+    except ValueError:  # malformed, or more digits than the limit
+        return False
+    return abs(exponent) > limit and isinstance(reference_parse(m[1] + "e0" + m[3]),
+                                                Fraction)
+
+
+@settings(max_examples=600, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(literals)
+def test_rational_parse_agrees_with_fraction(text):
+    if exponent_beyond_limit(text):
+        with pytest.raises(ValidationError, match="exponent larger than"):
+            QQ.parse(text)
+        return
+    expected = reference_parse(text)
+    try:
+        got = QQ.parse(text)
+    except ValidationError as exc:
+        assert str(exc) == expected
+    else:
+        assert type(got) is Fraction and got == expected
+
+
+def test_rational_parse_fast_path_edge_cases():
+    assert QQ.parse("-0") == 0 and QQ.parse("007/014") == Fraction(1, 2)
+    assert QQ.parse("\u0663/2") == Fraction(3, 2)  # non-ASCII digit: Fraction's path
+    for text, problem in (("5/0", "Fraction(5, 0)"), ("-5/0", "Fraction(-5, 0)"),
+                          ("\u00b2", "Invalid literal"), ("1/-2", "Invalid literal"),
+                          ("7" * 4301, "Exceeds the limit"), ("1e5000", "exponent larger"),
+                          ("-1.5E-999_999", "exponent larger")):
+        with pytest.raises(ValidationError, match=re.escape(problem)):
+            QQ.parse(text)
 
 
 def test_field_spec():

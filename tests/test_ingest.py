@@ -1,6 +1,7 @@
 """Ingest: the single-pass ``from_entries`` against ``build_forest``, the
 stored sweep order against the former DFS matching, the streaming
-Matrix Market reader, and a fuzz property over mutated matrix texts."""
+Matrix Market reader, and fuzz properties over mutated matrix, basis
+and vector texts."""
 
 import io
 import itertools
@@ -13,6 +14,8 @@ from forestnull import (PrimeField, QQ, AcyclicMatrix, ParseError, ValidationErr
                         build_forest, maximum_matching)
 from forestnull import matrixio
 from forestnull.generate import random_matrix
+from forestnull.rank import rank_basis
+from forestnull.scaling import null_basis
 from test_acceptance import Corpus
 from treegen import free_forests
 
@@ -272,3 +275,43 @@ def test_json_values_of_wrong_type_raise_parse_or_validation_error(seed, key, va
         matrixio.parse_matrix(json_variant(seed, key, value))
     except (ParseError, ValidationError):
         pass
+
+
+def _basis_and_vector_seed_texts():
+    bases, vectors = [], []
+    for i, field in enumerate((QQ, PrimeField(7), PrimeField(1000003))):
+        for n, k in ((1, 1), (6, 1), (9, 3)):
+            m = random_matrix(n, 23 * i + n, field, k)
+            for basis in (null_basis(m), rank_basis(m)):
+                for fmt in ("mm", "json"):
+                    bases.append(matrixio.format_basis(basis, m.n, m.field, fmt))
+                vectors.extend(matrixio.format_vector(vec) for vec in basis.vectors[:2])
+    return bases, vectors
+
+
+BASIS_TEXTS, VECTOR_TEXTS = _basis_and_vector_seed_texts()
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(BASIS_TEXTS), st.lists(edit, min_size=1, max_size=3))
+def test_mutated_basis_text_parses_or_raises_parse_or_validation_error(seed, edits):
+    text = mutate(seed, edits)
+    try:
+        basis = matrixio.parse_basis(text)
+    except (ParseError, ValidationError):
+        return
+    for vec in basis.vectors:
+        assert all(0 <= v < vec.n and x for v, x in vec.entries.items())
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(VECTOR_TEXTS), st.lists(edit, min_size=1, max_size=3))
+def test_mutated_vector_text_parses_or_raises_parse_or_validation_error(seed, edits):
+    text = mutate(seed, edits)
+    try:
+        vec = matrixio.parse_vector(text)
+    except (ParseError, ValidationError):
+        return
+    assert matrixio.parse_vector(matrixio.format_vector(vec)) == vec

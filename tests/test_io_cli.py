@@ -92,6 +92,9 @@ def test_parse_errors_carry_line_numbers():
     "%%MatrixMarket matrix coordinate rational general\n3 1 1\n1 one 1\n",
     "%%MatrixMarket matrix coordinate rational general\n3 1 1\n1 0 1\n",
     '{"n": "three", "field": "rational", "vectors": []}',
+    '{"n": 3, "field": "rational", "vectors": 5}',
+    '{"field": "rational", "vectors": []}',
+    '{"n": 3, "field": "rational"}',
 ])
 def test_parse_basis_rejects_malformed_text(text):
     with pytest.raises(ParseError):
@@ -262,6 +265,7 @@ def test_cli_determinism(p3_file, capsys):
     ('{"n": 2, "field": "rational", "entries": [[1.9, 2, "1"], [2, 1, "1"]]}', None),
     (None, '{"n": 3, "field": "rational", "vector": {"x": "1"}}'),
     (None, '{"n": 3, "field": "rational", "vector": [1]}'),
+    (None, '[{"n": 3, "field": "rational", "vector": {"1": "1"}}]'),
 ])
 def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
                                                   vector_text):
@@ -275,14 +279,51 @@ def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
     else:
         matrix_path.write_text(matrix_text)
         argv = ["validate", str(matrix_path)]
+    one_error_line(run_cli(argv))
+
+
+def run_cli(argv, **env):
+    """The CLI in a fresh process; a hang fails the test at the timeout."""
     src = str(Path(forestnull.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "forestnull.cli"] + argv,
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "forestnull.cli"] + argv,
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src, **env))
+
+
+def one_error_line(proc) -> str:
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e999999999", "-2.5E-999_999_999"])
+def test_cli_refuses_rational_exponent_beyond_digit_limit(tmp_path, literal):
+    path = tmp_path / "m.mtx"
+    path.write_text(M_P3_TEXT.replace("\n2 1 3\n", "\n2 1 %s\n" % literal))
+    for command in ("validate", "null-basis"):
+        line = one_error_line(run_cli([command, str(path)], PYTHONINTMAXSTRDIGITS="4300"))
+        assert line == ("error: line 5: bad rational literal %r: exponent larger than "
+                        "4300, the integer string conversion limit "
+                        "(PYTHONINTMAXSTRDIGITS)" % literal)
+
+
+@pytest.mark.parametrize("fmt", ["mm", "json"])
+def test_cli_output_beyond_digit_limit_gives_one_error_line(tmp_path, fmt):
+    # the null vector of this path has coordinates of more than 640 digits
+    n = 3001
+    entries = sorted([(u, u + 1, "7/3") for u in range(1, n)]
+                     + [(u + 1, u, "5/2") for u in range(1, n)])
+    path = tmp_path / "path.mtx"
+    path.write_text("%%%%MatrixMarket matrix coordinate rational general\n%d %d %d\n"
+                    % (n, n, len(entries)) + "".join("%d %d %s\n" % e for e in entries))
+    out = tmp_path / "null.txt"
+    for argv in (["-o", str(out)], []):
+        proc = run_cli(["null-basis", str(path), "--format", fmt] + argv,
+                       PYTHONINTMAXSTRDIGITS="640")
+        assert "more than 640 digits" in one_error_line(proc)
+        assert proc.stdout == "" and not out.exists()
 
 
 def test_traced_layer_functions_exist():
