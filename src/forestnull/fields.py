@@ -9,6 +9,8 @@ operations; no floating point is used anywhere.
 Truthiness is the zero test for every field: an element is zero iff
 ``not x``.  For a ``Fraction`` that is ``__bool__`` on the numerator,
 which skips the ``numbers.Rational`` check that ``x == zero`` runs.
+``coerce`` refuses a ``bool``: it is an ``int`` to Python, but a JSON
+``true`` is no field value.
 
 ``RationalField.parse`` reads the literals ``-?[0-9]+`` and
 ``-?[0-9]+/[0-9]+`` (ASCII digits only) with ``int`` and builds the
@@ -82,6 +84,11 @@ def _exponent_beyond_limit(text: str) -> bool:
         return False
     Fraction(text[:m.start("exp") - 1])
     return True
+
+
+def _refuse_bool(value):
+    if isinstance(value, bool):
+        raise ValidationError("booleans are not field values, got %r" % (value,))
 
 
 class Field:
@@ -159,6 +166,7 @@ class RationalField(Field):
     def coerce(self, value):
         if isinstance(value, Fraction):
             return value
+        _refuse_bool(value)
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
@@ -236,6 +244,7 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def coerce(self, value):
+        _refuse_bool(value)
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, str):

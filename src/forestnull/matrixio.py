@@ -242,7 +242,8 @@ def parse_basis(text: str) -> Basis:
         n = _parse_int(doc["n"], "n")
         if not isinstance(doc["vectors"], list):
             raise ParseError("basis JSON 'vectors' must be a list")
-        return Basis([_vector_from_map(n, field, vec) for vec in doc["vectors"]])
+        _check_basis_size(len(doc["vectors"]), n)
+        return _nonzero_basis([_vector_from_map(n, field, vec) for vec in doc["vectors"]])
     lines = [ln.strip() for ln in text.splitlines()]
     body = [ln for ln in lines if ln and not ln.startswith("%")]
     field = QQ
@@ -257,7 +258,8 @@ def parse_basis(text: str) -> Basis:
     if len(size) != 3:
         raise ParseError("size line must be 'rows cols nnz'")
     n, dim = _parse_int(size[0], "row count"), _parse_int(size[1], "column count")
-    columns = [dict() for _ in range(dim)]
+    _check_basis_size(dim, n)
+    columns = {}
     for ln in body[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -265,8 +267,27 @@ def parse_basis(text: str) -> Basis:
         v, j = _parse_int(parts[0], "entry row"), _parse_int(parts[1], "entry column")
         if not 1 <= j <= dim:
             raise ParseError("entry column %d out of range for %d columns" % (j, dim))
-        columns[j - 1][v - 1] = field.parse(parts[2])
-    return Basis([SparseVector(n, field, col) for col in columns])
+        columns.setdefault(j, {})[v - 1] = field.parse(parts[2])
+    if len(columns) < dim:
+        empty = next(j for j in range(1, dim + 1) if j not in columns)
+        raise ParseError("basis vector %d has no entries" % empty)
+    return _nonzero_basis([SparseVector(n, field, columns[j]) for j in range(1, dim + 1)])
+
+
+def _check_basis_size(dim: int, n: int):
+    """Refuse a vector count no basis of length-n vectors can have,
+    before anything is allocated per vector."""
+    if not 0 <= dim <= n:
+        raise ParseError("a basis of vectors of length %d holds 0 to %d vectors, "
+                         "not %d" % (n, max(n, 0), dim))
+
+
+def _nonzero_basis(vectors) -> Basis:
+    """A zero vector cannot be in a basis."""
+    for j, vec in enumerate(vectors, start=1):
+        if vec.is_zero():
+            raise ParseError("basis vector %d is zero" % j)
+    return Basis(vectors)
 
 
 def _vector_map(vec: SparseVector) -> dict:

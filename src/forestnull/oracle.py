@@ -1,11 +1,19 @@
 """Brute-force ground truth, algorithmically independent of the fast path.
 
-Exact Gaussian elimination (first-nonzero pivoting, reduced echelon
-form), a tree-DP matching number, exhaustive independent-set
-enumeration, and a minimum-total-support search over column subsets.
-Nothing here shares matching/support/scaling code with the rest of the
-package; it exists to catch systematic bugs and is only wired into
-tests and the CLI's cross-check paths.
+Exact Gauss-Jordan elimination to reduced row echelon form, a tree-DP
+matching number, exhaustive independent-set enumeration, and a
+minimum-total-support search over column subsets.  Nothing here shares
+matching/support/scaling code with the rest of the package; it exists
+to catch systematic bugs and is only wired into tests and the CLI's
+cross-check paths.
+
+Cost: the elimination touches only nonzeros.  A column -> rows
+incidence names, for each pivot column, the rows that hold it, and
+only those rows are eliminated, so an input that barely fills in (a
+forest matrix) costs about its fill, not n^2 probes.  The reduced
+echelon form is unique, so the result does not depend on which row is
+taken as pivot.  Span tests reduce a vector by the stored pivots it
+actually holds, taken from a heap in ascending order.
 
 Size caps: the elimination routines refuse instances above the oracle
 bound (default 512, overridable through FORESTNULL_ORACLE_BOUND); the
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import OracleBoundError
@@ -43,46 +52,62 @@ def _check_bound(n: int, cap: int, what: str):
 
 
 def _rref(rows, n_cols, field):
-    """In-place reduced echelon form of sparse dict rows.
+    """Reduced row echelon form of sparse dict rows, reduced in place.
 
-    Pivot choice is "first row with a nonzero in the column", scanning
-    columns left to right, i.e. plain dense elimination semantics; the
-    dict storage only skips arithmetic on zeros.
+    Columns are taken left to right.  A column -> rows incidence, kept
+    up to date as entries appear and cancel, names the rows holding
+    each column: the pivot is the lowest-index unused one, and only the
+    others in the incidence are eliminated.  Returns the pivot rows in
+    pivot order and the pivot columns.
     """
-    inv, mul, sub = field.inv, field.mul, field.sub
-    zero = field.zero
-    pivots = []
-    piv_r = 0
-    n_rows = len(rows)
+    inv, mul, sub, neg = field.inv, field.mul, field.sub, field.neg
+    holders = [set() for _ in range(n_cols)]
+    for r, row in enumerate(rows):
+        for k in row:
+            holders[k].add(r)
+    used = [False] * len(rows)
+    pivot_rows, pivots = [], []
     for c in range(n_cols):
-        hit = -1
-        for r in range(piv_r, n_rows):
-            if c in rows[r]:
-                hit = r
-                break
-        if hit < 0:
+        p = min((r for r in holders[c] if not used[r]), default=-1)
+        if p < 0:
             continue
-        rows[piv_r], rows[hit] = rows[hit], rows[piv_r]
-        prow = rows[piv_r]
+        used[p] = True
+        prow = rows[p]
         scale = inv(prow[c])
-        for k in list(prow):
+        for k in prow:
             prow[k] = mul(prow[k], scale)
-        for r in range(n_rows):
-            if r == piv_r:
-                continue
+        for r in [r for r in holders[c] if r != p]:
             row = rows[r]
-            coef = row.get(c)
-            if coef is None:
-                continue
+            coef = row[c]
             for k, v in prow.items():
-                s = sub(row.get(k, zero), mul(coef, v))
+                old = row.get(k)
+                if old is None:
+                    row[k] = neg(mul(coef, v))
+                    holders[k].add(r)
+                    continue
+                s = sub(old, mul(coef, v))
                 if s:
                     row[k] = s
                 else:
-                    row.pop(k, None)
+                    del row[k]
+                    holders[k].discard(r)
+        pivot_rows.append(prow)
         pivots.append(c)
-        piv_r += 1
-    return rows[:piv_r], pivots
+    return pivot_rows, pivots
+
+
+def _null_vectors(rref_rows, pivots, n_cols, field):
+    """The null vectors of a reduced echelon form, one per free column
+    fc: 1 at fc, then -coef at the pivot of each row holding fc, in
+    ascending pivot order.  Read off the rows in one pass."""
+    pivot_set = set(pivots)
+    one, neg = field.one, field.neg
+    vectors = {c: {c: one} for c in range(n_cols) if c not in pivot_set}
+    for row, pc in zip(rref_rows, pivots):
+        for k, coef in row.items():
+            if k != pc:
+                vectors[k][pc] = neg(coef)
+    return list(vectors.values())
 
 
 def _matrix_rows(m: AcyclicMatrix):
@@ -100,20 +125,11 @@ class DenseAnalysis:
 def dense_analysis(m: AcyclicMatrix) -> DenseAnalysis:
     """One elimination, all the derived data."""
     _check_bound(m.n, oracle_bound(), "dense elimination oracle")
-    field = m.field
-    rref_rows, pivots = _rref(_matrix_rows(m), m.n, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.n) if c not in pivot_set]
-    neg = field.neg
-    null_vectors = []
-    for fc in free_cols:
-        entries = {fc: field.one}
-        for r, pc in enumerate(pivots):
-            coef = rref_rows[r].get(fc)
-            if coef is not None:
-                entries[pc] = neg(coef)
-        null_vectors.append(SparseVector(m.n, field, entries))
-    row_vectors = [SparseVector(m.n, field, dict(row)) for row in rref_rows]
+    n, field = m.n, m.field
+    rref_rows, pivots = _rref(_matrix_rows(m), n, field)
+    null_vectors = [SparseVector._trusted(n, field, entries)
+                    for entries in _null_vectors(rref_rows, pivots, n, field)]
+    row_vectors = [SparseVector._trusted(n, field, row) for row in rref_rows]
     null_support = frozenset(v for vec in null_vectors for v in vec.entries)
     return DenseAnalysis(Basis(null_vectors), Basis(row_vectors), len(pivots), null_support)
 
@@ -138,21 +154,33 @@ class _Echelon:
         self.rows = {}  # pivot index -> normalized row dict
 
     def reduce(self, vec: SparseVector) -> dict:
+        """vec minus its multiples of the stored rows, in ascending pivot
+        order.  A heap holds the pivots present in the work vector; a
+        row stored at p has keys >= p, so a pivot that elimination
+        brings in is always larger than the one being removed."""
         field = self.field
-        zero = field.zero
-        mul, sub = field.mul, field.sub
+        mul, sub, neg = field.mul, field.sub, field.neg
+        rows = self.rows
         work = dict(vec.entries)
-        for p in sorted(self.rows):
+        heap = [p for p in work if p in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
             coef = work.get(p)
             if coef is None:
                 continue
-            row = self.rows[p]
-            for k, v in row.items():
-                s = sub(work.get(k, zero), mul(coef, v))
+            for k, v in rows[p].items():
+                old = work.get(k)
+                if old is None:
+                    work[k] = neg(mul(coef, v))
+                    if k in rows:
+                        heappush(heap, k)
+                    continue
+                s = sub(old, mul(coef, v))
                 if s:
                     work[k] = s
                 else:
-                    work.pop(k, None)
+                    del work[k]
         return work
 
     def insert(self, vec: SparseVector) -> bool:
@@ -209,16 +237,8 @@ def min_support_total(m: AcyclicMatrix) -> int:
                 for u, x in m.col_items(c):
                     rows[u][j] = x
             rref_rows, pivots = _rref(rows, size, field)
-            pivot_set = set(pivots)
-            neg = field.neg
-            for fc in range(size):
-                if fc in pivot_set:
-                    continue
-                entries = {cols[fc]: field.one}
-                for r, pc in enumerate(pivots):
-                    coef = rref_rows[r].get(fc)
-                    if coef is not None:
-                        entries[cols[pc]] = neg(coef)
+            for local in _null_vectors(rref_rows, pivots, size, field):
+                entries = {cols[j]: x for j, x in local.items()}
                 vec = SparseVector(m.n, field, entries)
                 if ech.insert(vec):
                     total += vec.nnz()

@@ -8,7 +8,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, ParseError, ValidationError,
                         build_forest, maximum_matching)
@@ -268,7 +268,8 @@ def test_mutated_matrix_text_parses_or_raises_parse_or_validation_error(seed, ed
        st.sampled_from(("n", "field", "entries")),
        st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.floats(allow_nan=False),
                  st.text(ALPHABET, max_size=6),
-                 st.lists(st.one_of(st.integers(-2, 12), st.text(ALPHABET, max_size=3)),
+                 st.lists(st.one_of(st.integers(-2, 12), st.booleans(),
+                                    st.text(ALPHABET, max_size=3)),
                           max_size=3)))
 def test_json_values_of_wrong_type_raise_parse_or_validation_error(seed, key, value):
     try:
@@ -315,3 +316,21 @@ def test_mutated_vector_text_parses_or_raises_parse_or_validation_error(seed, ed
     except (ParseError, ValidationError):
         return
     assert matrixio.parse_vector(matrixio.format_vector(vec)) == vec
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from([t for t in SEED_TEXTS if t.startswith("{")] + VECTOR_TEXTS),
+       st.integers(0, 10 ** 6), st.booleans())
+def test_json_boolean_value_is_refused(seed, pos, flag):
+    # bool is an int subclass; a JSON true must not be read as 1
+    doc = json.loads(seed)
+    if "entries" in doc:
+        assume(doc["entries"])
+        doc["entries"][pos % len(doc["entries"])][2] = flag
+        parse = matrixio.parse_matrix
+    else:
+        key = sorted(doc["vector"])[pos % len(doc["vector"])]
+        doc["vector"][key] = flag
+        parse = matrixio.parse_vector
+    with pytest.raises(ValidationError, match="booleans are not field values"):
+        parse(json.dumps(doc))

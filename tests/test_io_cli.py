@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,10 +96,27 @@ def test_parse_errors_carry_line_numbers():
     '{"n": 3, "field": "rational", "vectors": 5}',
     '{"field": "rational", "vectors": []}',
     '{"n": 3, "field": "rational"}',
+    # a vector count no basis can have, an empty or zero vector
+    "%%MatrixMarket matrix coordinate rational general\n3 -1 0\n",
+    "%%MatrixMarket matrix coordinate rational general\n3 2 1\n1 1 5\n",
+    "%%MatrixMarket matrix coordinate rational general\n3 2 2\n1 1 5\n2 2 0\n",
+    '{"n": 1, "field": "rational", "vectors": [{"1": "1"}, {"1": "2"}]}',
+    '{"n": -1, "field": "rational", "vectors": []}',
+    '{"n": 3, "field": "rational", "vectors": [{"1": "1"}, {}]}',
+    '{"n": 3, "field": "gf 7", "vectors": [{"2": "14"}]}',
 ])
 def test_parse_basis_rejects_malformed_text(text):
     with pytest.raises(ParseError):
         matrixio.parse_basis(text)
+
+
+@pytest.mark.parametrize("text", ["1 1000000 0", "2 3 1\n1 1 5\n",
+                                  "2 100000000000 0"])
+def test_parse_basis_refuses_more_columns_than_rows_before_allocating(text):
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="holds 0 to [12] vectors"):
+        matrixio.parse_basis("%%MatrixMarket matrix coordinate rational general\n" + text)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_basis_round_trip(m_star):
@@ -266,6 +284,9 @@ def test_cli_determinism(p3_file, capsys):
     (None, '{"n": 3, "field": "rational", "vector": {"x": "1"}}'),
     (None, '{"n": 3, "field": "rational", "vector": [1]}'),
     (None, '[{"n": 3, "field": "rational", "vector": {"1": "1"}}]'),
+    ('{"n": 2, "field": "rational", "entries": [[1, 2, true], [2, 1, true]]}', None),
+    ('{"n": 2, "field": "gf 7", "entries": [[1, 2, 1], [2, 1, false]]}', None),
+    (None, '{"n": 3, "field": "rational", "vector": {"1": false}}'),
 ])
 def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
                                                   vector_text):
@@ -379,3 +400,30 @@ def test_cli_non_ascii_file_gives_one_error_line(tmp_path, capsys):
     vec.write_bytes(b'{"n": 2, "vector": {"1": "\xc3\xa9"}}')
     with pytest.raises(ParseError, match="not an ASCII text file"):
         matrixio.read_vector(vec)
+
+
+@pytest.mark.parametrize("command, producer", [("null-basis", "null_basis"),
+                                               ("rank-basis", "rank_basis")])
+def test_cli_check_refuses_a_basis_with_the_wrong_span(tmp_path, capsys, monkeypatch,
+                                                       command, producer):
+    from forestnull import Basis, cli
+
+    path = tmp_path / "m.mtx"
+    m = random_matrix(60, 5, QQ, components=3)
+    matrixio.write_matrix(m, path)
+    right = getattr(cli, producer)
+    assert right(m).dimension >= 2
+
+    def last_replaced_by_first(m):
+        # M x = 0 still holds and the dimension is unchanged
+        vectors = right(m).vectors
+        return Basis(vectors[:-1] + vectors[:1])
+
+    monkeypatch.setattr(cli, producer, last_replaced_by_first)
+    argv = [command, str(path), "--check", "-o", str(tmp_path / "b")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: check failed: span differs from the oracle\n"
+    # the span comparison is what refuses it
+    monkeypatch.setattr(cli.oracle, "same_span", lambda a, b: True)
+    assert main(argv) == 0
+    assert "check: ok" in capsys.readouterr().err
