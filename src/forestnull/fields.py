@@ -22,6 +22,13 @@ whose exponent is larger than the integer string conversion limit
 refused: it would take unbounded time to build and could not be
 printed.  ``RationalField.format`` turns a value too long to print
 under that limit into a ``ValidationError``.
+
+``Field.reader()`` gives the text -> element callable for one read of
+one file.  For a prime field it is ``parse`` itself: ``int(text) % p``
+costs about what a table lookup does.  ``RationalField.reader()``
+builds each distinct literal once and hands out the same immutable
+``Fraction`` for every repeat, remembering at most ``READER_CAP``
+distinct texts; nothing outlives the read.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ from .errors import ValidationError
 _DECIMAL_EXPONENT = re.compile(
     r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
     r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+#: Most distinct literals one ``RationalField.reader()`` remembers.
+READER_CAP = 4096
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: The smallest strong pseudoprime to all of _MR_WITNESSES (Sorenson and
@@ -113,13 +123,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def eq(self, a, b) -> bool:
-        # Elements are kept canonical, so plain equality is field equality.
-        return a == b
-
     def coerce(self, value):
         """Turn ``value`` (element, int, or text) into a canonical element."""
         raise NotImplementedError
@@ -131,6 +134,11 @@ class Field:
 
     def parse(self, text: str):
         raise NotImplementedError
+
+    def reader(self):
+        """A text -> element callable for one read of one file: equal to
+        ``parse`` on every text.  Make a new one per read."""
+        return self.parse
 
     def format(self, a) -> str:
         return str(a)
@@ -194,6 +202,26 @@ class RationalField(Field):
         except (ValueError, ZeroDivisionError) as exc:
             problem = exc
         raise ValidationError("bad rational literal %r: %s" % (text, problem))
+
+    def reader(self):
+        """``parse`` that builds each distinct literal once: the value
+        for a text seen before is the one built for it then.  Only the
+        first ``READER_CAP`` distinct texts are remembered, so the table
+        stays bounded on inputs whose literals are all distinct.  Bad
+        literals are never remembered and fail each time they occur."""
+        seen = {}
+        known = seen.get
+        parse = self.parse
+
+        def read(text):
+            value = known(text)
+            if value is None:
+                value = parse(text)
+                if len(seen) < READER_CAP:
+                    seen[text] = value
+            return value
+
+        return read
 
     def format(self, a) -> str:
         try:

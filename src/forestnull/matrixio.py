@@ -10,14 +10,24 @@ Two interchangeable formats:
   for matrices; basis and vector files carry sparse ``{vertex: value}``
   maps so the sparsity of the output stays visible.
 
+Every reader turns scalar literals into field elements through one
+``field.reader()`` per read (per call of a ``parse_*`` function): over
+the rationals each distinct literal, up to ``fields.READER_CAP`` of
+them, is parsed once and its value shared by every entry that repeats
+it.  Nothing is kept from one read to the next.
+
 Writers emit canonical text (sorted entries, canonical scalar strings,
-trailing newline), so fixed inputs always produce identical bytes.
+trailing newline), so fixed inputs always produce identical bytes.  The
+JSON writers build the layout of ``json.dumps(doc, indent=2)`` directly
+in ``_json_blocks``, byte for byte, without the pure-Python encoder that
+``indent`` selects.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ParseError
 from .fields import Field, QQ, parse_field_spec
@@ -42,21 +52,39 @@ def _banner_qualifier(field: Field) -> str:
 
 
 def format_matrix(m: AcyclicMatrix, fmt: str = "mm") -> str:
+    fmt_scalar = m.field.format
     if fmt == "mm":
         lines = [
             "%%MatrixMarket matrix coordinate " + _banner_qualifier(m.field) + " general",
             "% field: " + m.field.name,
             "%d %d %d" % (m.n, m.n, m.nnz()),
         ]
-        fmt_scalar = m.field.format
         for u, v, x in _row_major(m):
             lines.append("%d %d %s" % (u + 1, v + 1, fmt_scalar(x)))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        entries = [[u + 1, v + 1, m.field.format(x)] for u, v, x in _row_major(m)]
-        doc = {"n": m.n, "field": m.field.name, "entries": entries}
-        return json.dumps(doc, indent=2) + "\n"
+        entries = _json_blocks("[]", (("%d" % (u + 1), "%d" % (v + 1), _quote(fmt_scalar(x)))
+                                      for u, v, x in _row_major(m)), 2)
+        return _json_document(m.n, m.field,
+                              '"entries": ' + _json_blocks("[]", [entries], 1)[0])
     raise ParseError("unknown format %r (use 'mm' or 'json')" % fmt)
+
+
+def _json_blocks(brackets: str, groups, depth: int) -> list:
+    """Each group of members, already rendered, as one JSON array or
+    object (``brackets`` "[]" or "{}") at nesting depth ``depth``, laid
+    out as ``json.dumps(..., indent=2)`` lays it out."""
+    pad = "\n" + "  " * (depth + 1)
+    head, sep, tail = brackets[0] + pad, "," + pad, "\n" + "  " * depth + brackets[1]
+    return [head + sep.join(members) + tail if members else brackets for members in groups]
+
+
+def _json_document(n: int, field: Field, *members) -> str:
+    """The text of ``json.dumps({"n": n, "field": field.name, ...},
+    indent=2)`` plus a newline; ``members`` are the rendered key/value
+    pairs after "field"."""
+    head = ('"n": %d' % n, '"field": ' + _quote(field.name))
+    return _json_blocks("{}", [head + members], 0)[0] + "\n"
 
 
 def _row_major(m: AcyclicMatrix):
@@ -124,7 +152,7 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
     else:
         raise ParseError("missing size line")
 
-    parse = field.parse
+    parse = field.reader()
     triples = []
     append = triples.append
     for idx, raw in enumerate(lines, start=idx + 1):
@@ -181,14 +209,22 @@ def _parse_matrix_json(text: str) -> AcyclicMatrix:
     field = parse_field_spec(doc.get("field", "rational"))
     if not isinstance(doc["entries"], list):
         raise ParseError("matrix JSON 'entries' must be a list")
+    value_of = _json_scalar_reader(field)
     triples = []
     for item in doc["entries"]:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError("each entry must be [row, col, value], got %r" % (item,))
         u, v, value = item
         triples.append((_parse_int(u, "entry row") - 1,
-                        _parse_int(v, "entry column") - 1, field.coerce(value)))
+                        _parse_int(v, "entry column") - 1, value_of(value)))
     return AcyclicMatrix.from_entries(_parse_int(doc["n"], "n"), triples, field)
+
+
+def _json_scalar_reader(field: Field):
+    """Element of a JSON value for one read: strings through one
+    ``field.reader()``, other values (JSON integers) through ``coerce``."""
+    read, coerce = field.reader(), field.coerce
+    return lambda value: read(value) if type(value) is str else coerce(value)
 
 
 def _read_ascii(path, parse):
@@ -223,13 +259,9 @@ def format_basis(basis, n: int, field: Field, fmt: str = "mm") -> str:
                 lines.append("%d %d %s" % (v + 1, j, field.format(vec.entries[v])))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "n": n,
-            "field": field.name,
-            "dimension": len(vectors),
-            "vectors": [_vector_map(vec) for vec in vectors],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        maps = _json_blocks("{}", map(_vector_members, vectors), 2)
+        return _json_document(n, field, '"dimension": %d' % len(vectors),
+                              '"vectors": ' + _json_blocks("[]", [maps], 1)[0])
     raise ParseError("unknown format %r (use 'mm' or 'json')" % fmt)
 
 
@@ -239,11 +271,13 @@ def parse_basis(text: str) -> Basis:
     if stripped.startswith("{"):
         doc = _load_json(text, "basis", ("n", "vectors"))
         field = parse_field_spec(doc.get("field", "rational"))
-        n = _parse_int(doc["n"], "n")
+        n = _parse_count(doc["n"], "n")
         if not isinstance(doc["vectors"], list):
             raise ParseError("basis JSON 'vectors' must be a list")
         _check_basis_size(len(doc["vectors"]), n)
-        return _nonzero_basis([_vector_from_map(n, field, vec) for vec in doc["vectors"]])
+        value_of = _json_scalar_reader(field)
+        return _nonzero_basis([_vector_from_map(n, field, value_of, vec)
+                               for vec in doc["vectors"]])
     lines = [ln.strip() for ln in text.splitlines()]
     body = [ln for ln in lines if ln and not ln.startswith("%")]
     field = QQ
@@ -257,21 +291,36 @@ def parse_basis(text: str) -> Basis:
     size = body[0].split()
     if len(size) != 3:
         raise ParseError("size line must be 'rows cols nnz'")
-    n, dim = _parse_int(size[0], "row count"), _parse_int(size[1], "column count")
+    n, dim = _parse_count(size[0], "row count"), _parse_int(size[1], "column count")
+    nnz = _parse_count(size[2], "entry count")
     _check_basis_size(dim, n)
+    read = field.reader()
     columns = {}
     for ln in body[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise ParseError("entry line must be 'row col value'")
-        v, j = _parse_int(parts[0], "entry row"), _parse_int(parts[1], "entry column")
+        v, j = _parse_int(parts[0], "entry row") - 1, _parse_int(parts[1], "entry column")
         if not 1 <= j <= dim:
             raise ParseError("entry column %d out of range for %d columns" % (j, dim))
-        columns.setdefault(j, {})[v - 1] = field.parse(parts[2])
+        column = columns.setdefault(j, {})
+        if v in column:
+            raise ParseError("duplicate entry at (%d, %d)" % (v, j - 1))
+        column[v] = read(parts[2])
+    if len(body) - 1 != nnz:
+        raise ParseError("size line announced %d entries, found %d" % (nnz, len(body) - 1))
     if len(columns) < dim:
         empty = next(j for j in range(1, dim + 1) if j not in columns)
         raise ParseError("basis vector %d has no entries" % empty)
     return _nonzero_basis([SparseVector(n, field, columns[j]) for j in range(1, dim + 1)])
+
+
+def _parse_count(value, what: str) -> int:
+    """A non-negative integer, such as a vector length."""
+    count = _parse_int(value, what)
+    if count < 0:
+        raise ParseError("%s must be non-negative, got %d" % (what, count))
+    return count
 
 
 def _check_basis_size(dim: int, n: int):
@@ -290,28 +339,31 @@ def _nonzero_basis(vectors) -> Basis:
     return Basis(vectors)
 
 
-def _vector_map(vec: SparseVector) -> dict:
-    return {str(v + 1): vec.field.format(x) for v, x in sorted(vec.entries.items())}
+def _vector_members(vec: SparseVector) -> list:
+    """The rendered ``"vertex": "value"`` members of vec's JSON object."""
+    fmt = vec.field.format
+    return ['"%d": %s' % (v + 1, _quote(fmt(x))) for v, x in sorted(vec.entries.items())]
 
 
-def _vector_from_map(n: int, field: Field, mapping: dict) -> SparseVector:
+def _vector_from_map(n: int, field: Field, value_of, mapping: dict) -> SparseVector:
     if not isinstance(mapping, dict):
         raise ParseError("a vector must be a {vertex: value} object, got %r" % (mapping,))
     entries = {}
     for key, value in mapping.items():
-        entries[_parse_int(key, "vector index") - 1] = field.coerce(value)
+        entries[_parse_int(key, "vector index") - 1] = value_of(value)
     return SparseVector(n, field, entries)
 
 
 def format_vector(vec: SparseVector) -> str:
-    doc = {"n": vec.n, "field": vec.field.name, "vector": _vector_map(vec)}
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_document(vec.n, vec.field,
+                          '"vector": ' + _json_blocks("{}", [_vector_members(vec)], 1)[0])
 
 
 def parse_vector(text: str) -> SparseVector:
     doc = _load_json(text, "vector", ("n", "vector"))
     field = parse_field_spec(doc.get("field", "rational"))
-    return _vector_from_map(_parse_int(doc["n"], "n"), field, doc["vector"])
+    return _vector_from_map(_parse_count(doc["n"], "n"), field,
+                            _json_scalar_reader(field), doc["vector"])
 
 
 def read_vector(path) -> SparseVector:

@@ -87,7 +87,7 @@ def test_prime_field_axioms(a, b, c):
 def test_rational_canonical_equality(a, b):
     # Fractions are kept reduced with positive denominators, so equality
     # of values is equality of representations.
-    assert QQ.eq(a, b) == ((a.numerator, a.denominator) == (b.numerator, b.denominator))
+    assert (a == b) == ((a.numerator, a.denominator) == (b.numerator, b.denominator))
 
 
 def test_rational_canonical_form():

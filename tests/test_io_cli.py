@@ -119,6 +119,29 @@ def test_parse_basis_refuses_more_columns_than_rows_before_allocating(text):
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("text, message", [
+    # the size line and the entries disagree on the entry count
+    ("3 1 5\n1 1 2\n2 1 3\n", "size line announced 5 entries, found 2"),
+    ("3 2 1\n1 1 2\n2 2 3\n", "size line announced 1 entries, found 2"),
+    # a repeated (row, column) no longer overwrites the earlier value
+    ("3 1 5\n1 1 2\n1 1 3\n", "duplicate entry at \\(0, 0\\)"),
+    ("3 2 3\n1 1 2\n3 2 3\n3 2 3\n", "duplicate entry at \\(2, 1\\)"),
+    ("-1 0 0\n", "row count must be non-negative, got -1"),
+    ("3 1 -1\n1 1 2\n", "entry count must be non-negative, got -1"),
+])
+def test_parse_basis_checks_the_size_line_like_the_matrix_reader(text, message):
+    with pytest.raises(ParseError, match=message):
+        matrixio.parse_basis("%%MatrixMarket matrix coordinate rational general\n" + text)
+
+
+def test_negative_length_refused():
+    with pytest.raises(ParseError, match="n must be non-negative, got -1"):
+        matrixio.parse_vector('{"n": -1, "vector": {}}')
+    with pytest.raises(ParseError, match="n must be non-negative, got -2"):
+        matrixio.parse_basis('{"n": -2, "field": "rational", "vectors": []}')
+    assert matrixio.parse_vector('{"n": 0, "vector": {}}').n == 0
+
+
 def test_basis_round_trip(m_star):
     basis = null_basis(m_star)
     for fmt in ("mm", "json"):
@@ -262,6 +285,17 @@ def test_cli_usage_error_exits_2():
 def test_cli_missing_file_exits_1(capsys):
     assert main(["validate", "/nonexistent/path.mtx"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_memory_error_gives_one_error_line(p3_file, capsys, monkeypatch):
+    from forestnull import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "validate", exhausted)
+    assert main(["validate", p3_file]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_cli_determinism(p3_file, capsys):
