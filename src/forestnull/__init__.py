@@ -10,18 +10,16 @@ pattern -- all in exact arithmetic over the rationals or a prime field.
 
 from .errors import ForestNullError, OracleBoundError, ParseError, ValidationError
 from .fields import Field, PrimeField, QQ, RationalField, parse_field_spec
-from .forest import (Forest, build_forest, connected_components,
-                     induced_subgraph, path, second_vertex)
+from .forest import Forest, build_forest
 from .generate import random_matrix
 from .kernel import (Analysis, MatchingInfo, SupportInfo, analyze,
-                     maximum_matching, null_dimension, sparsest_null_basis,
-                     support)
+                     maximum_matching, sparsest_null_basis, support)
 from .matrix import (AcyclicMatrix, Basis, SparseVector, adjacency_matrix,
-                     same_pattern, unit_vector)
+                     same_pattern)
 from .rank import (in_row_space, rank_basis, rank_normalization,
                    supported_neighborhood_vector, transfer_rank)
-from .scaling import (DiagonalScaling, null_basis, restriction_check,
-                      transfer_null, transversal_scaling)
+from .scaling import (DiagonalScaling, null_basis, transfer_null,
+                      transversal_scaling)
 
 __version__ = "0.1.0"
 
@@ -30,11 +28,9 @@ __all__ = [
     "Forest", "ForestNullError", "MatchingInfo", "OracleBoundError",
     "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
     "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
-    "build_forest", "connected_components", "in_row_space",
-    "induced_subgraph", "maximum_matching", "null_basis", "null_dimension",
-    "parse_field_spec", "path", "random_matrix", "rank_basis",
-    "rank_normalization", "restriction_check", "same_pattern",
-    "second_vertex", "sparsest_null_basis", "support",
+    "build_forest", "in_row_space", "maximum_matching", "null_basis",
+    "parse_field_spec", "random_matrix", "rank_basis", "rank_normalization",
+    "same_pattern", "sparsest_null_basis", "support",
     "supported_neighborhood_vector", "transfer_null", "transfer_rank",
-    "transversal_scaling", "unit_vector",
+    "transversal_scaling",
 ]

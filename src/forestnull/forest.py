@@ -24,9 +24,6 @@ from array import array
 
 from .errors import ValidationError
 
-#: A path is the ordered vertex sequence from its first to its last vertex.
-VertexPath = tuple
-
 
 class Forest:
     __slots__ = ("vertex_count", "edges", "neighbors", "offsets",
@@ -50,19 +47,6 @@ class Forest:
         """Per-vertex sorted neighbor lists, built afresh on each access."""
         nbs, off = self.neighbors, self.offsets
         return [list(nbs[off[v]:off[v + 1]]) for v in range(self.vertex_count)]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        return self.offsets[v + 1] - self.offsets[v]
-
-    def neighbors_of(self, v: int) -> list:
-        return list(self.neighbors[self.offsets[v]:self.offsets[v + 1]])
-
-    def same_component(self, v: int, w: int) -> bool:
-        return self.component_id[v] == self.component_id[w]
 
     def __eq__(self, other):
         return (isinstance(other, Forest)
@@ -189,78 +173,3 @@ def _find_cycle_edge(vertex_count, edges):
             return (u, v)
         root[max(x, y)] = min(x, y)
     raise AssertionError("no cycle edge found in a cyclic edge list")
-
-
-def path(f: Forest, v: int, w: int) -> VertexPath:
-    """The unique path from v to w, as a directed vertex sequence."""
-    _check_vertex(f, v)
-    _check_vertex(f, w)
-    if not f.same_component(v, w):
-        raise ValidationError("vertices %d and %d lie in different components" % (v, w))
-    if v == w:
-        return (v,)
-    neighbors, offsets = f.neighbors, f.offsets
-    parent = {v: -1}
-    frontier = [v]
-    found = False
-    while frontier and not found:
-        nxt = []
-        for cur in frontier:
-            for j in range(offsets[cur], offsets[cur + 1]):
-                nb = neighbors[j]
-                if nb not in parent:
-                    parent[nb] = cur
-                    if nb == w:
-                        found = True
-                        break
-                    nxt.append(nb)
-            if found:
-                break
-        frontier = nxt
-    out = []
-    cur = w
-    while cur != -1:
-        out.append(cur)
-        cur = parent[cur]
-    out.reverse()
-    return tuple(out)
-
-
-def second_vertex(f: Forest, v: int, w: int) -> int:
-    """The vertex right after v on the path from v to w."""
-    if v == w:
-        raise ValidationError("second vertex is undefined for v == w (v=%d)" % v)
-    return path(f, v, w)[1]
-
-
-def connected_components(f: Forest) -> list:
-    """Vertex lists per component, components ordered by smallest member."""
-    out = [[] for _ in range(f.component_count)]
-    for v in range(f.vertex_count):
-        out[f.component_id[v]].append(v)
-    return out
-
-
-class InducedForest:
-    __slots__ = ("forest", "to_parent", "from_parent")
-
-    def __init__(self, forest, to_parent, from_parent):
-        self.forest = forest
-        self.to_parent = to_parent    # new id -> old id (ascending old ids)
-        self.from_parent = from_parent  # old id -> new id
-
-
-def induced_subgraph(f: Forest, vertex_set) -> InducedForest:
-    """The forest induced on ``vertex_set``, with the old/new id maps."""
-    keep = sorted(set(vertex_set))
-    for v in keep:
-        _check_vertex(f, v)
-    from_parent = {old: new for new, old in enumerate(keep)}
-    edges = [(from_parent[u], from_parent[v]) for u, v in f.edges
-             if u in from_parent and v in from_parent]
-    return InducedForest(build_forest(len(keep), edges), keep, from_parent)
-
-
-def _check_vertex(f: Forest, v: int):
-    if not (0 <= v < f.vertex_count):
-        raise ValidationError("vertex %r out of range for %d vertices" % (v, f.vertex_count))

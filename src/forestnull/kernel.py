@@ -34,9 +34,6 @@ class MatchingInfo:
     nu: int         # matching number
     exposed: frozenset  # unmatched vertices
 
-    def is_matching_edge(self, u: int, v: int) -> bool:
-        return self.partner[u] == v
-
 
 @dataclass(eq=True)
 class SupportInfo:
@@ -83,10 +80,6 @@ def maximum_matching(f: Forest) -> MatchingInfo:
     exposed = frozenset(v for v in range(n) if partner[v] < 0)
     nu = (n - len(exposed)) // 2
     return MatchingInfo([p if p >= 0 else None for p in partner], nu, exposed)
-
-
-def null_dimension(f: Forest) -> int:
-    return f.vertex_count - 2 * maximum_matching(f).nu
 
 
 def support(f: Forest, matching: MatchingInfo) -> SupportInfo:

@@ -6,8 +6,8 @@ has to be symmetric.  Values live in flat arrays aligned with the
 pattern's CSR neighbor array: slot j holds the row-side entry
 M[v, neighbors[j]] in ``row_flat`` and the column-side entry
 M[neighbors[j], v] in ``col_flat`` for the vertex v owning slot j.
-``entries`` copies the same data out as a (row, col) -> value dict.
-Instances are immutable after construction.
+Instances are immutable after construction, so ``transpose`` shares
+both arrays with the matrix it swaps them from.
 
 ``from_entries`` sorts the triples once.  In row-major order they are
 the CSR layout itself: the columns are the neighbor array, the row
@@ -21,7 +21,6 @@ pattern forest is then indexed by the component sweep it shares with
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 
@@ -106,10 +105,6 @@ class SparseVector:
                 out.pop(v, None)
         return SparseVector(self.n, self.field, out)
 
-    def to_list(self) -> list:
-        zero = self.field.zero
-        return [self.entries.get(v, zero) for v in range(self.n)]
-
     def __eq__(self, other):
         return (isinstance(other, SparseVector) and self.n == other.n
                 and self.field == other.field and self.entries == other.entries)
@@ -118,10 +113,6 @@ class SparseVector:
         inside = ", ".join("%d: %s" % (v, self.field.format(x))
                            for v, x in sorted(self.entries.items()))
         return "SparseVector(n=%d, {%s})" % (self.n, inside)
-
-
-def unit_vector(n: int, field: Field, v: int) -> SparseVector:
-    return SparseVector(n, field, {v: field.one})
 
 
 @dataclass(eq=True)
@@ -204,24 +195,6 @@ class AcyclicMatrix:
         pattern = _indexed_forest(n, edges, neighbors, offsets)
         return cls(n, field, pattern, [x for _, _, x in items], col_flat)
 
-    @property
-    def entries(self) -> dict:
-        """(row, col) -> value dict of the stored entries, built afresh on
-        each access."""
-        neighbors, offsets = self.pattern.neighbors, self.pattern.offsets
-        row_flat = self.row_flat
-        return {(u, neighbors[j]): row_flat[j]
-                for u in range(self.n) for j in range(offsets[u], offsets[u + 1])}
-
-    def entry(self, u: int, v: int):
-        offsets = self.pattern.offsets
-        lo, hi = offsets[u], offsets[u + 1]
-        nbs = self.pattern.neighbors
-        i = bisect_left(nbs, v, lo, hi)
-        if i < hi and nbs[i] == v:
-            return self.row_flat[i]
-        return self.field.zero
-
     def nnz(self) -> int:
         return len(self.row_flat)
 
@@ -249,7 +222,7 @@ class AcyclicMatrix:
 
     def transpose(self) -> "AcyclicMatrix":
         return AcyclicMatrix(self.n, self.field, self.pattern,
-                             list(self.col_flat), list(self.row_flat))
+                             self.col_flat, self.row_flat)
 
     def row_items(self, u: int):
         """(column, value) pairs of row u, columns ascending."""

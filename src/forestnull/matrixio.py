@@ -6,6 +6,10 @@ Two interchangeable formats:
   ``%%MatrixMarket matrix coordinate <real|integer|rational> general``,
   an optional ``% field: rational`` / ``% field: gf <p>`` comment before
   the size line, the size line, then 1-based ``row col value`` lines.
+  A basis file is an n x dimension matrix, one column per vector, and
+  follows the same rules for the banner, the field comment and the size
+  line: matrices and bases share ``_coordinate_header`` and
+  ``_coordinate_entries``.
 * JSON: ``{"n": ..., "field": ..., "entries": [[u, v, "value"], ...]}``
   for matrices; basis and vector files carry sparse ``{vertex: value}``
   maps so the sparsity of the output stays visible.
@@ -47,18 +51,17 @@ def _parse_int(value, what: str) -> int:
     raise ParseError("%s must be an integer, got %r" % (what, value))
 
 
-def _banner_qualifier(field: Field) -> str:
-    return "rational" if field == QQ else "integer"
+def _coordinate_head(field: Field, rows: int, cols: int, nnz: int) -> list:
+    """The banner, field comment and size line of a coordinate file."""
+    qualifier = "rational" if field == QQ else "integer"
+    return ["%%MatrixMarket matrix coordinate " + qualifier + " general",
+            "% field: " + field.name, "%d %d %d" % (rows, cols, nnz)]
 
 
 def format_matrix(m: AcyclicMatrix, fmt: str = "mm") -> str:
     fmt_scalar = m.field.format
     if fmt == "mm":
-        lines = [
-            "%%MatrixMarket matrix coordinate " + _banner_qualifier(m.field) + " general",
-            "% field: " + m.field.name,
-            "%d %d %d" % (m.n, m.n, m.nnz()),
-        ]
+        lines = _coordinate_head(m.field, m.n, m.n, m.nnz())
         for u, v, x in _row_major(m):
             lines.append("%d %d %s" % (u + 1, v + 1, fmt_scalar(x)))
         return "\n".join(lines) + "\n"
@@ -116,7 +119,10 @@ def _field_comment(line: str):
     return None
 
 
-def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
+def _coordinate_header(banner: str, lines):
+    """Check the banner, then read ``lines`` up to the size line: the
+    field the ``% field:`` comments select, the size line's three
+    counts, and its line number."""
     tokens = banner.split()
     if (len(tokens) != 5 or tokens[1] != "matrix" or tokens[2] != "coordinate"
             or tokens[3] not in _BANNER_FIELDS or tokens[4] != "general"):
@@ -140,18 +146,16 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
         if len(parts) != 3:
             raise ParseError("size line must be 'rows cols nnz'", line=idx)
         try:
-            n, cols, nnz = (int(p) for p in parts)
+            rows, cols, nnz = (int(p) for p in parts)
         except ValueError:
             raise ParseError("size line must hold three integers", line=idx)
-        if n != cols:
-            raise ParseError("matrix must be square, got %d x %d" % (n, cols), line=idx)
-        if n > MAX_VERTICES:
-            raise ParseError("matrix size %d exceeds the limit of %d vertices"
-                             % (n, MAX_VERTICES), line=idx)
-        break
-    else:
-        raise ParseError("missing size line")
+        return field, rows, cols, nnz, idx
+    raise ParseError("missing size line")
 
+
+def _coordinate_entries(lines, idx: int, field: Field) -> list:
+    """The 0-based (row, col, value) triples of the lines after the size
+    line, which is line ``idx``."""
     parse = field.reader()
     triples = []
     append = triples.append
@@ -168,6 +172,17 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
         except Exception as exc:
             raise ParseError(str(exc), line=idx)
         append((u, v, value))
+    return triples
+
+
+def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
+    field, n, cols, nnz, idx = _coordinate_header(banner, lines)
+    if n != cols:
+        raise ParseError("matrix must be square, got %d x %d" % (n, cols), line=idx)
+    if n > MAX_VERTICES:
+        raise ParseError("matrix size %d exceeds the limit of %d vertices"
+                         % (n, MAX_VERTICES), line=idx)
+    triples = _coordinate_entries(lines, idx, field)
     if len(triples) != nnz:
         raise ParseError("size line announced %d entries, found %d"
                          % (nnz, len(triples)))
@@ -248,12 +263,7 @@ def format_basis(basis, n: int, field: Field, fmt: str = "mm") -> str:
     """Basis as an n x dimension sparse matrix (one column per vector)."""
     vectors = basis.vectors
     if fmt == "mm":
-        nnz = sum(vec.nnz() for vec in vectors)
-        lines = [
-            "%%MatrixMarket matrix coordinate " + _banner_qualifier(field) + " general",
-            "% field: " + field.name,
-            "%d %d %d" % (n, len(vectors), nnz),
-        ]
+        lines = _coordinate_head(field, n, len(vectors), sum(vec.nnz() for vec in vectors))
         for j, vec in enumerate(vectors, start=1):
             for v in sorted(vec.entries):
                 lines.append("%d %d %s" % (v + 1, j, field.format(vec.entries[v])))
@@ -267,8 +277,7 @@ def format_basis(basis, n: int, field: Field, fmt: str = "mm") -> str:
 
 def parse_basis(text: str) -> Basis:
     """Basis files round-trip through the same coordinate/JSON layouts."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         doc = _load_json(text, "basis", ("n", "vectors"))
         field = parse_field_spec(doc.get("field", "rational"))
         n = _parse_count(doc["n"], "n")
@@ -278,41 +287,29 @@ def parse_basis(text: str) -> Basis:
         value_of = _json_scalar_reader(field)
         return _nonzero_basis([_vector_from_map(n, field, value_of, vec)
                                for vec in doc["vectors"]])
-    lines = [ln.strip() for ln in text.splitlines()]
-    body = [ln for ln in lines if ln and not ln.startswith("%")]
-    field = QQ
-    for ln in lines:
-        if ln.startswith("%") and not ln.startswith("%%"):
-            payload = ln.lstrip("%").strip()
-            if payload.lower().startswith("field:"):
-                field = parse_field_spec(payload[len("field:"):])
-    if not body:
-        raise ParseError("empty basis file")
-    size = body[0].split()
-    if len(size) != 3:
-        raise ParseError("size line must be 'rows cols nnz'")
-    n, dim = _parse_count(size[0], "row count"), _parse_int(size[1], "column count")
-    nnz = _parse_count(size[2], "entry count")
+    lines = io.StringIO(text, newline=None)
+    banner = next(lines, "")
+    if not banner.startswith("%%MatrixMarket"):
+        raise ParseError("missing %%MatrixMarket banner", line=1)
+    field, n, dim, nnz, idx = _coordinate_header(banner, lines)
+    _parse_count(n, "row count")
+    _parse_count(nnz, "entry count")
     _check_basis_size(dim, n)
-    read = field.reader()
+    triples = _coordinate_entries(lines, idx, field)
     columns = {}
-    for ln in body[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError("entry line must be 'row col value'")
-        v, j = _parse_int(parts[0], "entry row") - 1, _parse_int(parts[1], "entry column")
-        if not 1 <= j <= dim:
-            raise ParseError("entry column %d out of range for %d columns" % (j, dim))
+    for v, j, x in triples:
+        if not 0 <= j < dim:
+            raise ParseError("entry column %d out of range for %d columns" % (j + 1, dim))
         column = columns.setdefault(j, {})
         if v in column:
-            raise ParseError("duplicate entry at (%d, %d)" % (v, j - 1))
-        column[v] = read(parts[2])
-    if len(body) - 1 != nnz:
-        raise ParseError("size line announced %d entries, found %d" % (nnz, len(body) - 1))
+            raise ParseError("duplicate entry at (%d, %d)" % (v, j))
+        column[v] = x
+    if len(triples) != nnz:
+        raise ParseError("size line announced %d entries, found %d" % (nnz, len(triples)))
     if len(columns) < dim:
-        empty = next(j for j in range(1, dim + 1) if j not in columns)
-        raise ParseError("basis vector %d has no entries" % empty)
-    return _nonzero_basis([SparseVector(n, field, columns[j]) for j in range(1, dim + 1)])
+        empty = next(j for j in range(dim) if j not in columns)
+        raise ParseError("basis vector %d has no entries" % (empty + 1))
+    return _nonzero_basis([SparseVector(n, field, columns[j]) for j in range(dim)])
 
 
 def _parse_count(value, what: str) -> int:

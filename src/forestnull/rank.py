@@ -23,6 +23,10 @@ over the component's non-support vertices t != r.  ``rank_normalization``
 runs this rule over the preorder the pattern forest stored when it was
 built, taking each vertex's parent edge from ``parent``/``parent_slot``:
 O(n) field operations instead of the O(n^2) of the literal product.
+The null scaling, ``scaling.transversal_scaling``, walks the same
+preorder with its own edge rule; it seeds each sweep root from the
+component's transversal vertex, where this rule gathers the root
+product on the way down.
 """
 
 from __future__ import annotations

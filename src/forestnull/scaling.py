@@ -1,15 +1,14 @@
 """Diagonal scalings that carry the null space and the row space of a
 matrix onto those of its pattern's adjacency matrix, and back.
 
-Both scalings are loops over the tree edges s -> t of the pattern,
-parent before child; each step sets D[t] from D[s] and the two entries
-of the edge, so either scaling costs O(n) field operations.  The null
-scaling walks from its own roots with ``_tree_edges``; the row scaling
-reuses the preorder the pattern forest stored when it was built.
+Both scalings walk the preorder the pattern forest stored when it was
+built, taking each vertex t's parent edge s -> t from ``parent`` and
+``parent_slot``; each step sets D[t] from D[s] and the two entries of
+the edge, so either scaling costs O(n) field operations.
 
-The null scaling (``transversal_scaling``) roots every component that
-has support at its smallest support vertex, the transversal vertex,
-with D = 1 there; crossing s -> t multiplies by
+The null scaling (``transversal_scaling``) is anchored, in every
+component that has support, at its smallest support vertex, the
+transversal vertex, with D = 1 there; crossing s -> t multiplies by
 
     M[s, t]        if t is a support vertex,
     M[t, s]^-1     if s is a support vertex,
@@ -20,9 +19,13 @@ whose column is the support endpoint; that is the one orientation for
 which D[w] / D[w'] = M[u, w] / M[u, w'] holds for any two support
 neighbors w, w' of a vertex u, which is the identity the null-space
 transfer rests on.  Support vertices are never adjacent, so the two
-cases cannot collide.  Components without support keep D = 1.  The
-row scaling, ``rank.rank_normalization``, runs its own rule over the
-stored preorder.
+cases cannot collide.  The rule gives the same ratio D[t] / D[s] read
+from either end of an edge, so the walk may start anywhere: it seeds
+each component's sweep root with the product of the inverse factors on
+the way up from the transversal vertex, which makes D = 1 at the
+transversal vertex.  Components without support keep D = 1.  The row
+scaling, ``rank.rank_normalization``, runs its own rule over the same
+preorder.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .fields import Field, require_same_field
-from .forest import Forest
 from .kernel import Analysis, analyze, sparsest_null_basis
 from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern
 
@@ -79,33 +81,8 @@ class DiagonalScaling:
         return "DiagonalScaling(n=%d, field=%s)" % (self.n, self.field.name)
 
 
-def _tree_edges(f: Forest, roots):
-    """Yield (s, t, j) for every tree edge of the components of ``roots``,
-    parent s before child t, with j the slot of t in s's row.
-
-    Each component is walked from the first of ``roots`` inside it; later
-    roots in an already walked component are skipped.
-    """
-    neighbors, offsets = f.neighbors, f.offsets
-    seen = bytearray(f.vertex_count)
-    for r in roots:
-        if seen[r]:
-            continue
-        seen[r] = 1
-        stack = [r]
-        pop, push = stack.pop, stack.append
-        while stack:
-            s = pop()
-            for j in range(offsets[s], offsets[s + 1]):
-                t = neighbors[j]
-                if not seen[t]:
-                    seen[t] = 1
-                    yield s, t, j
-                    push(t)
-
-
 def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling:
-    """The null scaling of m, rooted at the analysis's transversal: D x
+    """The null scaling of m, anchored at the analysis's transversal: D x
     is a null vector of the adjacency matrix for every null vector x of m.
     """
     field = m.field
@@ -113,8 +90,25 @@ def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling
     supp = analysis.support.supp
     row_flat = m.row_flat  # slot j of vertex s: M[s, neighbors[j]]
     col_flat = m.col_flat  # slot j of vertex s: M[neighbors[j], s]
+    f = m.pattern
+    parent, parent_slot = f.parent, f.parent_slot
     diag = [field.one] * m.n
-    for s, t, j in _tree_edges(m.pattern, analysis.transversal):
+    for v in analysis.transversal:  # seed v's sweep root so that D[v] = 1
+        d = field.one
+        t, s = v, parent[v]
+        while s >= 0:
+            j = parent_slot[t]
+            if t in supp:
+                d = mul(d, inv(row_flat[j]))
+            elif s in supp:
+                d = mul(d, col_flat[j])
+            t, s = s, parent[s]
+        diag[t] = d
+    for t in f.order:
+        s = parent[t]
+        if s < 0:
+            continue
+        j = parent_slot[t]
         if t in supp:
             diag[t] = mul(diag[s], row_flat[j])
         elif s in supp:
@@ -165,28 +159,3 @@ def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     d_m = transversal_scaling(m, analysis)
     d_n = transversal_scaling(n_mat, analysis)
     return d_n.apply_inverse(d_m.apply(x))
-
-
-def restriction_check(m: AcyclicMatrix, x: SparseVector) -> bool:
-    """True iff x vanishes outside supp+core and its restriction there is
-    annihilated by the matrix induced on supp+core (equivalent to x in
-    Null(m))."""
-    if x.n != m.n:
-        raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
-    require_same_field(m.field, x.field, "matrix and vector")
-    s_set = analyze(m.pattern).support.s_set
-    if any(v not in s_set for v in x.entries):
-        return False
-    zero = m.field.zero
-    add, mul = m.field.add, m.field.mul
-    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
-    row_flat = m.row_flat
-    for u in s_set:
-        acc = zero
-        for j in range(offsets[u], offsets[u + 1]):
-            v = neighbors[j]
-            if v in s_set:
-                acc = add(acc, mul(row_flat[j], x.get(v)))
-        if acc:
-            return False
-    return True

@@ -1,0 +1,139 @@
+"""Slow, direct helpers on forests, matrices and vectors that only the
+test suite uses: paths between vertices, component lists, induced
+subforests, single entries, dense vectors, the null dimension and the
+restriction test of a null vector.  They read the public data of
+``Forest`` and ``AcyclicMatrix`` and favour plainness over speed.
+``test_forest_helpers.py`` checks the path, induced-subforest,
+null-dimension and restriction laws.
+"""
+
+from bisect import bisect_left
+
+from forestnull import ValidationError, analyze, build_forest, maximum_matching
+from forestnull.fields import require_same_field
+
+
+def neighbors_of(f, v: int) -> list:
+    return list(f.neighbors[f.offsets[v]:f.offsets[v + 1]])
+
+
+def same_component(f, v: int, w: int) -> bool:
+    return f.component_id[v] == f.component_id[w]
+
+
+def check_vertex(f, v: int):
+    if not (0 <= v < f.vertex_count):
+        raise ValidationError("vertex %r out of range for %d vertices" % (v, f.vertex_count))
+
+
+def path(f, v: int, w: int) -> tuple:
+    """The unique path from v to w, as a directed vertex sequence."""
+    check_vertex(f, v)
+    check_vertex(f, w)
+    if not same_component(f, v, w):
+        raise ValidationError("vertices %d and %d lie in different components" % (v, w))
+    if v == w:
+        return (v,)
+    parent = {v: -1}
+    frontier = [v]
+    while w not in parent:
+        nxt = []
+        for cur in frontier:
+            for nb in neighbors_of(f, cur):
+                if nb not in parent:
+                    parent[nb] = cur
+                    nxt.append(nb)
+        frontier = nxt
+    out = []
+    cur = w
+    while cur != -1:
+        out.append(cur)
+        cur = parent[cur]
+    out.reverse()
+    return tuple(out)
+
+
+def second_vertex(f, v: int, w: int) -> int:
+    """The vertex right after v on the path from v to w."""
+    if v == w:
+        raise ValidationError("second vertex is undefined for v == w (v=%d)" % v)
+    return path(f, v, w)[1]
+
+
+def connected_components(f) -> list:
+    """Vertex lists per component, components ordered by smallest member."""
+    out = [[] for _ in range(f.component_count)]
+    for v in range(f.vertex_count):
+        out[f.component_id[v]].append(v)
+    return out
+
+
+class InducedForest:
+    __slots__ = ("forest", "to_parent", "from_parent")
+
+    def __init__(self, forest, to_parent, from_parent):
+        self.forest = forest
+        self.to_parent = to_parent    # new id -> old id (ascending old ids)
+        self.from_parent = from_parent  # old id -> new id
+
+
+def induced_subgraph(f, vertex_set) -> InducedForest:
+    """The forest induced on ``vertex_set``, with the old/new id maps."""
+    keep = sorted(set(vertex_set))
+    for v in keep:
+        check_vertex(f, v)
+    from_parent = {old: new for new, old in enumerate(keep)}
+    edges = [(from_parent[u], from_parent[v]) for u, v in f.edges
+             if u in from_parent and v in from_parent]
+    return InducedForest(build_forest(len(keep), edges), keep, from_parent)
+
+
+def null_dimension(f) -> int:
+    return f.vertex_count - 2 * maximum_matching(f).nu
+
+
+def entry(m, u: int, v: int):
+    """M[u, v], found by bisection in row u."""
+    offsets, nbs = m.pattern.offsets, m.pattern.neighbors
+    lo, hi = offsets[u], offsets[u + 1]
+    i = bisect_left(nbs, v, lo, hi)
+    if i < hi and nbs[i] == v:
+        return m.row_flat[i]
+    return m.field.zero
+
+
+def entries(m) -> dict:
+    """(row, col) -> value dict of the stored entries of m."""
+    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    return {(u, neighbors[j]): m.row_flat[j]
+            for u in range(m.n) for j in range(offsets[u], offsets[u + 1])}
+
+
+def to_list(x) -> list:
+    """The dense coordinate list of a sparse vector."""
+    return [x.get(v) for v in range(x.n)]
+
+
+def restriction_check(m, x) -> bool:
+    """True iff x vanishes outside supp+core and its restriction there is
+    annihilated by the matrix induced on supp+core (equivalent to x in
+    Null(m))."""
+    if x.n != m.n:
+        raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
+    require_same_field(m.field, x.field, "matrix and vector")
+    s_set = analyze(m.pattern).support.s_set
+    if any(v not in s_set for v in x.entries):
+        return False
+    zero = m.field.zero
+    add, mul = m.field.add, m.field.mul
+    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    row_flat = m.row_flat
+    for u in s_set:
+        acc = zero
+        for j in range(offsets[u], offsets[u + 1]):
+            v = neighbors[j]
+            if v in s_set:
+                acc = add(acc, mul(row_flat[j], x.get(v)))
+        if acc:
+            return False
+    return True

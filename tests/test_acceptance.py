@@ -17,11 +17,12 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
                         analyze, build_forest, null_basis, rank_basis,
-                        rank_normalization, restriction_check,
-                        sparsest_null_basis, transfer_null, transfer_rank)
+                        rank_normalization, sparsest_null_basis,
+                        transfer_null, transfer_rank)
 from forestnull.bench import run_bench
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
+from forest_helpers import restriction_check
 from treegen import free_forests, free_trees
 
 GF = PrimeField(10007)

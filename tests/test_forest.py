@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from forestnull import ValidationError, build_forest, connected_components, path, second_vertex
-from forestnull.forest import induced_subgraph
+from forestnull import ValidationError, build_forest
 from forestnull.generate import random_forest_edges
-from treegen import free_forests
+from forest_helpers import connected_components, path
 
 
 def test_build_p3(p3):
@@ -39,35 +38,6 @@ def test_loop_and_duplicate_rejected():
         build_forest(2, [(0, 5)])
 
 
-def test_path_direction(p3):
-    assert path(p3, 0, 2) == (0, 1, 2)
-    assert path(p3, 2, 0) == (2, 1, 0)
-    assert path(p3, 1, 1) == (1,)
-
-
-def test_path_requires_same_component():
-    f = build_forest(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValidationError, match="different components"):
-        path(f, 0, 3)
-
-
-def test_second_vertex(p3):
-    assert second_vertex(p3, 1, 0) == 0
-    assert second_vertex(p3, 0, 2) == 1
-    star = build_forest(4, [(0, 1), (0, 2), (0, 3)])
-    assert second_vertex(star, 2, 3) == 0
-    with pytest.raises(ValidationError):
-        second_vertex(p3, 1, 1)
-
-
-def test_induced_subgraph(p3):
-    sub = induced_subgraph(p3, {0, 2})
-    assert sub.forest.vertex_count == 2
-    assert sub.forest.edges == []
-    assert sub.to_parent == [0, 2]
-    assert sub.from_parent == {0: 0, 2: 1}
-
-
 def test_random_forests_properties():
     rng = random.Random(7)
     for trial in range(60):
@@ -75,7 +45,7 @@ def test_random_forests_properties():
         k = rng.randint(1, min(5, n))
         edges = random_forest_edges(n, random.Random(trial), components=k)
         f = build_forest(n, edges)
-        assert f.edge_count == n - f.component_count
+        assert len(f.edges) == n - f.component_count
         assert f.component_count == k
         # adjacency symmetry and sortedness
         for v in range(n):
@@ -86,11 +56,3 @@ def test_random_forests_properties():
         comp = connected_components(f)[rng.randrange(f.component_count)]
         v, w = rng.choice(comp), rng.choice(comp)
         assert path(f, v, w) == tuple(reversed(path(f, w, v)))
-
-
-def test_induced_subgraph_of_forest_never_cycles():
-    rng = random.Random(3)
-    for edges in free_forests(7):
-        f = build_forest(7, list(edges))
-        keep = [v for v in range(7) if rng.random() < 0.6]
-        induced_subgraph(f, keep)  # must not raise

@@ -16,6 +16,7 @@ from forestnull import matrixio
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
+from forest_helpers import entry
 from test_acceptance import Corpus
 from treegen import free_forests
 
@@ -205,7 +206,7 @@ def test_comment_lines_with_three_tokens_are_skipped():
                               "\n"
                               "%1 2 3\n"
                               "2 1 4\n")
-    assert m.entry(0, 1) == 3 and m.entry(1, 0) == 4
+    assert entry(m, 0, 1) == 3 and entry(m, 1, 0) == 4
 
 
 # --- fuzz ----------------------------------------------------------------

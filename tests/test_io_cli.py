@@ -17,6 +17,7 @@ from forestnull.cli import main
 from forestnull.generate import random_matrix
 from forestnull.scaling import null_basis
 from conftest import sv
+from forest_helpers import entry
 
 M_P3_TEXT = """%%MatrixMarket matrix coordinate rational general
 % field: rational
@@ -51,7 +52,7 @@ def test_gf_reduction_on_read():
             "2 1 1\n")
     m = matrixio.parse_matrix(text)
     assert m.field == PrimeField(7)
-    assert m.entry(0, 1) == 3
+    assert entry(m, 0, 1) == 3
 
 
 def test_exact_decimal_parse():
@@ -61,8 +62,8 @@ def test_exact_decimal_parse():
             "2 1 -0.5\n")
     m = matrixio.parse_matrix(text)
     assert m.field == QQ
-    assert m.entry(0, 1) == Fraction(1, 4)
-    assert m.entry(1, 0) == Fraction(-1, 2)
+    assert entry(m, 0, 1) == Fraction(1, 4)
+    assert entry(m, 1, 0) == Fraction(-1, 2)
 
 
 def test_diagonal_entry_rejected_from_file():
@@ -104,6 +105,9 @@ def test_parse_errors_carry_line_numbers():
     '{"n": -1, "field": "rational", "vectors": []}',
     '{"n": 3, "field": "rational", "vectors": [{"1": "1"}, {}]}',
     '{"n": 3, "field": "gf 7", "vectors": [{"2": "14"}]}',
+    # the matrix rules for the banner and the field comment
+    "3 1 1\n1 1 1\n",
+    "%%MatrixMarket matrix coordinate rational general\n3 1 1\n% field: gf 7\n1 1 1\n",
 ])
 def test_parse_basis_rejects_malformed_text(text):
     with pytest.raises(ParseError):
@@ -128,6 +132,7 @@ def test_parse_basis_refuses_more_columns_than_rows_before_allocating(text):
     ("3 2 3\n1 1 2\n3 2 3\n3 2 3\n", "duplicate entry at \\(2, 1\\)"),
     ("-1 0 0\n", "row count must be non-negative, got -1"),
     ("3 1 -1\n1 1 2\n", "entry count must be non-negative, got -1"),
+    ("3 1 1\n1 one 2\n", "line 3: entry indices must be integers"),
 ])
 def test_parse_basis_checks_the_size_line_like_the_matrix_reader(text, message):
     with pytest.raises(ParseError, match=message):
@@ -161,7 +166,7 @@ def test_gen_determinism_and_shape():
     b = random_matrix(50, 42, QQ)
     assert a == b
     big = random_matrix(1000, 42, PrimeField(5))
-    assert big.pattern.edge_count == 999
+    assert len(big.pattern.edges) == 999
     forest = random_matrix(30, 7, QQ, components=4)
     assert forest.pattern.component_count == 4
     one = random_matrix(1, 0, QQ)
@@ -379,6 +384,22 @@ def test_cli_output_beyond_digit_limit_gives_one_error_line(tmp_path, fmt):
                        PYTHONINTMAXSTRDIGITS="640")
         assert "more than 640 digits" in one_error_line(proc)
         assert proc.stdout == "" and not out.exists()
+
+
+def test_public_api():
+    # growth of the public surface shows up here as a reviewed diff
+    assert sorted(forestnull.__all__) == [
+        "AcyclicMatrix", "Analysis", "Basis", "DiagonalScaling", "Field",
+        "Forest", "ForestNullError", "MatchingInfo", "OracleBoundError",
+        "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
+        "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
+        "build_forest", "in_row_space", "maximum_matching", "null_basis",
+        "parse_field_spec", "random_matrix", "rank_basis", "rank_normalization",
+        "same_pattern", "sparsest_null_basis", "support",
+        "supported_neighborhood_vector", "transfer_null", "transfer_rank",
+        "transversal_scaling",
+    ]
+    assert all(hasattr(forestnull, name) for name in forestnull.__all__)
 
 
 def test_traced_layer_functions_exist():

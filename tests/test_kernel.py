@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from forestnull import (QQ, adjacency_matrix, analyze, build_forest,
-                        maximum_matching, null_dimension, sparsest_null_basis,
+                        maximum_matching, sparsest_null_basis,
                         support)
 from forestnull.generate import random_forest_edges
 from forestnull import oracle
@@ -121,12 +121,6 @@ def test_support_matches_mis_intersection_small():
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
             assert analyze(f).support.supp == oracle.support_by_mis(f)
-
-
-def test_null_dimension():
-    assert null_dimension(path_forest(3)) == 1
-    assert null_dimension(path_forest(4)) == 0
-    assert null_dimension(build_forest(1, [])) == 1
 
 
 def test_sparsest_basis_examples():

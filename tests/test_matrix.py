@@ -5,12 +5,13 @@ import pytest
 from forestnull import (PrimeField, QQ, SparseVector, ValidationError,
                         adjacency_matrix, AcyclicMatrix, build_forest)
 from conftest import sv
+from forest_helpers import entries, entry, to_list
 
 
 def test_m_p3_pattern(m_p3):
     assert m_p3.pattern.edges == [(0, 1), (1, 2)]
-    assert m_p3.entry(1, 0) == 3
-    assert m_p3.entry(0, 0) == 0
+    assert entry(m_p3, 1, 0) == 3
+    assert entry(m_p3, 0, 0) == 0
 
 
 def test_asymmetric_pattern_rejected():
@@ -59,16 +60,16 @@ def test_apply_checks_dimensions(m_p3):
 
 def test_adjacency_matrix(p3):
     a = adjacency_matrix(p3)
-    assert a.entry(0, 1) == 1 and a.entry(1, 0) == 1 and a.entry(0, 2) == 0
+    assert entry(a, 0, 1) == 1 and entry(a, 1, 0) == 1 and entry(a, 0, 2) == 0
     single = adjacency_matrix(build_forest(1, []))
     assert single.nnz() == 0
     p2 = adjacency_matrix(build_forest(2, [(0, 1)]))
-    assert p2.entries == {(0, 1): 1, (1, 0): 1}
+    assert entries(p2) == {(0, 1): 1, (1, 0): 1}
 
 
 def test_pattern_as_ones_equals_adjacency(m_p3):
     ones = AcyclicMatrix.from_entries(
-        3, [(u, v, 1) for (u, v) in m_p3.entries], QQ)
+        3, [(u, v, 1) for (u, v) in entries(m_p3)], QQ)
     assert ones == adjacency_matrix(m_p3.pattern)
 
 
@@ -82,10 +83,10 @@ def test_apply_matches_dense_product():
         m = random_matrix(n, trial, QQ, components=rng.randint(1, min(3, n)))
         x = SparseVector(n, QQ, {v: Fraction(rng.randint(-5, 5))
                                  for v in range(n) if rng.random() < 0.5})
-        dense = [[m.entry(u, v) for v in range(n)] for u in range(n)]
-        xs = x.to_list()
+        dense = [[entry(m, u, v) for v in range(n)] for u in range(n)]
+        xs = to_list(x)
         expected = [sum(dense[u][v] * xs[v] for v in range(n)) for u in range(n)]
-        assert m.apply(x).to_list() == expected
+        assert to_list(m.apply(x)) == expected
 
 
 def test_sparse_vector_drops_zeros():
@@ -103,5 +104,7 @@ def test_vector_dot_and_scale():
 
 def test_transpose(m_p3):
     t = m_p3.transpose()
-    assert t.entry(0, 1) == 3 and t.entry(1, 0) == 2
+    assert entry(t, 0, 1) == 3 and entry(t, 1, 0) == 2
     assert t.pattern.edges == m_p3.pattern.edges
+    # both objects are immutable, so the transpose shares the value arrays
+    assert t.row_flat is m_p3.col_flat and t.col_flat is m_p3.row_flat

@@ -13,6 +13,7 @@ from forestnull import fields, matrixio
 from forestnull.fields import RationalField
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
+from forest_helpers import entries
 from test_acceptance import Corpus
 
 
@@ -168,8 +169,8 @@ def test_json_integer_values_still_coerce(field, expected):
     last = "1/2" if field == QQ else 11
     doc = {"n": 3, "field": field.name,
            "entries": [[1, 2, 3], [2, 1, -4], [2, 3, "3"], [3, 2, last]]}
-    entries = matrixio.parse_matrix(json.dumps(doc)).entries
-    assert [entries[(0, 1)], entries[(1, 0)], entries[(1, 2)], entries[(2, 1)]] == expected
+    values = entries(matrixio.parse_matrix(json.dumps(doc)))
+    assert [values[(0, 1)], values[(1, 0)], values[(1, 2)], values[(2, 1)]] == expected
     vec = matrixio.parse_vector(json.dumps(
         {"n": 3, "field": field.name, "vector": {"1": 3, "2": -4, "3": "3"}}))
     assert vec.entries == {0: expected[0], 1: expected[1], 2: expected[2]}

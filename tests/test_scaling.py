@@ -5,14 +5,14 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, SparseVector,
                         ValidationError, adjacency_matrix, analyze,
-                        build_forest, null_basis, restriction_check,
-                        sparsest_null_basis, transfer_null,
-                        transversal_scaling)
-from forestnull.forest import path
+                        build_forest, null_basis, sparsest_null_basis,
+                        transfer_null, transversal_scaling)
 from forestnull.generate import random_matrix
 from forestnull import oracle
 from conftest import sv
+from forest_helpers import entries, neighbors_of, path, same_component
 from test_acceptance import Corpus, matrix_on
+from test_rank import CountingField
 from treegen import free_trees
 
 GF = PrimeField(10007)
@@ -23,18 +23,18 @@ def direct_path_scaling(m, supp, v):
     product definition, one full path walk per vertex; 1 outside v's
     component (slow, test-only)."""
     field = m.field
-    entries = m.entries
+    values = entries(m)
     diag = [field.one] * m.n
     for w in range(m.n):
-        if w == v or not m.pattern.same_component(v, w):
+        if w == v or not same_component(m.pattern, v, w):
             continue
         acc = field.one
         walk = path(m.pattern, v, w)
         for s, t in zip(walk, walk[1:]):
             if t in supp:
-                acc = field.mul(acc, entries[(s, t)])
+                acc = field.mul(acc, values[(s, t)])
             elif s in supp:
-                acc = field.mul(acc, field.inv(entries[(t, s)]))
+                acc = field.mul(acc, field.inv(values[(t, s)]))
         diag[w] = acc
     return diag
 
@@ -115,6 +115,85 @@ def test_vertex_scaling_matches_direct_path_products():
         assert got.diag == direct_null_scaling(m)
 
 
+def tree_edges_scaling(m, analysis):
+    """The null scaling by a walk of its own from each transversal vertex,
+    D = 1 there, stack-driven with neighbors pushed ascending (test-local
+    copy of the walk the stored sweep replaced)."""
+    field = m.field
+    supp = analysis.support.supp
+    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    diag = [field.one] * m.n
+    seen = bytearray(m.n)
+    for r in analysis.transversal:
+        seen[r] = 1
+        stack = [r]
+        while stack:
+            s = stack.pop()
+            for j in range(offsets[s], offsets[s + 1]):
+                t = neighbors[j]
+                if seen[t]:
+                    continue
+                seen[t] = 1
+                if t in supp:
+                    diag[t] = field.mul(diag[s], m.row_flat[j])
+                elif s in supp:
+                    diag[t] = field.mul(diag[s], field.inv(m.col_flat[j]))
+                else:
+                    diag[t] = diag[s]
+                stack.append(t)
+    return diag
+
+
+def deep_transversal_matrix(k, field, seed):
+    """An odd path of 2k + 1 vertices whose sweep root 0 is its second
+    vertex and whose transversal vertex 1 is its far end, 2k - 1 edges
+    below the root."""
+    rng = random.Random(seed)
+    labels = [2, 0] + list(range(3, 2 * k + 1)) + [1]
+    triples = []
+    for a, b in zip(labels, labels[1:]):
+        for u, v in ((a, b), (b, a)):
+            x = (Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+                 if field == QQ else rng.randrange(1, field.p))
+            triples.append((u, v, x))
+    return AcyclicMatrix.from_entries(2 * k + 1, triples, field)
+
+
+def test_sweep_scaling_equals_tree_edge_walk():
+    # value and type, on the acceptance corpus and on seeded forests up
+    # to n = 3000 with up to 7 components over three fields
+    instances = list(Corpus().instances)
+    rng = random.Random(97)
+    for field in (QQ, PrimeField(7), PrimeField(1000003)):
+        for trial in range(10):
+            n = 3000 if trial == 0 else int(3000 ** rng.random())
+            instances.append(random_matrix(n, rng.randrange(10 ** 6), field,
+                                           rng.randint(1, min(7, n))))
+        instances.append(deep_transversal_matrix(40, field, 3))
+    for m in instances:
+        analysis = analyze(m.pattern)
+        got = transversal_scaling(m, analysis).diag
+        want = tree_edges_scaling(m, analysis)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_transversal_scaling_is_linear_below_a_deep_transversal():
+    field = CountingField(1000003)
+    m = deep_transversal_matrix(2048, field, 5)
+    f = m.pattern
+    analysis = analyze(f)
+    assert analysis.transversal == (1,)
+    depth, v = 0, 1
+    while f.parent[v] >= 0:
+        depth, v = depth + 1, f.parent[v]
+    assert (v, depth) == (0, m.n - 2)
+    field.ops = 0
+    d = transversal_scaling(m, analysis)
+    assert field.ops <= 4 * m.n
+    assert d.diag[1] == 1
+
+
 def random_matrix_on(f, seed, field):
     """Random values on a fixed forest pattern."""
     rng = random.Random(seed)
@@ -141,11 +220,11 @@ def test_proportionality_law():
                 continue
             m = random_matrix_on(f, seed=1000 + idx, field=QQ)
             d = transversal_scaling(m, analysis).diag
-            entries = m.entries
+            values = entries(m)
             for u in range(n):
-                nbrs = [w for w in f.neighbors_of(u) if w in supp]
+                nbrs = [w for w in neighbors_of(f, u) if w in supp]
                 for w, w2 in zip(nbrs, nbrs[1:]):
-                    assert d[w] / d[w2] == entries[(u, w)] / entries[(u, w2)]
+                    assert d[w] / d[w2] == values[(u, w)] / values[(u, w2)]
 
 
 def test_support_transversal(m_p3):
@@ -258,25 +337,3 @@ def test_transfer_null_validates(m_p3, m_star):
         transfer_null(m_p3, m_star, sv(3, {0: 5, 2: -3}))
     with pytest.raises(ValidationError, match="null space"):
         transfer_null(m_p3, m_p3, sv(3, {0: 1}))
-
-
-def test_restriction_check(m_p3):
-    assert restriction_check(m_p3, sv(3, {0: 5, 2: -3}))
-    assert restriction_check(m_p3, sv(3, {}))
-    p4 = random_matrix_on(build_forest(4, [(0, 1), (1, 2), (2, 3)]), 2, QQ)
-    assert not restriction_check(p4, sv(4, {0: 1}))
-    assert restriction_check(p4, sv(4, {}))
-
-
-def test_restriction_check_iff_null_membership():
-    for trial in range(15):
-        rng = random.Random(200 + trial)
-        n = rng.randint(1, 25)
-        m = random_matrix(n, trial, QQ, rng.randint(1, min(3, n)))
-        x = random_null_vector(m, rng)
-        assert restriction_check(m, x)
-        s_set = analyze(m.pattern).support.s_set
-        outside = [v for v in range(n) if v not in s_set]
-        if outside:
-            spoiled = x.add(sv(n, {outside[0]: 1}))
-            assert not restriction_check(m, spoiled)

@@ -39,4 +39,4 @@ def test_forests_are_valid():
     for n in (1, 4, 7):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert f.edge_count == n - f.component_count
+            assert len(f.edges) == n - f.component_count
