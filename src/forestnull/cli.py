@@ -92,36 +92,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _format_ids(ids) -> str:
-    return " ".join(str(v + 1) for v in sorted(ids))
-
-
 def _cmd_support(args) -> int:
     m = matrixio.read_matrix(args.file)
     analysis = analyze(m.pattern)
-    matching, info = analysis.matching, analysis.support
-    null_dim = m.n - 2 * matching.nu
+    nu, info = analysis.matching.nu, analysis.support
+    rows = [("n", m.n), ("components", m.pattern.component_count),
+            ("matching-number", nu), ("null-dimension", m.n - 2 * nu), ("rank", 2 * nu)]
+    rows += [(key, sorted(v + 1 for v in ids))
+             for key, ids in (("supp", info.supp), ("core", info.core), ("s-set", info.s_set))]
     if args.json:
-        doc = {
-            "n": m.n,
-            "components": m.pattern.component_count,
-            "matching_number": matching.nu,
-            "null_dimension": null_dim,
-            "rank": 2 * matching.nu,
-            "supp": [v + 1 for v in sorted(info.supp)],
-            "core": [v + 1 for v in sorted(info.core)],
-            "s_set": [v + 1 for v in sorted(info.s_set)],
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({key.replace("-", "_"): value for key, value in rows}, indent=2))
     else:
-        print("n: %d" % m.n)
-        print("components: %d" % m.pattern.component_count)
-        print("matching-number: %d" % matching.nu)
-        print("null-dimension: %d" % null_dim)
-        print("rank: %d" % (2 * matching.nu))
-        print("supp: %s" % _format_ids(info.supp))
-        print("core: %s" % _format_ids(info.core))
-        print("s-set: %s" % _format_ids(info.s_set))
+        for key, value in rows:
+            print("%s: %s" % (key, " ".join(map(str, value))
+                              if isinstance(value, list) else value))
     return 0
 
 

@@ -1,39 +1,39 @@
 """Forests: validated acyclic graphs with deterministic traversal order.
 
-Vertices are 0-based ints.  Neighbors are stored in one flat array with
-per-vertex offsets (CSR layout) and are sorted ascending; every
-traversal in the package walks them in that order, which makes all
-downstream output reproducible byte for byte.  ``adjacency`` copies
-the same data out as per-vertex lists.
+Vertices are 0-based ints.  A forest is stored only as CSR arrays: the
+neighbors of all vertices in one flat array with per-vertex offsets,
+each row sorted ascending.  Every traversal in the package walks them
+in that order, which makes all downstream output reproducible byte for
+byte.  ``adjacency`` and ``edges`` are built from the arrays on access.
 
-Construction ends with one component sweep (``_indexed_forest``), shared by
-``build_forest`` and ``AcyclicMatrix.from_entries``: components are
-started at their smallest vertex, in ascending order, and a stack walk
-pushes a vertex's unvisited neighbors ascending and pops the largest
-first.  The forest keeps the sweep's preorder (``order``), every
-vertex's ``parent`` (-1 at a root) and ``parent_slot``, the slot j of
-the vertex in its parent's row.  Reversed, ``order`` is a post-order
-with children taken ascending; the kernel's matching and the row
-scaling run over it instead of walking the tree again.  A ``Forest`` is
-never mutated after it is built; concurrent reads are safe.
+``build_forest`` and ``AcyclicMatrix.from_entries`` read the arrays off
+row-major sorted positions (``_row_major_csr``) and index them with one
+component sweep (``_indexed_forest``): components are started at their
+smallest vertex, in ascending order, and a stack walk pushes a vertex's
+unvisited neighbors ascending and pops the largest first.  The forest
+keeps the sweep's preorder (``order``), every vertex's ``parent`` (-1
+at a root) and ``parent_slot``, the slot j of the vertex in its
+parent's row.  Reversed, ``order`` is a post-order with children taken
+ascending; the kernel's matching and the row scaling run over it
+instead of walking the tree again.  A ``Forest`` is never mutated after
+it is built; concurrent reads are safe.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 
 from .errors import ValidationError
 
 
 class Forest:
-    __slots__ = ("vertex_count", "edges", "neighbors", "offsets",
-                 "component_id", "component_count", "order", "parent",
-                 "parent_slot")
+    __slots__ = ("vertex_count", "neighbors", "offsets", "component_id",
+                 "component_count", "order", "parent", "parent_slot")
 
-    def __init__(self, vertex_count, edges, neighbors, offsets,
-                 component_id, component_count, order, parent, parent_slot):
+    def __init__(self, vertex_count, neighbors, offsets, component_id,
+                 component_count, order, parent, parent_slot):
         self.vertex_count = vertex_count
-        self.edges = edges            # canonical (u, v) pairs, u < v, sorted
         self.neighbors = neighbors   # flat sorted neighbor array
         self.offsets = offsets       # vertex v owns neighbors[offsets[v]:offsets[v+1]]
         self.component_id = component_id
@@ -48,14 +48,18 @@ class Forest:
         nbs, off = self.neighbors, self.offsets
         return [list(nbs[off[v]:off[v + 1]]) for v in range(self.vertex_count)]
 
+    @property
+    def edges(self) -> list:
+        """Canonical (u, v) pairs, u < v, sorted, built afresh on each access."""
+        return _edges(self.vertex_count, self.neighbors, self.offsets)
+
     def __eq__(self, other):
-        return (isinstance(other, Forest)
-                and self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
+        return (isinstance(other, Forest) and self.offsets == other.offsets
+                and self.neighbors == other.neighbors)
 
     def __repr__(self):
         return ("Forest(n=%d, edges=%d, components=%d)"
-                % (self.vertex_count, len(self.edges), self.component_count))
+                % (self.vertex_count, len(self.neighbors) // 2, self.component_count))
 
 
 def build_forest(vertex_count: int, edge_list) -> Forest:
@@ -66,32 +70,38 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
     """
     if vertex_count < 0:
         raise ValidationError("vertex count must be non-negative")
-    canonical = []
-    append = canonical.append
-    for e in edge_list:
-        u, v = e
+    positions = []
+    for u, v in edge_list:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise ValidationError("edge (%r, %r) out of range for %d vertices"
                                   % (u, v, vertex_count))
         if u == v:
             raise ValidationError("loop edge at vertex %d" % u)
-        if u < v:
-            append(e if type(e) is tuple else (u, v))
-        else:
-            append((v, u))
-    canonical.sort()
-    prev = None
-    for e in canonical:
-        if e == prev:
-            raise ValidationError("duplicate edge (%d, %d)" % e)
-        prev = e
-
-    neighbors, offsets = _csr(vertex_count, canonical)
-    return _indexed_forest(vertex_count, canonical, neighbors, offsets)
+        positions += ((u, v), (v, u))
+    positions.sort()
+    # a repeated edge's first repeated position is (u, v) with u < v
+    neighbors, offsets = _row_major_csr(vertex_count, positions, "duplicate edge (%d, %d)")
+    return _indexed_forest(vertex_count, neighbors, offsets)
 
 
-def _indexed_forest(vertex_count, canonical_edges, neighbors, offsets) -> Forest:
-    """The ``Forest`` over a symmetric CSR layout of the canonical edges.
+def _row_major_csr(vertex_count, items, duplicate):
+    """Neighbors and offsets of (row, column, ...) tuples sorted
+    row-major, refusing a repeated position with ``duplicate``.  C int
+    arrays: compact, contiguous, and much kinder to the cache than int
+    objects scattered over the heap."""
+    degree = [0] * (vertex_count + 1)
+    prev_u = prev_v = -1
+    for t in items:
+        u, v = t[0], t[1]
+        if u == prev_u and v == prev_v:
+            raise ValidationError(duplicate % (u, v))
+        prev_u, prev_v = u, v
+        degree[u + 1] += 1
+    return array("i", [t[1] for t in items]), array("i", accumulate(degree))
+
+
+def _indexed_forest(vertex_count, neighbors, offsets) -> Forest:
+    """The ``Forest`` over a symmetric CSR layout.
 
     One component sweep labels the components and records the walk:
     each component starts at its smallest vertex, and a vertex's
@@ -121,44 +131,26 @@ def _indexed_forest(vertex_count, canonical_edges, neighbors, offsets) -> Forest
                 y = neighbors[j]
                 if y != p:
                     if component_id[y] >= 0:
-                        raise ValidationError(
-                            "cycle detected at edge (%d, %d)"
-                            % _find_cycle_edge(vertex_count, canonical_edges))
+                        edges = _edges(vertex_count, neighbors, offsets)
+                        raise ValidationError("cycle detected at edge (%d, %d)"
+                                              % _find_cycle_edge(vertex_count, edges))
                     component_id[y] = count
                     parent[y] = x
                     parent_slot[y] = j
                     push(y)
         count += 1
-    return Forest(vertex_count, canonical_edges, neighbors, offsets,
-                  component_id, count, order, parent, parent_slot)
+    return Forest(vertex_count, neighbors, offsets, component_id, count, order,
+                  parent, parent_slot)
 
 
-def _csr(vertex_count, canonical_edges):
-    """Flat sorted neighbor array; sortedness follows from the edges
-    being scanned in canonical order.
-
-    The result is packed into C int arrays: compact, contiguous, and
-    much kinder to the cache than int objects scattered over the heap.
-    """
-    degree = [0] * (vertex_count + 1)
-    for u, v in canonical_edges:
-        degree[u + 1] += 1
-        degree[v + 1] += 1
-    offsets = degree
-    for i in range(1, vertex_count + 1):
-        offsets[i] += offsets[i - 1]
-    neighbors = [0] * (2 * len(canonical_edges))
-    cursor = offsets[:vertex_count]
-    for u, v in canonical_edges:
-        neighbors[cursor[u]] = v
-        cursor[u] += 1
-        neighbors[cursor[v]] = u
-        cursor[v] += 1
-    return array("i", neighbors), array("i", offsets)
+def _edges(vertex_count, neighbors, offsets) -> list:
+    """The u < v pairs of a CSR layout, in row-major order."""
+    return [(u, v) for u in range(vertex_count)
+            for v in neighbors[offsets[u]:offsets[u + 1]] if u < v]
 
 
 def _find_cycle_edge(vertex_count, edges):
-    """First edge (in canonical order) that closes a cycle."""
+    """First edge (in canonical order) that closes a cycle, or None."""
     root = list(range(vertex_count))
     for u, v in edges:
         x = u
@@ -172,4 +164,4 @@ def _find_cycle_edge(vertex_count, edges):
         if x == y:
             return (u, v)
         root[max(x, y)] = min(x, y)
-    raise AssertionError("no cycle edge found in a cyclic edge list")
+    return None

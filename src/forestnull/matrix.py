@@ -10,26 +10,32 @@ Instances are immutable after construction, so ``transpose`` shares
 both arrays with the matrix it swaps them from.
 
 ``from_entries`` sorts the triples once.  In row-major order they are
-the CSR layout itself: the columns are the neighbor array, the row
-counts give the offsets, the values are ``row_flat``, and the u < v
-pairs are the canonical edge list.  One pass of a cursor per row
+the CSR layout itself: ``_row_major_csr``, shared with ``build_forest``,
+takes the neighbor array from the columns and the offsets from the row
+counts, and the values are ``row_flat``.  One pass of a cursor per row
 places the column-side values and checks symmetry on the way; the
-pattern forest is then indexed by the component sweep it shares with
-``build_forest``, without a second sort.
+pattern forest is then indexed by the component sweep, also shared,
+without a second sort.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
 
 from .errors import ValidationError
 from .fields import Field, QQ, require_same_field
-from .forest import Forest, _indexed_forest, build_forest
+from .forest import Forest, _find_cycle_edge, _indexed_forest, _row_major_csr
 
 #: Largest vertex count: the CSR arrays hold vertex ids as C ints.
 MAX_VERTICES = 2 ** 31 - 1
+
+
+def require_compatible(a, b, what: str):
+    """Refuse two vectors, matrices or scalings over different fields or lengths."""
+    require_same_field(a.field, b.field, what)
+    if a.n != b.n:
+        raise ValidationError("dimension mismatch: %d vs %d" % (a.n, b.n))
 
 
 @dataclass(eq=False)
@@ -76,9 +82,7 @@ class SparseVector:
                             {v: mul(x, c) for v, x in self.entries.items()})
 
     def dot(self, other: "SparseVector"):
-        require_same_field(self.field, other.field, "vectors")
-        if self.n != other.n:
-            raise ValidationError("dimension mismatch: %d vs %d" % (self.n, other.n))
+        require_compatible(self, other, "vectors")
         small, big = self.entries, other.entries
         if len(big) < len(small):
             small, big = big, small
@@ -91,9 +95,7 @@ class SparseVector:
         return acc
 
     def add(self, other: "SparseVector") -> "SparseVector":
-        require_same_field(self.field, other.field, "vectors")
-        if self.n != other.n:
-            raise ValidationError("dimension mismatch: %d vs %d" % (self.n, other.n))
+        require_compatible(self, other, "vectors")
         out = dict(self.entries)
         addop = self.field.add
         zero = self.field.zero
@@ -173,26 +175,16 @@ class AcyclicMatrix:
             raise ValidationError("vertex count %d exceeds the limit of %d"
                                   % (n, MAX_VERTICES))
         items.sort()
-        prev_u = prev_v = -1
-        edges = []
-        push_edge = edges.append
-        degree = [0] * (n + 1)
-        for u, v, _ in items:
-            if u == prev_u and v == prev_v:
-                raise ValidationError("duplicate entry at (%d, %d)" % (u, v))
-            prev_u, prev_v = u, v
-            degree[u + 1] += 1
-            if u < v:
-                push_edge((u, v))
-        if 2 * len(edges) != len(items):
-            _raise_asymmetric(items)
-        offsets = array("i", accumulate(degree))
-        neighbors = array("i", [v for _, v, _ in items])
+        neighbors, offsets = _row_major_csr(n, items, "duplicate entry at (%d, %d)")
         col_flat = _column_side(items, neighbors, offsets)
         if col_flat is None:
-            build_forest(n, edges)  # a cycle is reported before asymmetry
-            _raise_asymmetric(items)
-        pattern = _indexed_forest(n, edges, neighbors, offsets)
+            lower = [(u, v) for u, v, _ in items if u < v]
+            if 2 * len(lower) == len(items):  # a cycle is reported before asymmetry
+                cycle = _find_cycle_edge(n, lower)
+                if cycle is not None:
+                    raise ValidationError("cycle detected at edge (%d, %d)" % cycle)
+            _raise_asymmetric(items, lower)
+        pattern = _indexed_forest(n, neighbors, offsets)
         return cls(n, field, pattern, [x for _, _, x in items], col_flat)
 
     def nnz(self) -> int:
@@ -200,10 +192,7 @@ class AcyclicMatrix:
 
     def apply(self, x: SparseVector) -> SparseVector:
         """Exact product M x; touches only the entries next to supp(x)."""
-        require_same_field(self.field, x.field, "matrix and vector")
-        if x.n != self.n:
-            raise ValidationError("dimension mismatch: matrix is %d, vector is %d"
-                                  % (self.n, x.n))
+        require_compatible(self, x, "matrix and vector")
         zero = self.field.zero
         add, mul = self.field.add, self.field.mul
         neighbors, offsets = self.pattern.neighbors, self.pattern.offsets
@@ -235,10 +224,8 @@ class AcyclicMatrix:
         return zip(self.pattern.neighbors[lo:hi], self.col_flat[lo:hi])
 
     def __eq__(self, other):
-        return (isinstance(other, AcyclicMatrix) and self.n == other.n
-                and self.field == other.field
-                and self.pattern.edges == other.pattern.edges
-                and self.row_flat == other.row_flat)
+        return (isinstance(other, AcyclicMatrix) and self.field == other.field
+                and self.pattern == other.pattern and self.row_flat == other.row_flat)
 
     def __repr__(self):
         return "AcyclicMatrix(n=%d, nnz=%d, field=%s)" % (self.n, self.nnz(), self.field.name)
@@ -269,13 +256,9 @@ def _column_side(items, neighbors, offsets):
     return col_flat
 
 
-def _raise_asymmetric(items):
-    lo, hi = set(), set()
-    for u, v, _ in items:
-        if u < v:
-            lo.add((u, v))
-        else:
-            hi.add((v, u))
+def _raise_asymmetric(items, lower):
+    lo = set(lower)
+    hi = {(v, u) for u, v, _ in items if u > v}
     only_lo = lo - hi
     if only_lo:
         a, b = min(only_lo)
@@ -293,4 +276,4 @@ def adjacency_matrix(f: Forest, field: Field = QQ) -> AcyclicMatrix:
 
 
 def same_pattern(m: AcyclicMatrix, n_mat: AcyclicMatrix) -> bool:
-    return m.n == n_mat.n and m.pattern.edges == n_mat.pattern.edges
+    return m.pattern == n_mat.pattern

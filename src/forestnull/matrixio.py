@@ -33,6 +33,7 @@ import io
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import oracle
 from .errors import ParseError
 from .fields import Field, QQ, parse_field_spec
 from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector
@@ -285,8 +286,8 @@ def parse_basis(text: str) -> Basis:
             raise ParseError("basis JSON 'vectors' must be a list")
         _check_basis_size(len(doc["vectors"]), n)
         value_of = _json_scalar_reader(field)
-        return _nonzero_basis([_vector_from_map(n, field, value_of, vec)
-                               for vec in doc["vectors"]])
+        return _independent_basis(field, [_vector_from_map(n, field, value_of, vec)
+                                          for vec in doc["vectors"]])
     lines = io.StringIO(text, newline=None)
     banner = next(lines, "")
     if not banner.startswith("%%MatrixMarket"):
@@ -309,7 +310,7 @@ def parse_basis(text: str) -> Basis:
     if len(columns) < dim:
         empty = next(j for j in range(dim) if j not in columns)
         raise ParseError("basis vector %d has no entries" % (empty + 1))
-    return _nonzero_basis([SparseVector(n, field, columns[j]) for j in range(dim)])
+    return _independent_basis(field, [SparseVector(n, field, columns[j]) for j in range(dim)])
 
 
 def _parse_count(value, what: str) -> int:
@@ -328,11 +329,15 @@ def _check_basis_size(dim: int, n: int):
                          "not %d" % (n, max(n, 0), dim))
 
 
-def _nonzero_basis(vectors) -> Basis:
-    """A zero vector cannot be in a basis."""
+def _independent_basis(field: Field, vectors) -> Basis:
+    """A zero vector cannot be in a basis, nor one that depends on others."""
     for j, vec in enumerate(vectors, start=1):
         if vec.is_zero():
             raise ParseError("basis vector %d is zero" % j)
+    echelon = oracle._Echelon(field)
+    for j, vec in enumerate(vectors, start=1):
+        if not echelon.insert(vec):
+            raise ParseError("basis vector %d depends on the vectors before it" % j)
     return Basis(vectors)
 
 

@@ -4,8 +4,9 @@ Exact Gauss-Jordan elimination to reduced row echelon form, a tree-DP
 matching number, exhaustive independent-set enumeration, and a
 minimum-total-support search over column subsets.  Nothing here shares
 matching/support/scaling code with the rest of the package; it exists
-to catch systematic bugs and is only wired into tests and the CLI's
-cross-check paths.
+to catch systematic bugs and is wired into tests, the CLI's cross-check
+paths, and ``matrixio.parse_basis``, whose independence check inserts
+each vector read into an ``_Echelon``.
 
 Cost: the elimination touches only nonzeros.  A column -> rows
 incidence names, for each pivot column, the rows that hold it, and

@@ -27,15 +27,20 @@ The null scaling, ``scaling.transversal_scaling``, walks the same
 preorder with its own edge rule; it seeds each sweep root from the
 component's transversal vertex, where this rule gathers the root
 product on the way down.
+
+A vector x is in the row space of m iff R^-1 x is orthogonal to the
+pattern's {-1, 0, +1} null basis (``_row_preimage``), so testing
+membership before a transfer takes no basis of m.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .fields import require_same_field
-from .kernel import Analysis, analyze
-from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern
-from .scaling import DiagonalScaling, null_basis
+from .kernel import Analysis, analyze, sparsest_null_basis
+from .matrix import (AcyclicMatrix, Basis, SparseVector, require_compatible,
+                     same_pattern)
+from .scaling import DiagonalScaling
 
 
 def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
@@ -93,12 +98,9 @@ def rank_normalization(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling:
 
 
 def in_row_space(m: AcyclicMatrix, x: SparseVector) -> bool:
-    """Row-space membership: x is in the row space iff it is orthogonal
-    to the null space, checked against the sparse null basis."""
-    require_same_field(m.field, x.field, "matrix and vector")
-    if x.n != m.n:
-        raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
-    return not any(x.dot(b) for b in null_basis(m).vectors)
+    """Row-space membership of x, by the rule of ``_row_preimage``."""
+    require_compatible(m, x, "matrix and vector")
+    return _row_preimage(m, analyze(m.pattern), x) is not None
 
 
 def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
@@ -107,9 +109,18 @@ def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     require_same_field(m.field, n_mat.field, "matrices")
     if not same_pattern(m, n_mat):
         raise ValidationError("matrices do not share a pattern")
-    if not in_row_space(m, x):
-        raise ValidationError("vector is not in the row space of the source matrix")
+    require_compatible(m, x, "matrix and vector")
     analysis = analyze(m.pattern)
-    r_m = rank_normalization(m, analysis)
-    r_n = rank_normalization(n_mat, analysis)
-    return r_n.apply(r_m.apply_inverse(x))
+    y = _row_preimage(m, analysis, x)
+    if y is None:
+        raise ValidationError("vector is not in the row space of the source matrix")
+    return rank_normalization(n_mat, analysis).apply(y)
+
+
+def _row_preimage(m: AcyclicMatrix, analysis: Analysis, x: SparseVector):
+    """R^-1 x for the row scaling R of m, or None when x is not in the
+    row space of m.  R carries the row space of the adjacency matrix A
+    onto m's, and row(A) is the orthogonal complement of null(A)."""
+    y = rank_normalization(m, analysis).apply_inverse(x)
+    null = sparsest_null_basis(analysis, m.field).vectors
+    return None if any(y.dot(b) for b in null) else y

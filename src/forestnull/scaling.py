@@ -25,7 +25,8 @@ each component's sweep root with the product of the inverse factors on
 the way up from the transversal vertex, which makes D = 1 at the
 transversal vertex.  Components without support keep D = 1.  The row
 scaling, ``rank.rank_normalization``, runs its own rule over the same
-preorder.
+preorder; row-space membership goes through it and the pattern's
+basis, not through ``null_basis``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .fields import Field, require_same_field
 from .kernel import Analysis, analyze, sparsest_null_basis
-from .matrix import AcyclicMatrix, Basis, SparseVector, same_pattern
+from .matrix import (AcyclicMatrix, Basis, SparseVector, require_compatible,
+                     same_pattern)
 
 
 @dataclass(eq=False)
@@ -54,7 +56,7 @@ class DiagonalScaling:
                 raise ValidationError("singular scaling: zero diagonal entry at vertex %d" % v)
 
     def apply(self, x: SparseVector) -> SparseVector:
-        self._check_vector(x)
+        require_compatible(self, x, "scaling and vector")
         mul = self.field.mul
         diag = self.diag
         return SparseVector(x.n, x.field,
@@ -62,16 +64,11 @@ class DiagonalScaling:
 
     def apply_inverse(self, x: SparseVector) -> SparseVector:
         """D^-1 x, inverting the diagonal only on the support of x."""
-        self._check_vector(x)
+        require_compatible(self, x, "scaling and vector")
         mul, inv = self.field.mul, self.field.inv
         diag = self.diag
         return SparseVector(x.n, x.field,
                             {v: mul(inv(diag[v]), xv) for v, xv in x.entries.items()})
-
-    def _check_vector(self, x: SparseVector):
-        require_same_field(self.field, x.field, "scaling and vector")
-        if x.n != self.n:
-            raise ValidationError("dimension mismatch: %d vs %d" % (self.n, x.n))
 
     def __eq__(self, other):
         return (isinstance(other, DiagonalScaling) and self.n == other.n

@@ -6,6 +6,7 @@ and vector texts."""
 import io
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -101,6 +102,22 @@ def test_from_entries_forest_equals_build_forest(corpus_matrices):
                     for v in range(m.n) for j in range(ref.offsets[v], ref.offsets[v + 1])]
         assert again.col_flat == expected
         assert again.row_flat == m.row_flat
+
+
+def test_edges_equal_the_canonical_list_once_stored(corpus_matrices):
+    """``Forest.edges``, read off the CSR arrays, against the list the
+    forest stored before it kept only the arrays: the u < v positions of
+    the entries, sorted, and the sorted (min, max) pairs of an edge list."""
+    rng = random.Random(0)
+    for m in corpus_matrices:
+        triples = triples_of(m)
+        rng.shuffle(triples)
+        want = sorted((u, v) for u, v, _ in triples if u < v)
+        assert AcyclicMatrix.from_entries(m.n, triples, m.field).pattern.edges == want
+        edge_list = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in want]
+        rng.shuffle(edge_list)
+        assert build_forest(m.n, edge_list).edges == sorted(
+            (min(e), max(e)) for e in edge_list) == want
 
 
 def test_sweep_records_parent_slots():

@@ -105,12 +105,28 @@ def test_parse_errors_carry_line_numbers():
     '{"n": -1, "field": "rational", "vectors": []}',
     '{"n": 3, "field": "rational", "vectors": [{"1": "1"}, {}]}',
     '{"n": 3, "field": "gf 7", "vectors": [{"2": "14"}]}',
+    # linearly dependent vectors: a multiple of an earlier one, in both formats
+    '{"n": 2, "vectors": [{"1": "1"}, {"1": "3"}]}',
+    "%%MatrixMarket matrix coordinate rational general\n2 2 4\n1 1 1\n2 1 2\n1 2 2\n2 2 4\n",
     # the matrix rules for the banner and the field comment
     "3 1 1\n1 1 1\n",
     "%%MatrixMarket matrix coordinate rational general\n3 1 1\n% field: gf 7\n1 1 1\n",
 ])
 def test_parse_basis_rejects_malformed_text(text):
     with pytest.raises(ParseError):
+        matrixio.parse_basis(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3, "field": "gf 7", "vectors": [{"1": "1", "2": "2"}, {"3": "1"},'
+     ' {"1": "3", "2": "6", "3": "5"}]}', "basis vector 3 depends on the vectors before it"),
+    ("%%MatrixMarket matrix coordinate rational general\n2 2 4\n1 1 1\n2 1 2\n1 2 2\n2 2 4\n",
+     "basis vector 2 depends on the vectors before it"),
+    # every vector is checked for zero before any for dependence
+    ('{"n": 3, "vectors": [{"1": "1"}, {"1": "2"}, {"2": "0"}]}', "basis vector 3 is zero"),
+])
+def test_parse_basis_names_the_first_dependent_vector(text, message):
+    with pytest.raises(ParseError, match=message):
         matrixio.parse_basis(text)
 
 
@@ -213,6 +229,48 @@ def test_cli_support(p3_file, capsys):
     assert doc["supp"] == [1, 3] and doc["rank"] == 2
 
 
+SUPPORT_FOREST_TEXT = """%%MatrixMarket matrix coordinate rational general
+9 9 10
+1 2 2
+2 1 3
+2 3 5
+3 2 7
+4 5 1
+5 4 -1
+4 6 1/2
+6 4 4
+7 8 3
+8 7 -2
+"""
+
+
+@pytest.mark.parametrize("text, plain, as_json", [
+    # a path, a star, a perfectly matched edge and an isolated vertex
+    (SUPPORT_FOREST_TEXT,
+     "n: 9\ncomponents: 4\nmatching-number: 3\nnull-dimension: 3\nrank: 6\n"
+     "supp: 1 3 5 6 9\ncore: 2 4\ns-set: 1 2 3 4 5 6 9\n",
+     '{\n  "n": 9,\n  "components": 4,\n  "matching_number": 3,\n'
+     '  "null_dimension": 3,\n  "rank": 6,\n'
+     '  "supp": [\n    1,\n    3,\n    5,\n    6,\n    9\n  ],\n'
+     '  "core": [\n    2,\n    4\n  ],\n'
+     '  "s_set": [\n    1,\n    2,\n    3,\n    4,\n    5,\n    6,\n    9\n  ]\n}\n'),
+    # no support: the id lists are empty
+    ("%%MatrixMarket matrix coordinate rational general\n2 2 2\n1 2 1\n2 1 1\n",
+     "n: 2\ncomponents: 1\nmatching-number: 1\nnull-dimension: 0\nrank: 2\n"
+     "supp: \ncore: \ns-set: \n",
+     '{\n  "n": 2,\n  "components": 1,\n  "matching_number": 1,\n'
+     '  "null_dimension": 0,\n  "rank": 2,\n'
+     '  "supp": [],\n  "core": [],\n  "s_set": []\n}\n'),
+])
+def test_cli_support_golden_bytes(tmp_path, capsys, text, plain, as_json):
+    path = tmp_path / "forest.mtx"
+    path.write_text(text)
+    assert main(["support", str(path)]) == 0
+    assert capsys.readouterr() == (plain, "")
+    assert main(["support", str(path), "--json"]) == 0
+    assert capsys.readouterr() == (as_json, "")
+
+
 def test_cli_null_basis(p3_file, capsys):
     assert main(["null-basis", p3_file, "--check"]) == 0
     captured = capsys.readouterr()
@@ -254,6 +312,15 @@ def test_cli_transfer(tmp_path, p3_file, m_p3, capsys):
                  "--to", p3_file, "--vector", str(x_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["vector"] == {"1": "3", "3": "5"}
+
+
+@pytest.mark.parametrize("space", ["null", "rank"])
+def test_cli_transfer_names_both_lengths(tmp_path, p3_file, space, capsys):
+    x_path = tmp_path / "x.json"
+    x_path.write_text(matrixio.format_vector(sv(4, {3: 1})))
+    assert main(["transfer", "--space", space, "--from", p3_file,
+                 "--to", p3_file, "--vector", str(x_path)]) == 1
+    assert capsys.readouterr() == ("", "error: dimension mismatch: 3 vs 4\n")
 
 
 def test_cli_gen_and_oracle(tmp_path, capsys):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, ValidationError,
-                        adjacency_matrix, analyze, build_forest, in_row_space,
-                        rank_basis, rank_normalization,
+from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, SparseVector,
+                        ValidationError, adjacency_matrix, analyze, build_forest,
+                        in_row_space, null_basis, rank_basis, rank_normalization,
                         supported_neighborhood_vector, transfer_rank)
 from forestnull.generate import random_matrix
-from forestnull import oracle
+from forestnull import kernel, oracle
+from forestnull import rank as rank_module, scaling as scaling_module
 from conftest import sv
 from test_acceptance import Corpus, matrix_on
 from treegen import free_trees
@@ -228,3 +229,76 @@ def test_rank_normalization_is_linear():
     field.ops = 0
     rank_normalization(m, analysis)
     assert field.ops <= 6 * m.n
+
+
+def transfer_rank_through_null_basis(m, n_mat, x):
+    """``transfer_rank`` as it was when membership was decided by
+    dotting x with m's pulled-back null basis: the reference for the
+    rule that decides it on the pattern."""
+    if any(x.dot(b) for b in null_basis(m).vectors):
+        raise ValidationError("vector is not in the row space of the source matrix")
+    analysis = analyze(m.pattern)
+    r_m = rank_normalization(m, analysis)
+    return rank_normalization(n_mat, analysis).apply(r_m.apply_inverse(x))
+
+
+def membership_cases():
+    """Seeded matrices with n <= 60 and 1-4 components over three fields,
+    a second matrix on each pattern, and vectors in and out of the row
+    space: random combinations of the oracle's row basis, and such a
+    combination plus e_w at a support vertex w (a null vector is
+    nonzero at w, so e_w is not in the row space)."""
+    for field in (QQ, PrimeField(7), PrimeField(1000003)):
+        for trial in range(25):
+            rng = random.Random(trial)
+            n = rng.randint(1, 60)
+            m = random_matrix(n, 500 + trial, field, rng.randint(1, min(4, n)))
+            other = matrix_on(m.pattern, 900 + trial, field)
+            rows = oracle.dense_row_space(m).vectors
+            supp = sorted(analyze(m.pattern).support.supp)
+            for _ in range(3):
+                x = SparseVector(n, field, {})
+                for vec in rows:
+                    x = x.add(vec.scale(field.coerce(rng.randint(-5, 5))))
+                yield m, other, x
+                if supp:
+                    yield m, other, x.add(sv(n, {rng.choice(supp): 1}, field))
+
+
+def echelon_of(m):
+    echelon = oracle._Echelon(m.field)
+    for vec in oracle.dense_row_space(m).vectors:
+        echelon.insert(vec)
+    return echelon
+
+
+def test_row_space_membership_agrees_with_the_oracle(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return kernel.analyze(f)
+
+    for module in (rank_module, scaling_module):
+        monkeypatch.setattr(module, "analyze", counted)
+    members = outsiders = 0
+    for m, other, x in membership_cases():
+        member = echelon_of(m).contains(x)
+        del calls[:]
+        assert in_row_space(m, x) == member
+        assert len(calls) == 1
+        del calls[:]
+        if member:
+            members += 1
+            got = transfer_rank(m, other, x)
+            assert len(calls) == 1
+            assert got == transfer_rank_through_null_basis(m, other, x)
+            assert echelon_of(other).contains(got)
+        else:
+            outsiders += 1
+            with pytest.raises(ValidationError, match="not in the row space"):
+                transfer_rank(m, other, x)
+            assert len(calls) == 1
+            with pytest.raises(ValidationError, match="not in the row space"):
+                transfer_rank_through_null_basis(m, other, x)
+    assert members > 100 and outsiders > 100
