@@ -120,7 +120,7 @@ def _cmd_basis(args) -> int:
         for vec in basis.vectors:
             if not m.apply(vec).is_zero():
                 raise ValidationError("check failed: output vector is not annihilated")
-    if m.n <= oracle.oracle_bound():
+    if m.n <= oracle.ORACLE_BOUND:
         reference = oracle.dense_null_space(m) if null else oracle.dense_row_space(m)
         if not oracle.same_span(basis, reference):
             raise ValidationError("check failed: span differs from the oracle")
@@ -218,10 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ForestNullError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ForestNullError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except MemoryError:

@@ -20,4 +20,4 @@ class ParseError(ValidationError):
 
 
 class OracleBoundError(ForestNullError):
-    """Instance is larger than the configured brute-force size cap."""
+    """Instance is larger than a fixed brute-force size cap."""

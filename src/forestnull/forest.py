@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
+from operator import index
 
 from .errors import ValidationError
 
@@ -65,23 +66,41 @@ class Forest:
 def build_forest(vertex_count: int, edge_list) -> Forest:
     """Validate and index an acyclic edge list.
 
-    Rejects out-of-range vertices, loops, duplicate edges and cycles
-    (a cycle report names the closing edge).
+    Rejects non-integer and out-of-range vertices, loops, duplicate
+    edges and cycles (a cycle report names the closing edge).
     """
     if vertex_count < 0:
         raise ValidationError("vertex count must be non-negative")
     positions = []
-    for u, v in edge_list:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValidationError("edge (%r, %r) out of range for %d vertices"
-                                  % (u, v, vertex_count))
-        if u == v:
-            raise ValidationError("loop edge at vertex %d" % u)
-        positions += ((u, v), (v, u))
-    positions.sort()
-    # a repeated edge's first repeated position is (u, v) with u < v
-    neighbors, offsets = _row_major_csr(vertex_count, positions, "duplicate edge (%d, %d)")
+    u = v = 0
+    try:
+        for u, v in edge_list:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValidationError("edge (%r, %r) out of range for %d vertices"
+                                      % (u, v, vertex_count))
+            if u == v:
+                raise ValidationError("loop edge at vertex %d" % u)
+            positions += ((u, v), (v, u))
+        positions.sort()
+        # a repeated edge's first repeated position is (u, v) with u < v
+        neighbors, offsets = _row_major_csr(vertex_count, positions, "duplicate edge (%d, %d)")
+    except TypeError:
+        _refuse_non_integer_ids(positions + [(u, v)])
+        raise
     return _indexed_forest(vertex_count, neighbors, offsets)
+
+
+def _refuse_non_integer_ids(pairs):
+    """Name the first vertex id in the (row, column, ...) tuples pairs
+    that is not an integer.  Called only once a TypeError has surfaced,
+    so valid input pays for no per-entry type test; returns when every
+    id is an integer, and the caller re-raises."""
+    for pair in pairs:
+        for x in pair[:2]:
+            try:
+                index(x)
+            except TypeError:
+                raise ValidationError("vertex ids must be integers, got %r" % (x,)) from None
 
 
 def _row_major_csr(vertex_count, items, duplicate):

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import ValidationError
 from .fields import Field, QQ, require_same_field
-from .forest import Forest, _find_cycle_edge, _indexed_forest, _row_major_csr
+from .forest import (Forest, _find_cycle_edge, _indexed_forest, _refuse_non_integer_ids,
+                     _row_major_csr)
 
 #: Largest vertex count: the CSR arrays hold vertex ids as C ints.
 MAX_VERTICES = 2 ** 31 - 1
@@ -38,7 +39,7 @@ def require_compatible(a, b, what: str):
         raise ValidationError("dimension mismatch: %d vs %d" % (a.n, b.n))
 
 
-@dataclass(eq=False)
+@dataclass
 class SparseVector:
     """Vertex-indexed vector storing only its nonzero coordinates."""
 
@@ -107,10 +108,6 @@ class SparseVector:
                 out.pop(v, None)
         return SparseVector(self.n, self.field, out)
 
-    def __eq__(self, other):
-        return (isinstance(other, SparseVector) and self.n == other.n
-                and self.field == other.field and self.entries == other.entries)
-
     def __repr__(self):
         inside = ", ".join("%d: %s" % (v, self.field.format(x))
                            for v, x in sorted(self.entries.items()))
@@ -147,35 +144,40 @@ class AcyclicMatrix:
     def from_entries(cls, n: int, triples, field: Field = QQ) -> "AcyclicMatrix":
         """Build and validate a matrix from (row, col, value) triples.
 
-        Rejects diagonal entries, explicit zeros, duplicate positions,
-        asymmetric patterns and cyclic patterns.
+        Rejects non-integer vertex ids, diagonal entries, explicit zeros,
+        duplicate positions, asymmetric patterns and cyclic patterns.
         """
         coerce = field.coerce
         is_canonical = field.is_canonical
         items = []
         append = items.append
-        for t in triples:
-            u, v, value = t
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError("entry (%r, %r) out of range for n=%d" % (u, v, n))
-            if u == v:
-                raise ValidationError("nonzero diagonal entry at vertex %d" % u)
-            if is_canonical(value):
-                if not value:
-                    raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
-                append(t if type(t) is tuple else (u, v, value))
-            else:
-                x = coerce(value)
-                if not x:
-                    raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
-                append((u, v, x))
-        if n < 0:
-            raise ValidationError("vertex count must be non-negative")
-        if n > MAX_VERTICES:
-            raise ValidationError("vertex count %d exceeds the limit of %d"
-                                  % (n, MAX_VERTICES))
-        items.sort()
-        neighbors, offsets = _row_major_csr(n, items, "duplicate entry at (%d, %d)")
+        u = v = 0
+        try:
+            for t in triples:
+                u, v, value = t
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValidationError("entry (%r, %r) out of range for n=%d" % (u, v, n))
+                if u == v:
+                    raise ValidationError("nonzero diagonal entry at vertex %d" % u)
+                if is_canonical(value):
+                    if not value:
+                        raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
+                    append(t if type(t) is tuple else (u, v, value))
+                else:
+                    x = coerce(value)
+                    if not x:
+                        raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
+                    append((u, v, x))
+            if n < 0:
+                raise ValidationError("vertex count must be non-negative")
+            if n > MAX_VERTICES:
+                raise ValidationError("vertex count %d exceeds the limit of %d"
+                                      % (n, MAX_VERTICES))
+            items.sort()
+            neighbors, offsets = _row_major_csr(n, items, "duplicate entry at (%d, %d)")
+        except TypeError:
+            _refuse_non_integer_ids(items + [(u, v)])
+            raise
         col_flat = _column_side(items, neighbors, offsets)
         if col_flat is None:
             lower = [(u, v) for u, v, _ in items if u < v]

@@ -209,7 +209,7 @@ def _check_non_entry_line(raw: str, idx: int):
 def _load_json(text: str, what: str, keys) -> dict:
     """The JSON object in text, which must hold each of keys."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError("bad JSON: %s" % exc, line=exc.lineno)
     if not isinstance(doc, dict):
@@ -217,6 +217,19 @@ def _load_json(text: str, what: str, keys) -> dict:
     for key in keys:
         if key not in doc:
             raise ParseError("%s JSON needs a %r key" % (what, key))
+    return doc
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict; json.loads alone would keep
+    only the last value of a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError("repeated key %s in a JSON object" % _quote(key))
+            seen.add(key)
     return doc
 
 
@@ -352,7 +365,10 @@ def _vector_from_map(n: int, field: Field, value_of, mapping: dict) -> SparseVec
         raise ParseError("a vector must be a {vertex: value} object, got %r" % (mapping,))
     entries = {}
     for key, value in mapping.items():
-        entries[_parse_int(key, "vector index") - 1] = value_of(value)
+        v = _parse_int(key, "vector index") - 1
+        if v in entries:
+            raise ParseError("vertex %d appears twice in one vector" % (v + 1))
+        entries[v] = value_of(value)
     return SparseVector(n, field, entries)
 
 

@@ -16,14 +16,13 @@ echelon form is unique, so the result does not depend on which row is
 taken as pivot.  Span tests reduce a vector by the stored pivots it
 actually holds, taken from a heap in ascending order.
 
-Size caps: the elimination routines refuse instances above the oracle
-bound (default 512, overridable through FORESTNULL_ORACLE_BOUND); the
-exponential searches have their own hard caps.
+Size caps: the elimination routines refuse instances above
+``ORACLE_BOUND`` (512 vertices); the exponential searches have their
+own hard caps.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -32,19 +31,9 @@ from .errors import OracleBoundError
 from .forest import Forest
 from .matrix import AcyclicMatrix, Basis, SparseVector
 
-DEFAULT_ORACLE_BOUND = 512
+ORACLE_BOUND = 512
 MIN_SUPPORT_BOUND = 10
 MIS_BOUND = 12
-
-
-def oracle_bound() -> int:
-    value = os.environ.get("FORESTNULL_ORACLE_BOUND")
-    if value is None:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        return int(value)
-    except ValueError:
-        raise OracleBoundError("FORESTNULL_ORACLE_BOUND must be an integer, got %r" % value)
 
 
 def _check_bound(n: int, cap: int, what: str):
@@ -125,7 +114,7 @@ class DenseAnalysis:
 
 def dense_analysis(m: AcyclicMatrix) -> DenseAnalysis:
     """One elimination, all the derived data."""
-    _check_bound(m.n, oracle_bound(), "dense elimination oracle")
+    _check_bound(m.n, ORACLE_BOUND, "dense elimination oracle")
     n, field = m.n, m.field
     rref_rows, pivots = _rref(_matrix_rows(m), n, field)
     null_vectors = [SparseVector._trusted(n, field, entries)

@@ -36,11 +36,9 @@ membership before a transfer takes no basis of m.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .fields import require_same_field
 from .kernel import Analysis, analyze, sparsest_null_basis
-from .matrix import (AcyclicMatrix, Basis, SparseVector, require_compatible,
-                     same_pattern)
-from .scaling import DiagonalScaling
+from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
+from .scaling import DiagonalScaling, _transfer_analysis
 
 
 def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
@@ -106,11 +104,7 @@ def in_row_space(m: AcyclicMatrix, x: SparseVector) -> bool:
 def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
                   x: SparseVector) -> SparseVector:
     """Map a row-space vector of m to one of n_mat (same pattern)."""
-    require_same_field(m.field, n_mat.field, "matrices")
-    if not same_pattern(m, n_mat):
-        raise ValidationError("matrices do not share a pattern")
-    require_compatible(m, x, "matrix and vector")
-    analysis = analyze(m.pattern)
+    analysis = _transfer_analysis(m, n_mat, x)
     y = _row_preimage(m, analysis, x)
     if y is None:
         raise ValidationError("vector is not in the row space of the source matrix")

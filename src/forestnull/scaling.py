@@ -40,7 +40,7 @@ from .matrix import (AcyclicMatrix, Basis, SparseVector, require_compatible,
                      same_pattern)
 
 
-@dataclass(eq=False)
+@dataclass
 class DiagonalScaling:
     """A nonsingular diagonal matrix: one nonzero scalar per vertex."""
 
@@ -69,10 +69,6 @@ class DiagonalScaling:
         diag = self.diag
         return SparseVector(x.n, x.field,
                             {v: mul(inv(diag[v]), xv) for v, xv in x.entries.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, DiagonalScaling) and self.n == other.n
-                and self.field == other.field and self.diag == other.diag)
 
     def __repr__(self):
         return "DiagonalScaling(n=%d, field=%s)" % (self.n, self.field.name)
@@ -147,12 +143,19 @@ def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     Applies m's transversal scaling and then the inverse of n_mat's; the
     support of x is preserved.
     """
-    require_same_field(m.field, n_mat.field, "matrices")
-    if not same_pattern(m, n_mat):
-        raise ValidationError("matrices do not share a pattern")
+    analysis = _transfer_analysis(m, n_mat, x)
     if not m.apply(x).is_zero():
         raise ValidationError("vector is not in the null space of the source matrix")
-    analysis = analyze(m.pattern)
     d_m = transversal_scaling(m, analysis)
     d_n = transversal_scaling(n_mat, analysis)
     return d_n.apply_inverse(d_m.apply(x))
+
+
+def _transfer_analysis(m: AcyclicMatrix, n_mat: AcyclicMatrix, x: SparseVector) -> Analysis:
+    """Both transfers' entry checks, in order: the matrices' field, their
+    pattern, x's field and length; then the pattern's one analysis."""
+    require_same_field(m.field, n_mat.field, "matrices")
+    if not same_pattern(m, n_mat):
+        raise ValidationError("matrices do not share a pattern")
+    require_compatible(m, x, "matrix and vector")
+    return analyze(m.pattern)

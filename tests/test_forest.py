@@ -38,6 +38,14 @@ def test_loop_and_duplicate_rejected():
         build_forest(2, [(0, 5)])
 
 
+@pytest.mark.parametrize("edges, bad", [([(0, 1.5)], "1.5"), ([(0, 1), (1.0, 2)], "1.0"),
+                                        ([(0, "1")], "'1'")])
+def test_non_integer_vertex_ids_rejected(edges, bad):
+    with pytest.raises(ValidationError) as exc:
+        build_forest(3, edges)
+    assert str(exc.value) == "vertex ids must be integers, got " + bad
+
+
 def test_random_forests_properties():
     rng = random.Random(7)
     for trial in range(60):

@@ -149,6 +149,11 @@ def test_sweep_records_parent_slots():
     (2, [(0, 2, 1)], "entry (0, 2) out of range for n=2"),
     (2, [(1, 1, 1)], "nonzero diagonal entry at vertex 1"),
     (2, [(0, 1, 0)], "explicit zero entry at (0, 1)"),
+    # non-integer vertex ids, found where they first fail
+    (3, [(0, 1.0, 1), (1.0, 0, 1)], "vertex ids must be integers, got 1.0"),
+    (3, [(0, 1, 1), (1, 0, 1), (1, 2.5, 1)], "vertex ids must be integers, got 2.5"),
+    (3, [("0", 1, 1)], "vertex ids must be integers, got '0'"),
+    (3, [(0, 1, 1), (1, 0, 1), (2, None, 1)], "vertex ids must be integers, got None"),
 ])
 def test_rejection_messages(n, triples, message):
     with pytest.raises(ValidationError) as exc:

@@ -12,7 +12,7 @@ import pytest
 
 import forestnull
 from forestnull import ParseError, PrimeField, QQ, ValidationError
-from forestnull import matrixio
+from forestnull import matrixio, oracle
 from forestnull.cli import main
 from forestnull.generate import random_matrix
 from forestnull.scaling import null_basis
@@ -105,6 +105,10 @@ def test_parse_errors_carry_line_numbers():
     '{"n": -1, "field": "rational", "vectors": []}',
     '{"n": 3, "field": "rational", "vectors": [{"1": "1"}, {}]}',
     '{"n": 3, "field": "gf 7", "vectors": [{"2": "14"}]}',
+    # one vertex named twice, by two spellings or by a repeated key
+    '{"n": 3, "vectors": [{"1": "1", "01": "2"}]}',
+    '{"n": 3, "vectors": [{"3": "1"}, {"2": "1", "2": "2"}]}',
+    '{"n": 3, "n": 3, "vectors": [{"1": "1"}]}',
     # linearly dependent vectors: a multiple of an earlier one, in both formats
     '{"n": 2, "vectors": [{"1": "1"}, {"1": "3"}]}',
     "%%MatrixMarket matrix coordinate rational general\n2 2 4\n1 1 1\n2 1 2\n1 2 2\n2 2 4\n",
@@ -323,6 +327,24 @@ def test_cli_transfer_names_both_lengths(tmp_path, p3_file, space, capsys):
     assert capsys.readouterr() == ("", "error: dimension mismatch: 3 vs 4\n")
 
 
+@pytest.mark.parametrize("space", ["null", "rank"])
+@pytest.mark.parametrize("members, message", [
+    ('"1": "1", "01": "0"', "vertex 1 appears twice in one vector"),
+    ('"2": "1", "2": "0"', 'repeated key "2" in a JSON object'),
+])
+def test_cli_transfer_refuses_a_vertex_named_twice(tmp_path, p3_file, capsys, space,
+                                                   members, message):
+    # json.loads alone keeps the last value, which made these the zero vector
+    x_path = tmp_path / "x.json"
+    x_path.write_text('{"n": 3, "field": "rational", "vector": {%s}}' % members)
+    assert main(["transfer", "--space", space, "--from", p3_file,
+                 "--to", p3_file, "--vector", str(x_path)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    with pytest.raises(ParseError) as exc:
+        matrixio.parse_basis('{"n": 3, "vectors": [{%s}]}' % members)
+    assert str(exc.value) == message
+
+
 def test_cli_gen_and_oracle(tmp_path, capsys):
     out = tmp_path / "gen.mtx"
     assert main(["gen", "--n", "8", "--seed", "3", "--field", "gf:7",
@@ -393,6 +415,9 @@ def test_cli_determinism(p3_file, capsys):
     ('{"n": 2, "field": "rational", "entries": [[1, 2, true], [2, 1, true]]}', None),
     ('{"n": 2, "field": "gf 7", "entries": [[1, 2, 1], [2, 1, false]]}', None),
     (None, '{"n": 3, "field": "rational", "vector": {"1": false}}'),
+    (None, '{"n": 3, "field": "rational", "vector": {"1": "5", "01": "0"}}'),
+    (None, '{"n": 3, "field": "rational", "vector": {"1": "5", "1": "0"}}'),
+    ('{"n": 2, "field": "rational", "field": "gf 7", "entries": []}', None),
 ])
 def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
                                                   vector_text):
@@ -483,13 +508,13 @@ def test_traced_layer_functions_exist():
         assert callable(obj), (module_name, attr)
 
 
-def test_cli_rank_basis_check_above_oracle_bound(tmp_path, capsys, monkeypatch):
+def test_cli_rank_basis_check_above_the_oracle_cap(tmp_path, capsys, monkeypatch):
     from forestnull import Basis, cli
     from forestnull.rank import rank_basis
 
     path = tmp_path / "m.mtx"
     matrixio.write_matrix(random_matrix(40, 11, QQ, components=2), path)
-    monkeypatch.setenv("FORESTNULL_ORACLE_BOUND", "8")
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
     assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 0
     err = capsys.readouterr().err
     assert "check: ok" in err and "equal to 2 * matching number" in err
@@ -509,6 +534,18 @@ def test_cli_rank_basis_check_above_oracle_bound(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "rank_basis", lambda m: Basis(rank_basis(m).vectors[1:]))
     assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
     assert "check failed: dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["null-basis", "rank-basis"])
+def test_cli_check_at_and_above_the_oracle_cap(tmp_path, capsys, monkeypatch, command):
+    # the oracle runs up to and including the bound, and is skipped above it
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
+    for n, verdict in ((8, "oracle span verified"), (9, "oracle skipped")):
+        path = tmp_path / ("m%d.mtx" % n)
+        matrixio.write_matrix(random_matrix(n, n, QQ, components=2), path)
+        assert main([command, str(path), "--check", "-o", str(tmp_path / "b")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("check: ok") and verdict in err
 
 
 def test_cli_non_ascii_file_gives_one_error_line(tmp_path, capsys):

@@ -81,11 +81,12 @@ def test_bounds_are_enforced(monkeypatch):
         oracle.min_support_total(big)
     with pytest.raises(OracleBoundError):
         oracle.support_by_mis(build_forest(13, [(i, i + 1) for i in range(12)]))
-    monkeypatch.setenv("FORESTNULL_ORACLE_BOUND", "5")
+    assert oracle.ORACLE_BOUND == 512
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 5)
     with pytest.raises(OracleBoundError):
         oracle.dense_null_space(path_matrix(6))
-    monkeypatch.setenv("FORESTNULL_ORACLE_BOUND", "600")
-    assert oracle.oracle_bound() == 600
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 600)
+    assert oracle.dense_null_space(path_matrix(513)).dimension == 1
 
 
 def test_dp_matching_agrees_with_fast_path():
@@ -340,7 +341,7 @@ def test_sparse_oracle_matches_dense_reference_on_random_rows(case, rng):
 def test_oracle_doubling_ratio(monkeypatch):
     # guards against a return of the quadratic scans: the former
     # elimination and reduction took 0.09 s -> 0.44 s here (ratio 4.7)
-    monkeypatch.setenv("FORESTNULL_ORACLE_BOUND", "2048")
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 2048)
     field = PrimeField(1000003)
     cases = []
     for n in (1024, 2048):

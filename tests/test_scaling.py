@@ -6,7 +6,7 @@ import pytest
 from forestnull import (PrimeField, QQ, AcyclicMatrix, SparseVector,
                         ValidationError, adjacency_matrix, analyze,
                         build_forest, null_basis, sparsest_null_basis,
-                        transfer_null, transversal_scaling)
+                        transfer_null, transfer_rank, transversal_scaling)
 from forestnull.generate import random_matrix
 from forestnull import oracle
 from conftest import sv
@@ -337,3 +337,36 @@ def test_transfer_null_validates(m_p3, m_star):
         transfer_null(m_p3, m_star, sv(3, {0: 5, 2: -3}))
     with pytest.raises(ValidationError, match="null space"):
         transfer_null(m_p3, m_p3, sv(3, {0: 1}))
+
+
+GF11_VECTOR = sv(3, {1: 1}, PrimeField(11))
+
+
+@pytest.mark.parametrize("space, transfer", [("null", transfer_null),
+                                             ("row", transfer_rank)])
+@pytest.mark.parametrize("target, x, message", [
+    # one failing check each, in the order both transfers run them
+    ("gf11", sv(3, {1: 1}), "field mismatch: matrices are over rational and gf 11"),
+    ("other", sv(3, {1: 1}), "matrices do not share a pattern"),
+    ("same", GF11_VECTOR, "field mismatch: matrix and vector are over rational and gf 11"),
+    ("same", sv(4, {1: 1}), "dimension mismatch: 3 vs 4"),
+    ("same", sv(3, {0: 1}), "vector is not in the %s space of the source matrix"),
+    # two failing checks: the earlier one is reported
+    ("gf11_other", sv(3, {1: 1}), "field mismatch: matrices are over rational and gf 11"),
+    ("other", GF11_VECTOR, "matrices do not share a pattern"),
+    ("other", sv(4, {0: 1}), "matrices do not share a pattern"),
+    ("same", SparseVector(4, PrimeField(11), {3: 1}),
+     "field mismatch: matrix and vector are over rational and gf 11"),
+    ("same", sv(4, {0: 1}), "dimension mismatch: 3 vs 4"),
+])
+def test_transfer_checks_run_in_a_fixed_order(m_p3, space, transfer, target, x, message):
+    triples = [(0, 1, 2), (1, 0, 3), (1, 2, 5), (2, 1, 7)]
+    targets = {
+        "same": m_p3,
+        "gf11": AcyclicMatrix.from_entries(3, triples, PrimeField(11)),
+        "other": AcyclicMatrix.from_entries(3, [(0, 1, 1), (1, 0, 1)]),
+        "gf11_other": AcyclicMatrix.from_entries(3, [(0, 1, 1), (1, 0, 1)], PrimeField(11)),
+    }
+    with pytest.raises(ValidationError) as exc:
+        transfer(m_p3, targets[target], x)
+    assert str(exc.value) == message.replace("%s", space)
