@@ -14,8 +14,7 @@ from .forest import Forest, build_forest
 from .generate import random_matrix
 from .kernel import (Analysis, MatchingInfo, SupportInfo, analyze,
                      maximum_matching, sparsest_null_basis, support)
-from .matrix import (AcyclicMatrix, Basis, SparseVector, adjacency_matrix,
-                     same_pattern)
+from .matrix import AcyclicMatrix, Basis, SparseVector, adjacency_matrix
 from .rank import (in_row_space, rank_basis, rank_normalization,
                    supported_neighborhood_vector, transfer_rank)
 from .scaling import (DiagonalScaling, null_basis, transfer_null,
@@ -30,7 +29,6 @@ __all__ = [
     "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
     "build_forest", "in_row_space", "maximum_matching", "null_basis",
     "parse_field_spec", "random_matrix", "rank_basis", "rank_normalization",
-    "same_pattern", "sparsest_null_basis", "support",
-    "supported_neighborhood_vector", "transfer_null", "transfer_rank",
-    "transversal_scaling",
+    "sparsest_null_basis", "support", "supported_neighborhood_vector",
+    "transfer_null", "transfer_rank", "transversal_scaling",
 ]

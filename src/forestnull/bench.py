@@ -48,14 +48,6 @@ def parse_sizes(text: str):
     return sizes
 
 
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _one_run(n, triples, field) -> float:
     gc_was_enabled = gc.isenabled()
     gc.collect()
@@ -78,6 +70,7 @@ def run_bench(sizes, field: Field, repeat: int = 3, seed: int = 42):
     ratios stay meaningful.  Each size gets one untimed warmup run, and
     collector pauses are suspended inside the timed region.
     """
+    import statistics  # here, not at the top: every CLI command imports this module
     repeat = max(1, repeat)
     all_triples = {n: random_entry_triples(n, seed, field) for n in sizes}
     times = {n: [] for n in sizes}
@@ -86,7 +79,7 @@ def run_bench(sizes, field: Field, repeat: int = 3, seed: int = 42):
     for _ in range(repeat):
         for n in sizes:
             times[n].append(_one_run(n, all_triples[n], field))
-    return [BenchRow(n, len(all_triples[n]), repeat, times[n], _median(times[n]))
+    return [BenchRow(n, len(all_triples[n]), repeat, times[n], statistics.median(times[n]))
             for n in sizes]
 
 

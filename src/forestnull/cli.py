@@ -95,11 +95,11 @@ def _cmd_validate(args) -> int:
 def _cmd_support(args) -> int:
     m = matrixio.read_matrix(args.file)
     analysis = analyze(m.pattern)
-    nu, info = analysis.matching.nu, analysis.support
+    nu, supp, core = analysis.matching.nu, analysis.support.supp, analysis.support.core
     rows = [("n", m.n), ("components", m.pattern.component_count),
             ("matching-number", nu), ("null-dimension", m.n - 2 * nu), ("rank", 2 * nu)]
     rows += [(key, sorted(v + 1 for v in ids))
-             for key, ids in (("supp", info.supp), ("core", info.core), ("s-set", info.s_set))]
+             for key, ids in (("supp", supp), ("core", core), ("s-set", supp | core))]
     if args.json:
         print(json.dumps({key.replace("-", "_"): value for key, value in rows}, indent=2))
     else:
@@ -192,9 +192,8 @@ def _cmd_oracle(args) -> int:
         basis = oracle.dense_null_space(m)
         _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
     elif args.operation == "rank":
-        analysis = oracle.dense_analysis(m)
-        text = "rank: %d\nnull-dimension: %d\n" % (analysis.rank, m.n - analysis.rank)
-        _emit(text, args.out)
+        rank = oracle.dense_analysis(m).rank
+        _emit("rank: %d\nnull-dimension: %d\n" % (rank, m.n - rank), args.out)
     else:
         total = oracle.min_support_total(m)
         _emit("min-support-total: %d\n" % total, args.out)

@@ -6,7 +6,22 @@ class ForestNullError(Exception):
 
 
 class ValidationError(ForestNullError, ValueError):
-    """Input violates a structural requirement (pattern, field, dimension)."""
+    """Input violates a structural requirement (pattern, field, dimension).
+
+    A message that names vertices is a %-template filled with their
+    0-based ids, ``vertices``, as the library counts them.
+    """
+
+    def __init__(self, message, *vertices):
+        super().__init__(message % vertices if vertices else message)
+        self.template, self.vertices = message, vertices
+
+    def one_based(self):
+        """This error with its vertices counted from 1, as the file
+        formats write them; itself when it names no vertex."""
+        if not self.vertices:
+            return self
+        return ValidationError(self.template, *(v + 1 for v in self.vertices))
 
 
 class ParseError(ValidationError):

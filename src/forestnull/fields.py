@@ -9,7 +9,9 @@ operations; no floating point is used anywhere.
 Truthiness is the zero test for every field: an element is zero iff
 ``not x``.  For a ``Fraction`` that is ``__bool__`` on the numerator,
 which skips the ``numbers.Rational`` check that ``x == zero`` runs.
-``coerce`` refuses a ``bool``: it is an ``int`` to Python, but a JSON
+``coerce`` is the one value check: it returns a canonical element
+unchanged, as its first test, and turns every other accepted value into
+one.  It refuses a ``bool``: that is an ``int`` to Python, but a JSON
 ``true`` is no field value.
 
 ``RationalField.parse`` reads the literals ``-?[0-9]+`` and
@@ -124,12 +126,8 @@ class Field:
         raise NotImplementedError
 
     def coerce(self, value):
-        """Turn ``value`` (element, int, or text) into a canonical element."""
-        raise NotImplementedError
-
-    def is_canonical(self, value) -> bool:
-        """True iff ``value`` already is a canonical element (coerce would
-        return it unchanged)."""
+        """Turn ``value`` (element, int, or text) into a canonical element;
+        a canonical element comes back unchanged."""
         raise NotImplementedError
 
     def parse(self, text: str):
@@ -183,9 +181,6 @@ class RationalField(Field):
             raise ValidationError("floating point values are not accepted; "
                                   "write an exact decimal or p/q string")
         raise ValidationError("cannot interpret %r as a rational" % (value,))
-
-    def is_canonical(self, value) -> bool:
-        return type(value) is Fraction
 
     def parse(self, text: str):
         try:
@@ -272,6 +267,8 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def coerce(self, value):
+        if type(value) is int and 0 <= value < self.p:
+            return value
         _refuse_bool(value)
         if isinstance(value, int):
             return value % self.p
@@ -280,9 +277,6 @@ class PrimeField(Field):
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value) % self.p
         raise ValidationError("prime-field values must be integers, got %r" % (value,))
-
-    def is_canonical(self, value) -> bool:
-        return type(value) is int and 0 <= value < self.p
 
     def parse(self, text: str):
         try:

@@ -113,7 +113,7 @@ def _row_major_csr(vertex_count, items, duplicate):
     for t in items:
         u, v = t[0], t[1]
         if u == prev_u and v == prev_v:
-            raise ValidationError(duplicate % (u, v))
+            raise ValidationError(duplicate, u, v)
         prev_u, prev_v = u, v
         degree[u + 1] += 1
     return array("i", [t[1] for t in items]), array("i", accumulate(degree))
@@ -151,8 +151,8 @@ def _indexed_forest(vertex_count, neighbors, offsets) -> Forest:
                 if y != p:
                     if component_id[y] >= 0:
                         edges = _edges(vertex_count, neighbors, offsets)
-                        raise ValidationError("cycle detected at edge (%d, %d)"
-                                              % _find_cycle_edge(vertex_count, edges))
+                        raise ValidationError("cycle detected at edge (%d, %d)",
+                                              *_find_cycle_edge(vertex_count, edges))
                     component_id[y] = count
                     parent[y] = x
                     parent_slot[y] = j

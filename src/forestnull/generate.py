@@ -80,12 +80,8 @@ def random_entry_triples(n: int, seed: int, field: Field = QQ, components: int =
     for u, v in sorted((min(e), max(e)) for e in edges):
         triples.append((u, v, _random_nonzero(field, rng)))
         triples.append((v, u, _random_nonzero(field, rng)))
-    triples.sort(key=_row_col)
+    triples.sort()  # no two triples share a (row, col) pair
     return triples
-
-
-def _row_col(triple):
-    return (triple[0], triple[1])
 
 
 def random_matrix(n: int, seed: int, field: Field = QQ,

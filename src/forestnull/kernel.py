@@ -30,16 +30,15 @@ from .matrix import Basis, SparseVector
 
 @dataclass(eq=True)
 class MatchingInfo:
-    partner: list   # per-vertex matched partner, or None
+    partner: list   # per-vertex matched partner, -1 when unmatched
     nu: int         # matching number
-    exposed: frozenset  # unmatched vertices
+    exposed: tuple  # unmatched vertices, ascending
 
 
 @dataclass(eq=True)
 class SupportInfo:
     supp: frozenset   # vertices with a nonzero coordinate in some null vector
     core: frozenset   # neighbors of supp
-    s_set: frozenset  # supp | core
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,9 @@ def maximum_matching(f: Forest) -> MatchingInfo:
 
     Vertices are taken in the reversed preorder of the forest's sweep, a
     post-order with children ascending; a vertex is matched to its
-    parent exactly when both are still free.
+    parent exactly when both are still free.  An unmatched vertex keeps
+    partner -1, as in ``Forest.parent``; ``exposed`` lists the unmatched
+    vertices ascending, in the order one scan over the ids finds them.
     """
     n = f.vertex_count
     parent = f.parent
@@ -77,13 +78,12 @@ def maximum_matching(f: Forest) -> MatchingInfo:
         if p >= 0 and partner[v] < 0 and partner[p] < 0:
             partner[v] = p
             partner[p] = v
-    exposed = frozenset(v for v in range(n) if partner[v] < 0)
-    nu = (n - len(exposed)) // 2
-    return MatchingInfo([p if p >= 0 else None for p in partner], nu, exposed)
+    exposed = tuple(v for v in range(n) if partner[v] < 0)
+    return MatchingInfo(partner, (n - len(exposed)) // 2, exposed)
 
 
 def support(f: Forest, matching: MatchingInfo) -> SupportInfo:
-    """Support, core and their union for the forest's null space.
+    """Support and core of the forest's null space.
 
     supp is every vertex reachable from an unmatched vertex by an
     alternating path of even length (non-matching edge first).  This is
@@ -96,7 +96,7 @@ def support(f: Forest, matching: MatchingInfo) -> SupportInfo:
     partner = matching.partner
     neighbors, offsets = f.neighbors, f.offsets
     in_supp = bytearray(n)
-    queue = sorted(matching.exposed)
+    queue = list(matching.exposed)
     for v in queue:
         in_supp[v] = 1
     head = 0
@@ -111,7 +111,7 @@ def support(f: Forest, matching: MatchingInfo) -> SupportInfo:
                 continue
             b = partner[a]
             # a is matched: an unmatched a would extend to an augmenting path.
-            if b is not None and not in_supp[b]:
+            if b >= 0 and not in_supp[b]:
                 in_supp[b] = 1
                 push(b)
     supp = frozenset(queue)
@@ -121,7 +121,7 @@ def support(f: Forest, matching: MatchingInfo) -> SupportInfo:
         for j in range(offsets[v], offsets[v + 1]):
             core_add(neighbors[j])
     core -= supp
-    return SupportInfo(supp, frozenset(core), frozenset(supp | core))
+    return SupportInfo(supp, frozenset(core))
 
 
 def sparsest_null_basis(analysis: Analysis, field: Field = QQ) -> Basis:
@@ -140,7 +140,7 @@ def sparsest_null_basis(analysis: Analysis, field: Field = QQ) -> Basis:
     one = field.one
     neg = field.neg
     vectors = []
-    for u in sorted(matching.exposed):
+    for u in matching.exposed:
         coeff = {u: one}
         stack = [u]
         while stack:
@@ -152,7 +152,7 @@ def sparsest_null_basis(analysis: Analysis, field: Field = QQ) -> Basis:
                 if a == pw:
                     continue
                 b = partner[a]
-                if b is not None and b not in coeff:
+                if b >= 0 and b not in coeff:
                     coeff[b] = neg(cw)
                     stack.append(b)
         vectors.append(SparseVector._trusted(n, field, coeff))

@@ -50,7 +50,7 @@ class SparseVector:
     def __post_init__(self):
         bad = [v for v in self.entries if not (0 <= v < self.n)]
         if bad:
-            raise ValidationError("vector index %r out of range for n=%d" % (bad[0], self.n))
+            raise ValidationError("vector index %r out of range for n=" + str(self.n), bad[0])
         self.entries = {v: x for v, x in self.entries.items() if x}
 
     @classmethod
@@ -148,7 +148,6 @@ class AcyclicMatrix:
         duplicate positions, asymmetric patterns and cyclic patterns.
         """
         coerce = field.coerce
-        is_canonical = field.is_canonical
         items = []
         append = items.append
         u = v = 0
@@ -156,18 +155,13 @@ class AcyclicMatrix:
             for t in triples:
                 u, v, value = t
                 if not (0 <= u < n and 0 <= v < n):
-                    raise ValidationError("entry (%r, %r) out of range for n=%d" % (u, v, n))
+                    raise ValidationError("entry (%r, %r) out of range for n=" + str(n), u, v)
                 if u == v:
-                    raise ValidationError("nonzero diagonal entry at vertex %d" % u)
-                if is_canonical(value):
-                    if not value:
-                        raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
-                    append(t if type(t) is tuple else (u, v, value))
-                else:
-                    x = coerce(value)
-                    if not x:
-                        raise ValidationError("explicit zero entry at (%d, %d)" % (u, v))
-                    append((u, v, x))
+                    raise ValidationError("nonzero diagonal entry at vertex %d", u)
+                x = coerce(value)
+                if not x:
+                    raise ValidationError("explicit zero entry at (%d, %d)", u, v)
+                append(t if x is value and type(t) is tuple else (u, v, x))
             if n < 0:
                 raise ValidationError("vertex count must be non-negative")
             if n > MAX_VERTICES:
@@ -184,7 +178,7 @@ class AcyclicMatrix:
             if 2 * len(lower) == len(items):  # a cycle is reported before asymmetry
                 cycle = _find_cycle_edge(n, lower)
                 if cycle is not None:
-                    raise ValidationError("cycle detected at edge (%d, %d)" % cycle)
+                    raise ValidationError("cycle detected at edge (%d, %d)", *cycle)
             _raise_asymmetric(items, lower)
         pattern = _indexed_forest(n, neighbors, offsets)
         return cls(n, field, pattern, [x for _, _, x in items], col_flat)
@@ -266,16 +260,11 @@ def _raise_asymmetric(items, lower):
         a, b = min(only_lo)
     else:
         b, a = min(hi - lo)
-    raise ValidationError(
-        "asymmetric pattern: entry (%d, %d) present but (%d, %d) missing"
-        % (a, b, b, a))
+    raise ValidationError("asymmetric pattern: entry (%d, %d) present but (%d, %d) missing",
+                          a, b, b, a)
 
 
 def adjacency_matrix(f: Forest, field: Field = QQ) -> AcyclicMatrix:
     """The matrix with a 1 at both orientations of every edge of f."""
     ones = [field.one] * len(f.neighbors)
     return AcyclicMatrix(f.vertex_count, field, f, ones, list(ones))
-
-
-def same_pattern(m: AcyclicMatrix, n_mat: AcyclicMatrix) -> bool:
-    return m.pattern == n_mat.pattern

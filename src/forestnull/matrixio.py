@@ -18,7 +18,9 @@ Every reader turns scalar literals into field elements through one
 ``field.reader()`` per read (per call of a ``parse_*`` function): over
 the rationals each distinct literal, up to ``fields.READER_CAP`` of
 them, is parsed once and its value shared by every entry that repeats
-it.  Nothing is kept from one read to the next.
+it.  Nothing is kept from one read to the next.  An error raised while
+reading names vertices 1-based, as the file writes them; the library
+behind the readers counts from 0 and raises with 0-based ids.
 
 Writers emit canonical text (sorted entries, canonical scalar strings,
 trailing newline), so fixed inputs always produce identical bytes.  The
@@ -29,12 +31,13 @@ in ``_json_blocks``, byte for byte, without the pure-Python encoder that
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import oracle
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .fields import Field, QQ, parse_field_spec
 from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector
 
@@ -96,6 +99,19 @@ def _row_major(m: AcyclicMatrix):
         yield from ((u, v, x) for v, x in m.row_items(u))
 
 
+def _ids_as_written(parse):
+    """``parse``, with the vertex ids its validation errors name counted
+    from 1, as the files write them; the library counts from 0."""
+    @functools.wraps(parse)
+    def read(source):
+        try:
+            return parse(source)
+        except ValidationError as exc:
+            raise exc.one_based() from None
+    return read
+
+
+@_ids_as_written
 def parse_matrix(source) -> AcyclicMatrix:
     """Read a matrix from a string or an open text file.
 
@@ -289,6 +305,7 @@ def format_basis(basis, n: int, field: Field, fmt: str = "mm") -> str:
     raise ParseError("unknown format %r (use 'mm' or 'json')" % fmt)
 
 
+@_ids_as_written
 def parse_basis(text: str) -> Basis:
     """Basis files round-trip through the same coordinate/JSON layouts."""
     if text.lstrip().startswith("{"):
@@ -316,7 +333,7 @@ def parse_basis(text: str) -> Basis:
             raise ParseError("entry column %d out of range for %d columns" % (j + 1, dim))
         column = columns.setdefault(j, {})
         if v in column:
-            raise ParseError("duplicate entry at (%d, %d)" % (v, j))
+            raise ParseError("duplicate entry at (%d, %d)" % (v + 1, j + 1))
         column[v] = x
     if len(triples) != nnz:
         raise ParseError("size line announced %d entries, found %d" % (nnz, len(triples)))
@@ -377,6 +394,7 @@ def format_vector(vec: SparseVector) -> str:
                           '"vector": ' + _json_blocks("{}", [_vector_members(vec)], 1)[0])
 
 
+@_ids_as_written
 def parse_vector(text: str) -> SparseVector:
     doc = _load_json(text, "vector", ("n", "vector"))
     field = parse_field_spec(doc.get("field", "rational"))

@@ -132,10 +132,6 @@ def dense_row_space(m: AcyclicMatrix) -> Basis:
     return dense_analysis(m).row_basis
 
 
-def rank(m: AcyclicMatrix) -> int:
-    return dense_analysis(m).rank
-
-
 class _Echelon:
     """Incremental echelon form used for independence and span tests."""
 

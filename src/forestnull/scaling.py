@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .fields import Field, require_same_field
 from .kernel import Analysis, analyze, sparsest_null_basis
-from .matrix import (AcyclicMatrix, Basis, SparseVector, require_compatible,
-                     same_pattern)
+from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
 
 
 @dataclass
@@ -155,7 +154,7 @@ def _transfer_analysis(m: AcyclicMatrix, n_mat: AcyclicMatrix, x: SparseVector) 
     """Both transfers' entry checks, in order: the matrices' field, their
     pattern, x's field and length; then the pattern's one analysis."""
     require_same_field(m.field, n_mat.field, "matrices")
-    if not same_pattern(m, n_mat):
+    if m.pattern != n_mat.pattern:
         raise ValidationError("matrices do not share a pattern")
     require_compatible(m, x, "matrix and vector")
     return analyze(m.pattern)

@@ -121,7 +121,8 @@ def restriction_check(m, x) -> bool:
     if x.n != m.n:
         raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
     require_same_field(m.field, x.field, "matrix and vector")
-    s_set = analyze(m.pattern).support.s_set
+    info = analyze(m.pattern).support
+    s_set = info.supp | info.core
     if any(v not in s_set for v in x.entries):
         return False
     zero = m.field.zero

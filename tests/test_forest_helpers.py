@@ -75,7 +75,8 @@ def test_restriction_check_iff_null_membership():
         m = random_matrix(n, trial, QQ, rng.randint(1, min(3, n)))
         x = random_null_vector(m, rng)
         assert restriction_check(m, x)
-        s_set = analyze(m.pattern).support.s_set
+        info = analyze(m.pattern).support
+        s_set = info.supp | info.core
         outside = [v for v in range(n) if v not in s_set]
         if outside:
             spoiled = x.add(sv(n, {outside[0]: 1}))

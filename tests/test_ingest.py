@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -67,7 +68,7 @@ def dfs_matching_partner(f):
                 if p >= 0 and partner[v] < 0 and partner[p] < 0:
                     partner[v] = p
                     partner[p] = v
-    return [p if p >= 0 else None for p in partner]
+    return partner
 
 
 def labeled_trees(n):
@@ -158,6 +159,44 @@ def test_sweep_records_parent_slots():
 def test_rejection_messages(n, triples, message):
     with pytest.raises(ValidationError) as exc:
         AcyclicMatrix.from_entries(n, triples)
+    assert str(exc.value) == message
+
+
+GF7 = PrimeField(7)
+CANONICAL_QQ = Fraction(3, 4)
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    (QQ, CANONICAL_QQ, Fraction(3, 4)), (QQ, 5, Fraction(5)), (QQ, 10 ** 30, Fraction(10 ** 30)),
+    (QQ, "3/4", Fraction(3, 4)), (QQ, "0.25", Fraction(1, 4)), (QQ, "-2", Fraction(-2)),
+    (QQ, Fraction(6, 3), Fraction(2)),
+    (GF7, 3, 3), (GF7, 5, 5), (GF7, 10, 3), (GF7, -1, 6), (GF7, "-2", 5), (GF7, "10", 3),
+    (GF7, Fraction(6, 3), 2),
+])
+def test_from_entries_accepts_every_value_form(field, value, expected):
+    m = AcyclicMatrix.from_entries(2, [(0, 1, value), (1, 0, value)], field)
+    assert m.row_flat == m.col_flat == [expected, expected]
+    assert all(type(x) is type(field.one) for x in m.row_flat)
+    if value is CANONICAL_QQ:
+        assert m.row_flat[0] is value  # a canonical element is kept, not rebuilt
+
+
+@pytest.mark.parametrize("field, value, message", [
+    (QQ, True, "booleans are not field values, got True"),
+    (GF7, False, "booleans are not field values, got False"),
+    (QQ, 0.5, "floating point values are not accepted; write an exact decimal or p/q string"),
+    (GF7, 0.5, "prime-field values must be integers, got 0.5"),
+    (GF7, Fraction(1, 2), "prime-field values must be integers, got Fraction(1, 2)"),
+    (GF7, "3/4", "bad gf 7 literal '3/4': expected an integer"),
+    (QQ, None, "cannot interpret None as a rational"),
+] + [(QQ, zero, "explicit zero entry at (0, 1)")
+     for zero in (Fraction(0), 0, "0", "0/5", "0.0", "-0")] + [
+    (GF7, zero, "explicit zero entry at (0, 1)")
+    for zero in (0, 7, -14, "0", "7", "-14", Fraction(0), Fraction(14, 2))
+])
+def test_from_entries_refuses_bad_values(field, value, message):
+    with pytest.raises(ValidationError) as exc:
+        AcyclicMatrix.from_entries(2, [(0, 1, value), (1, 0, 1)], field)
     assert str(exc.value) == message
 
 

@@ -148,15 +148,26 @@ def test_parse_basis_refuses_more_columns_than_rows_before_allocating(text):
     ("3 1 5\n1 1 2\n2 1 3\n", "size line announced 5 entries, found 2"),
     ("3 2 1\n1 1 2\n2 2 3\n", "size line announced 1 entries, found 2"),
     # a repeated (row, column) no longer overwrites the earlier value
-    ("3 1 5\n1 1 2\n1 1 3\n", "duplicate entry at \\(0, 0\\)"),
-    ("3 2 3\n1 1 2\n3 2 3\n3 2 3\n", "duplicate entry at \\(2, 1\\)"),
+    ("3 1 5\n1 1 2\n1 1 3\n", "duplicate entry at \\(1, 1\\)"),
+    ("3 2 3\n1 1 2\n3 2 3\n3 2 3\n", "duplicate entry at \\(3, 2\\)"),
     ("-1 0 0\n", "row count must be non-negative, got -1"),
     ("3 1 -1\n1 1 2\n", "entry count must be non-negative, got -1"),
     ("3 1 1\n1 one 2\n", "line 3: entry indices must be integers"),
+    ("% no size line\n", "missing size line"),
 ])
 def test_parse_basis_checks_the_size_line_like_the_matrix_reader(text, message):
     with pytest.raises(ParseError, match=message):
         matrixio.parse_basis("%%MatrixMarket matrix coordinate rational general\n" + text)
+
+
+@pytest.mark.parametrize("write", [
+    lambda m: matrixio.format_matrix(m, "csv"),
+    lambda m: matrixio.format_basis(null_basis(m), m.n, m.field, fmt="csv"),
+])
+def test_writers_refuse_an_unknown_format(m_p3, write):
+    with pytest.raises(ParseError) as exc:
+        write(m_p3)
+    assert str(exc.value) == "unknown format 'csv' (use 'mm' or 'json')"
 
 
 def test_negative_length_refused():
@@ -405,22 +416,53 @@ def test_cli_determinism(p3_file, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("matrix_text, vector_text", [
-    ('{"n": 2, "field": "rational", "entries": [["a", 1, "3"]]}', None),
-    ('{"n": 2, "field": "rational", "entries": 5}', None),
-    ('{"n": 2, "field": "rational", "entries": [[1.9, 2, "1"], [2, 1, "1"]]}', None),
-    (None, '{"n": 3, "field": "rational", "vector": {"x": "1"}}'),
-    (None, '{"n": 3, "field": "rational", "vector": [1]}'),
-    (None, '[{"n": 3, "field": "rational", "vector": {"1": "1"}}]'),
-    ('{"n": 2, "field": "rational", "entries": [[1, 2, true], [2, 1, true]]}', None),
-    ('{"n": 2, "field": "gf 7", "entries": [[1, 2, 1], [2, 1, false]]}', None),
-    (None, '{"n": 3, "field": "rational", "vector": {"1": false}}'),
-    (None, '{"n": 3, "field": "rational", "vector": {"1": "5", "01": "0"}}'),
-    (None, '{"n": 3, "field": "rational", "vector": {"1": "5", "1": "0"}}'),
-    ('{"n": 2, "field": "rational", "field": "gf 7", "entries": []}', None),
+MM_HEAD = "%%MatrixMarket matrix coordinate rational general\n"
+
+
+@pytest.mark.parametrize("matrix_text, vector_text, message", [
+    ('{"n": 2, "field": "rational", "entries": [["a", 1, "3"]]}', None,
+     "entry row must be an integer, got 'a'"),
+    ('{"n": 2, "field": "rational", "entries": 5}', None,
+     "matrix JSON 'entries' must be a list"),
+    ('{"n": 2, "field": "rational", "entries": [[1.9, 2, "1"], [2, 1, "1"]]}', None,
+     "entry row must be an integer, got 1.9"),
+    (None, '{"n": 3, "field": "rational", "vector": {"x": "1"}}',
+     "vector index must be an integer, got 'x'"),
+    (None, '{"n": 3, "field": "rational", "vector": [1]}',
+     "a vector must be a {vertex: value} object, got [1]"),
+    (None, '[{"n": 3, "field": "rational", "vector": {"1": "1"}}]',
+     "vector JSON must be an object"),
+    ('{"n": 2, "field": "rational", "entries": [[1, 2, true], [2, 1, true]]}', None,
+     "booleans are not field values, got True"),
+    ('{"n": 2, "field": "gf 7", "entries": [[1, 2, 1], [2, 1, false]]}', None,
+     "booleans are not field values, got False"),
+    (None, '{"n": 3, "field": "rational", "vector": {"1": false}}',
+     "booleans are not field values, got False"),
+    (None, '{"n": 3, "field": "rational", "vector": {"1": "5", "01": "0"}}',
+     "vertex 1 appears twice in one vector"),
+    (None, '{"n": 3, "field": "rational", "vector": {"1": "5", "1": "0"}}',
+     'repeated key "1" in a JSON object'),
+    ('{"n": 2, "field": "rational", "field": "gf 7", "entries": []}', None,
+     'repeated key "field" in a JSON object'),
+    # the size line
+    (MM_HEAD + "3 4 0\n", None, "line 2: matrix must be square, got 3 x 4"),
+    (MM_HEAD + "% no size line\n", None, "missing size line"),
+    # vertices are named as the file writes them, counted from 1
+    (MM_HEAD + "3 3 3\n1 2 5\n1 2 5\n2 1 1\n", None, "duplicate entry at (1, 2)"),
+    (MM_HEAD + "3 3 1\n2 2 3\n", None, "nonzero diagonal entry at vertex 2"),
+    (MM_HEAD + "3 3 1\n1 4 5\n", None, "entry (1, 4) out of range for n=3"),
+    (MM_HEAD + "3 3 2\n1 2 0\n2 1 1\n", None, "explicit zero entry at (1, 2)"),
+    (MM_HEAD + "3 3 1\n1 2 1\n", None,
+     "asymmetric pattern: entry (1, 2) present but (2, 1) missing"),
+    (MM_HEAD + "3 3 6\n1 2 1\n2 1 1\n2 3 1\n3 2 1\n1 3 1\n3 1 1\n", None,
+     "cycle detected at edge (2, 3)"),
+    ('{"n": 3, "entries": [[1, 4, "5"]]}', None, "entry (1, 4) out of range for n=3"),
+    ('{"n": 3, "field": "gf 7", "entries": [[2, 1, "7"], [1, 2, 3]]}', None,
+     "explicit zero entry at (2, 1)"),
+    (None, '{"n": 3, "vector": {"4": "1"}}', "vector index 4 out of range for n=3"),
 ])
 def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
-                                                  vector_text):
+                                                  vector_text, message, capsys):
     matrix_path = tmp_path / "m.json"
     if matrix_text is None:
         matrixio.write_matrix(m_p3, matrix_path, fmt="json")
@@ -431,7 +473,10 @@ def test_cli_malformed_input_gives_one_error_line(tmp_path, m_p3, matrix_text,
     else:
         matrix_path.write_text(matrix_text)
         argv = ["validate", str(matrix_path)]
-    one_error_line(run_cli(argv))
+    assert one_error_line(run_cli(argv)) == "error: " + message
+    # and the same line from a call in this process
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def run_cli(argv, **env):
@@ -487,9 +532,8 @@ def test_public_api():
         "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
         "build_forest", "in_row_space", "maximum_matching", "null_basis",
         "parse_field_spec", "random_matrix", "rank_basis", "rank_normalization",
-        "same_pattern", "sparsest_null_basis", "support",
-        "supported_neighborhood_vector", "transfer_null", "transfer_rank",
-        "transversal_scaling",
+        "sparsest_null_basis", "support", "supported_neighborhood_vector",
+        "transfer_null", "transfer_rank", "transversal_scaling",
     ]
     assert all(hasattr(forestnull, name) for name in forestnull.__all__)
 
@@ -546,6 +590,30 @@ def test_cli_check_at_and_above_the_oracle_cap(tmp_path, capsys, monkeypatch, co
         assert main([command, str(path), "--check", "-o", str(tmp_path / "b")]) == 0
         err = capsys.readouterr().err
         assert err.startswith("check: ok") and verdict in err
+
+
+@pytest.mark.parametrize("bound", [None, 8])
+def test_cli_null_basis_check_refuses_a_vector_not_annihilated(tmp_path, capsys, monkeypatch,
+                                                              bound):
+    # above the bound, M x = 0 is the only check null-basis runs
+    from forestnull import Basis, cli
+
+    path = tmp_path / "m.mtx"
+    m = random_matrix(40, 3, QQ, components=2)
+    matrixio.write_matrix(m, path)
+    assert null_basis(m).dimension >= 1 and m.n <= oracle.ORACLE_BOUND
+    if bound is not None:
+        monkeypatch.setattr(oracle, "ORACLE_BOUND", bound)
+    offsets = m.pattern.offsets
+    w = next(v for v in range(m.n) if offsets[v] < offsets[v + 1])  # w has a neighbor
+
+    def spoiled(m):
+        vectors = null_basis(m).vectors
+        return Basis([vectors[0].add(sv(m.n, {w: 1}))] + vectors[1:])
+
+    monkeypatch.setattr(cli, "null_basis", spoiled)
+    assert main(["null-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err == "error: check failed: output vector is not annihilated\n"
 
 
 def test_cli_non_ascii_file_gives_one_error_line(tmp_path, capsys):

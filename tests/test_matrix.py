@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, SparseVector, ValidationError,
-                        adjacency_matrix, AcyclicMatrix, build_forest, same_pattern)
+                        adjacency_matrix, AcyclicMatrix, build_forest)
 from conftest import sv
 from forest_helpers import entries, entry, to_list
 
@@ -111,17 +111,15 @@ def test_transpose(m_p3):
 
 
 def test_same_pattern(m_p3):
-    assert same_pattern(m_p3, m_p3.transpose())
+    assert m_p3.pattern == m_p3.transpose().pattern
     other_values = AcyclicMatrix.from_entries(
         3, [(2, 1, 9), (1, 2, -4), (1, 0, 1), (0, 1, 1)], PrimeField(11))
-    assert same_pattern(m_p3, other_values)
     assert m_p3.pattern == other_values.pattern
     assert m_p3.pattern == build_forest(3, [(2, 1), (0, 1)])
     plus_isolated = AcyclicMatrix.from_entries(4, [(0, 1, 2), (1, 0, 3), (1, 2, 5), (2, 1, 7)])
-    assert not same_pattern(m_p3, plus_isolated)
-    assert not same_pattern(plus_isolated, m_p3)
+    assert m_p3.pattern != plus_isolated.pattern
+    assert plus_isolated.pattern != m_p3.pattern
     other_edges = AcyclicMatrix.from_entries(3, [(0, 1, 2), (1, 0, 3), (0, 2, 5), (2, 0, 7)])
-    assert not same_pattern(m_p3, other_edges)
     assert m_p3.pattern != other_edges.pattern and m_p3.pattern != m_p3.pattern.edges
 
 

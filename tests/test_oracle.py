@@ -35,10 +35,10 @@ def test_dense_null_space_zero_matrix():
 
 
 def test_rank_values(m_p3):
-    assert oracle.rank(m_p3) == 2
+    assert oracle.dense_analysis(m_p3).rank == 2
     star = adjacency_matrix(build_forest(4, [(0, 1), (0, 2), (0, 3)]))
-    assert oracle.rank(star) == 2
-    assert oracle.rank(AcyclicMatrix.from_entries(1, [])) == 0
+    assert oracle.dense_analysis(star).rank == 2
+    assert oracle.dense_analysis(AcyclicMatrix.from_entries(1, [])).rank == 0
 
 
 def test_row_space(m_p3):
