@@ -14,9 +14,9 @@ unvisited neighbors ascending and pops the largest first.  The forest
 keeps the sweep's preorder (``order``), every vertex's ``parent`` (-1
 at a root) and ``parent_slot``, the slot j of the vertex in its
 parent's row.  Reversed, ``order`` is a post-order with children taken
-ascending; the kernel's matching and the row scaling run over it
-instead of walking the tree again.  A ``Forest`` is never mutated after
-it is built; concurrent reads are safe.
+ascending; the kernel's matching runs over it instead of walking the
+tree again.  A ``Forest`` is never mutated after it is built; concurrent
+reads are safe.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Diagonal scalings that carry the null space and the row space of a
-matrix onto those of its pattern's adjacency matrix, and back.
+"""The diagonal scaling that carries the null space of a matrix onto
+that of its pattern's adjacency matrix, and back.
 
-Both scalings walk the preorder the pattern forest stored when it was
+The scaling walks the preorder the pattern forest stored when it was
 built, taking each vertex t's parent edge s -> t from ``parent`` and
 ``parent_slot``; each step sets D[t] from D[s] and the two entries of
-the edge, so either scaling costs O(n) field operations.
+the edge, so it costs O(n) field operations.
 
 The null scaling (``transversal_scaling``) is anchored, in every
 component that has support, at its smallest support vertex, the
@@ -23,10 +23,10 @@ cases cannot collide.  The rule gives the same ratio D[t] / D[s] read
 from either end of an edge, so the walk may start anywhere: it seeds
 each component's sweep root with the product of the inverse factors on
 the way up from the transversal vertex, which makes D = 1 at the
-transversal vertex.  Components without support keep D = 1.  The row
-scaling, ``rank.rank_normalization``, runs its own rule over the same
-preorder; row-space membership goes through it and the pattern's
-basis, not through ``null_basis``.
+transversal vertex.  Components without support keep D = 1.  The
+same D serves row spaces, in the reverse direction (``rank``): the row
+space is the orthogonal complement of the null space, so D^-1 carries
+row(M) onto row(A).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class DiagonalScaling:
             raise ValidationError("diagonal length %d != n=%d" % (len(self.diag), self.n))
         for v, x in enumerate(self.diag):
             if not x:
-                raise ValidationError("singular scaling: zero diagonal entry at vertex %d" % v)
+                raise ValidationError("singular scaling: zero diagonal entry at vertex %d", v)
 
     def apply(self, x: SparseVector) -> SparseVector:
         require_compatible(self, x, "scaling and vector")

@@ -17,8 +17,8 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
                         analyze, build_forest, null_basis, rank_basis,
-                        rank_normalization, sparsest_null_basis,
-                        transfer_null, transfer_rank)
+                        sparsest_null_basis, transfer_null, transfer_rank,
+                        transversal_scaling)
 from forestnull.bench import run_bench
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
@@ -201,8 +201,8 @@ def test_criterion_6_rank_structure(corpus, m_p3):
         basis = rank_basis(m)
         assert oracle.same_span(basis, rec["oracle"].row_basis)
         a = adjacency_matrix(m.pattern, m.field)
-        r = rank_normalization(m, rec["analysis"])
-        scaled = [r.apply(vec) for vec in rank_basis(a).vectors]
+        d = transversal_scaling(m, rec["analysis"])
+        scaled = [d.apply(vec) for vec in rank_basis(a).vectors]
         assert oracle.same_span(Basis(scaled), rec["oracle"].row_basis)
     # the structured basis spans the ROW space; for the standard
     # non-symmetric path fixture it must NOT span the column space
@@ -252,6 +252,10 @@ def test_criterion_9_determinism(tmp_path, m_p3, m_star):
     vec_file.write_text(matrixio.format_vector(
         matrixio.parse_vector('{"n": 3, "field": "rational", '
                               '"vector": {"1": "5", "3": "-3"}}')))
+    row_vec_file = tmp_path / "y.json"
+    row_vec_file.write_text(matrixio.format_vector(
+        matrixio.parse_vector('{"n": 3, "field": "rational", '
+                              '"vector": {"1": "3", "3": "5"}}')))
     commands = [
         ["support", str(p3_file)],
         ["support", str(star_file), "--json"],
@@ -263,6 +267,8 @@ def test_criterion_9_determinism(tmp_path, m_p3, m_star):
         ["oracle", "null-basis", str(star_file)],
         ["transfer", "--space", "null", "--from", str(p3_file),
          "--to", str(a_file), "--vector", str(vec_file)],
+        ["transfer", "--space", "rank", "--from", str(p3_file),
+         "--to", str(a_file), "--vector", str(row_vec_file)],
     ]
     for argv in commands:
         outputs = []

@@ -326,7 +326,7 @@ def test_cli_transfer(tmp_path, p3_file, m_p3, capsys):
     assert main(["transfer", "--space", "rank", "--from", str(a_path),
                  "--to", p3_file, "--vector", str(x_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["vector"] == {"1": "3", "3": "5"}
+    assert doc["vector"] == {"1": "1", "3": "5/3"}
 
 
 @pytest.mark.parametrize("space", ["null", "rank"])
@@ -531,7 +531,7 @@ def test_public_api():
         "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
         "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
         "build_forest", "in_row_space", "maximum_matching", "null_basis",
-        "parse_field_spec", "random_matrix", "rank_basis", "rank_normalization",
+        "parse_field_spec", "random_matrix", "rank_basis",
         "sparsest_null_basis", "support", "supported_neighborhood_vector",
         "transfer_null", "transfer_rank", "transversal_scaling",
     ]

@@ -3,53 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, SparseVector,
-                        ValidationError, adjacency_matrix, analyze, build_forest,
-                        in_row_space, null_basis, rank_basis, rank_normalization,
-                        supported_neighborhood_vector, transfer_rank)
-from forestnull.generate import random_matrix
+from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, DiagonalScaling,
+                        SparseVector, ValidationError, adjacency_matrix, analyze,
+                        in_row_space, null_basis, rank_basis,
+                        supported_neighborhood_vector, transfer_rank,
+                        transversal_scaling)
+from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import kernel, oracle
 from forestnull import rank as rank_module, scaling as scaling_module
-from conftest import sv
-from test_acceptance import Corpus, matrix_on
-from treegen import free_trees
+from conftest import F, sv
+from test_acceptance import matrix_on
 
 GF = PrimeField(10007)
-
-
-def vertex_normalization(m, v):
-    """Diagonal with, at each w in v's component, the entry of row v
-    toward w (the entry at v's first step on the path to w); 1 at v and
-    outside the component (test-only reference)."""
-    diag = [m.field.one] * m.n
-    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
-    seen = bytearray(m.n)
-    seen[v] = 1
-    for t, factor in m.row_items(v):
-        # Everything reached through neighbor t gets the (v, t) entry.
-        stack = [t]
-        seen[t] = 1
-        diag[t] = factor
-        while stack:
-            w = stack.pop()
-            for j in range(offsets[w], offsets[w + 1]):
-                u = neighbors[j]
-                if not seen[u]:
-                    seen[u] = 1
-                    diag[u] = factor
-                    stack.append(u)
-    return diag
-
-
-def product_rank_normalization(m, supp):
-    """The row scaling by its definition: the entrywise product of the
-    vertex normalizations over all non-support vertices, O(n^2)."""
-    mul = m.field.mul
-    diag = [m.field.one] * m.n
-    for v in range(m.n):
-        if v not in supp:
-            diag = [mul(a, b) for a, b in zip(diag, vertex_normalization(m, v))]
-    return diag
 
 
 def test_supported_neighborhood_vector(m_p3, m_star):
@@ -59,6 +24,19 @@ def test_supported_neighborhood_vector(m_p3, m_star):
         == sv(4, {1: 1, 2: 2, 3: 3})
     with pytest.raises(ValidationError, match="support"):
         supported_neighborhood_vector(m_p3, analysis, 0)
+
+
+def test_vertex_errors_renumber_from_one(m_p3):
+    # the library counts from 0; one_based() restates for the file formats
+    with pytest.raises(ValidationError) as exc:
+        supported_neighborhood_vector(m_p3, analyze(m_p3.pattern), 2)
+    assert str(exc.value) == "vertex 2 is a support vertex"
+    assert str(exc.value.one_based()) == "vertex 3 is a support vertex"
+    with pytest.raises(ValidationError) as exc:
+        DiagonalScaling(3, QQ, [F(1), F(0), F(1)])
+    assert str(exc.value) == "singular scaling: zero diagonal entry at vertex 1"
+    assert str(exc.value.one_based()) == \
+        "singular scaling: zero diagonal entry at vertex 2"
 
 
 def p4_matrix():
@@ -110,54 +88,24 @@ def test_core_vertices(m_p3, m_star):
     assert analyze(p4_matrix().pattern).support.core == frozenset()
 
 
-def test_vertex_normalization(m_p3, m_star):
-    assert vertex_normalization(m_p3, 1) == [3, 1, 5]
-    assert vertex_normalization(m_star, 0) == [1, 1, 2, 3]
-    a = adjacency_matrix(m_p3.pattern)
-    assert vertex_normalization(a, 1) == [1, 1, 1]
-
-
-def test_rank_normalization(m_p3):
-    r = rank_normalization(m_p3, analyze(m_p3.pattern))
-    assert r.diag == [3, 1, 5]
-    assert r.apply(sv(3, {0: 1, 2: 1})) == sv(3, {0: 3, 2: 5})
-    a = adjacency_matrix(m_p3.pattern)
-    assert rank_normalization(a, analyze(a.pattern)).diag == [1, 1, 1]
-
-
-def test_rank_normalization_is_product_of_vertex_normalizations():
-    # rerooting walk == literal product, on every tree up to 8 vertices
-    # over both fields and on the acceptance corpus
-    instances = []
-    for n in range(1, 9):
-        for idx, edges in enumerate(free_trees(n)):
-            f = build_forest(n, list(edges))
-            instances.append(matrix_on(f, 31 * n + idx, QQ))
-            instances.append(matrix_on(f, 77 * n + idx, GF))
-    instances += Corpus().instances
-    for m in instances:
-        analysis = analyze(m.pattern)
-        assert rank_normalization(m, analysis).diag == \
-            product_rank_normalization(m, analysis.support.supp)
-
-
-def test_rank_normalization_carries_pattern_row_space():
-    # scaled pattern row basis spans the matrix row space, vector by vector
+def test_transversal_scaling_carries_pattern_row_space():
+    # the null scaling D of m maps the pattern's row basis onto a basis
+    # of m's row space, vector by vector
     for trial in range(15):
         rng = random.Random(trial)
         n = rng.randint(2, 25)
         m = random_matrix(n, 400 + trial, QQ, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern)
         analysis = analyze(m.pattern)
-        r = rank_normalization(m, analysis)
-        scaled = [r.apply(vec) for vec in rank_basis(a).vectors]
+        d = transversal_scaling(m, analysis)
+        scaled = [d.apply(vec) for vec in rank_basis(a).vectors]
         assert oracle.same_span(Basis(scaled), oracle.dense_row_space(m))
         # per-vector: scaled pattern vectors are scalar multiples of the
         # matrix's own structured vectors
         non_supp = [v for v in range(n) if v not in analysis.support.supp]
         for v in non_supp:
             sv_m = supported_neighborhood_vector(m, analysis, v)
-            sv_a = r.apply(supported_neighborhood_vector(a, analysis, v))
+            sv_a = d.apply(supported_neighborhood_vector(a, analysis, v))
             if sv_m.is_zero():
                 assert sv_a.is_zero()
                 continue
@@ -174,8 +122,9 @@ def test_in_row_space(m_p3):
 
 def test_transfer_rank(m_p3):
     a = adjacency_matrix(m_p3.pattern)
-    assert transfer_rank(a, m_p3, sv(3, {0: 1, 2: 1})) == sv(3, {0: 3, 2: 5})
-    assert transfer_rank(m_p3, a, sv(3, {0: 3, 2: 5})) == sv(3, {0: 1, 2: 1})
+    # D of m_p3 is (1, 1/3, 5/3); D of a is 1
+    assert transfer_rank(a, m_p3, sv(3, {0: 1, 2: 1})) == sv(3, {0: 1, 2: F(5, 3)})
+    assert transfer_rank(m_p3, a, sv(3, {0: 3, 2: 5})) == sv(3, {0: 3, 2: 3})
     x = sv(3, {1: 7})
     assert transfer_rank(m_p3, m_p3, x) == x
 
@@ -222,13 +171,50 @@ class CountingField(PrimeField):
         return super().inv(a)
 
 
-def test_rank_normalization_is_linear():
+def row_basis_sum(m):
+    """The sum of the vectors of ``rank_basis(m)``, in one pass."""
+    add, zero = m.field.add, m.field.zero
+    entries = {}
+    for vec in rank_basis(m).vectors:
+        for v, a in vec.entries.items():
+            entries[v] = add(entries.get(v, zero), a)
+    return SparseVector(m.n, m.field, entries)
+
+
+def test_transfer_rank_is_linear():
     field = CountingField(1000003)
-    m = random_matrix(4096, 5, field)
-    analysis = analyze(m.pattern)
+    m = random_matrix(4096, 5, field, 4)
+    other = matrix_on(m.pattern, 6, field)
+    x = row_basis_sum(m)
+    assert x.nnz() > m.n // 2
     field.ops = 0
-    rank_normalization(m, analysis)
-    assert field.ops <= 6 * m.n
+    transfer_rank(m, other, x)
+    assert field.ops <= 10 * m.n
+
+
+def wide_rational_matrix(n, edges, rng):
+    """Entries over QQ on the given tree with numerators and denominators
+    uniform in [1, 10^6], far wider than the generator's [-9, 9]."""
+    triples = []
+    for u, v in edges:
+        triples.append((u, v, F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))))
+        triples.append((v, u, F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))))
+    return AcyclicMatrix.from_entries(n, triples, QQ)
+
+
+def test_transfer_rank_bits_grow_sublinearly_on_wide_rationals():
+    # an output entry carries the edge factors of one tree path, not a
+    # product over the whole component
+    largest = []
+    for n in (2 ** 11, 2 ** 13):
+        rng = random.Random(n)
+        edges = random_forest_edges(n, rng)
+        m = wide_rational_matrix(n, edges, rng)
+        other = wide_rational_matrix(n, edges, rng)
+        out = transfer_rank(m, other, row_basis_sum(m))
+        largest.append(max(q.numerator.bit_length() + q.denominator.bit_length()
+                           for q in out.entries.values()))
+    assert largest[1] < 2 * largest[0], largest
 
 
 def transfer_rank_through_null_basis(m, n_mat, x):
@@ -238,8 +224,8 @@ def transfer_rank_through_null_basis(m, n_mat, x):
     if any(x.dot(b) for b in null_basis(m).vectors):
         raise ValidationError("vector is not in the row space of the source matrix")
     analysis = analyze(m.pattern)
-    r_m = rank_normalization(m, analysis)
-    return rank_normalization(n_mat, analysis).apply(r_m.apply_inverse(x))
+    d_m = transversal_scaling(m, analysis)
+    return transversal_scaling(n_mat, analysis).apply(d_m.apply_inverse(x))
 
 
 def membership_cases():
@@ -302,3 +288,16 @@ def test_row_space_membership_agrees_with_the_oracle(monkeypatch):
             with pytest.raises(ValidationError, match="not in the row space"):
                 transfer_rank_through_null_basis(m, other, x)
     assert members > 100 and outsiders > 100
+
+
+def test_transfer_rank_keeps_support_and_round_trips():
+    # D_N D_m^-1 is diagonal and nonsingular, and its inverse is the
+    # transfer back
+    moved = 0
+    for m, other, x in membership_cases():
+        if in_row_space(m, x):
+            got = transfer_rank(m, other, x)
+            assert got.support() == x.support()
+            assert transfer_rank(other, m, got) == x
+            moved += 1
+    assert moved > 100
