@@ -1,8 +1,9 @@
 """Combinatorics on the pattern forest.
 
 Maximum matching, the support of the kernel (vertices that can carry a
-nonzero coordinate in a null vector), and the sparsest {-1, 0, +1} basis
-of the null space of the forest's adjacency matrix.
+nonzero coordinate in a null vector), and a sparsest null basis: one
+alternating walk per exposed vertex over a matrix's own values, which
+on the forest's adjacency matrix is the pattern's {-1, 0, +1} basis.
 
 ``analyze`` bundles the matching, the support and the support
 transversal of one pattern into an immutable ``Analysis``; everything
@@ -23,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, QQ
 from .forest import Forest
-from .matrix import Basis, SparseVector
+from .matrix import AcyclicMatrix, Basis, SparseVector
 
 
 @dataclass(eq=True)
@@ -124,36 +124,53 @@ def support(f: Forest, matching: MatchingInfo) -> SupportInfo:
     return SupportInfo(supp, frozenset(core))
 
 
-def sparsest_null_basis(analysis: Analysis, field: Field = QQ) -> Basis:
-    """Sparsest basis of the null space of the forest's adjacency matrix.
+def sparsest_null_basis(m: AcyclicMatrix, matching: MatchingInfo) -> Basis:
+    """Sparsest basis of the null space of m, from the matching that
+    ``maximum_matching`` finds on m's pattern: for each exposed vertex
+    u, ascending, one alternating walk over m's values from x_u = 1.
 
-    One vector per unmatched vertex u (ascending): coordinate +1 at u,
-    then walking non-matching edge / matching edge pairs outward flips
-    the sign at each step.  Entries stay in {-1, 0, +1}, the vectors are
-    an identity pattern on the unmatched vertices, and the total nonzero
-    count is minimum over all bases (verified exhaustively in tests).
+    From a vertex w of the vector the walk crosses each edge w - a
+    other than w's matching edge, then a's matching edge to
+    b = partner[a].  A tree has one path between two vertices, so a has
+    exactly two neighbors in the vector's support, w and b, and row a
+    of M x = 0 fixes x_b = -M[a, w] x_w / M[a, b]; support vertices lie
+    an even distance apart, so no other row of M x has a term.  Each
+    vector is 1 at its exposed vertex and 0 at the others, so the
+    n - 2 nu vectors are independent.  On the adjacency matrix the walk
+    gives the pattern's {-1, 0, +1} basis, with the same supports, whose
+    total nonzero count is minimum (verified exhaustively in tests).
+
+    M[a, b] is ``row_flat[parent_slot[b]]``: a is b's parent in the
+    sweep.  Were b a's parent, the leaf-first sweep would have matched
+    every child of a downward and left a free within its subtree, which
+    the walk enters from below, so u ... w - a would augment the sweep's
+    maximum matching of that subtree.
     """
-    f, matching = analysis.forest, analysis.matching
-    n = f.vertex_count
-    partner = matching.partner
+    f, field = m.pattern, m.field
+    mul, inv, neg = field.mul, field.inv, field.neg
     neighbors, offsets = f.neighbors, f.offsets
-    one = field.one
-    neg = field.neg
+    parent_slot = f.parent_slot
+    row_flat = m.row_flat  # slot j of vertex s: M[s, neighbors[j]]
+    col_flat = m.col_flat  # slot j of vertex s: M[neighbors[j], s]
+    partner = matching.partner
+    step = [None] * m.n  # -1 / M[a, partner[a]], once a walk reaches a
     vectors = []
     for u in matching.exposed:
-        coeff = {u: one}
+        coeff = {u: field.one}
         stack = [u]
         while stack:
             w = stack.pop()
-            cw = coeff[w]
+            xw = coeff[w]
             pw = partner[w]
             for j in range(offsets[w], offsets[w + 1]):
                 a = neighbors[j]
                 if a == pw:
                     continue
                 b = partner[a]
-                if b >= 0 and b not in coeff:
-                    coeff[b] = neg(cw)
-                    stack.append(b)
-        vectors.append(SparseVector._trusted(n, field, coeff))
+                r = step[a]
+                if r is None:
+                    r = step[a] = neg(inv(row_flat[parent_slot[b]]))
+                coeff[b] = mul(mul(col_flat[j], xw), r)
+                stack.append(b)
+        vectors.append(SparseVector._trusted(m.n, field, coeff))
     return Basis(vectors)

@@ -15,15 +15,15 @@ null(A) for the pattern's adjacency matrix A, so for y in row(m) and b
 in null(A), (D^-1 y) . b = y . (D^-1 b) = 0: D^-1 carries row(m) onto
 row(A), and D carries it back.  A vector x is therefore in the row
 space of m iff D^-1 x is orthogonal to the pattern's {-1, 0, +1} null
-basis (``_row_preimage``), so testing membership before a transfer
-takes no basis of m.
+basis, the null-basis walk run on A (``_row_preimage``), so testing
+membership before a transfer takes no basis of m.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .kernel import Analysis, analyze, sparsest_null_basis
-from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
+from .matrix import AcyclicMatrix, Basis, SparseVector, adjacency_matrix, require_compatible
 from .scaling import _transfer_analysis, transversal_scaling
 
 
@@ -78,5 +78,6 @@ def _row_preimage(m: AcyclicMatrix, analysis: Analysis, x: SparseVector):
     """D^-1 x for the transversal scaling D of m, or None when x is not
     in the row space of m."""
     y = transversal_scaling(m, analysis).apply_inverse(x)
-    null = sparsest_null_basis(analysis, m.field).vectors
+    a = adjacency_matrix(analysis.forest, m.field)
+    null = sparsest_null_basis(a, analysis.matching).vectors
     return None if any(y.dot(b) for b in null) else y

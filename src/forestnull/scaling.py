@@ -1,5 +1,5 @@
 """The diagonal scaling that carries the null space of a matrix onto
-that of its pattern's adjacency matrix, and back.
+that of its pattern's adjacency matrix, and back; and the null basis.
 
 The scaling walks the preorder the pattern forest stored when it was
 built, taking each vertex t's parent edge s -> t from ``parent`` and
@@ -27,6 +27,10 @@ transversal vertex.  Components without support keep D = 1.  The
 same D serves row spaces, in the reverse direction (``rank``): the row
 space is the orthogonal complement of the null space, so D^-1 carries
 row(M) onto row(A).
+
+``null_basis`` builds no scaling: each step of its walk is fixed by one
+row of M, and every vector is 1 at its exposed vertex instead of
+carrying D's edge product from the transversal vertex.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .fields import Field, require_same_field
-from .kernel import Analysis, analyze, sparsest_null_basis
+from .kernel import Analysis, analyze, maximum_matching, sparsest_null_basis
 from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
 
 
@@ -111,28 +115,11 @@ def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling
 
 
 def null_basis(m: AcyclicMatrix) -> Basis:
-    """Sparsest basis of the null space of m.
-
-    The pattern's {-1, 0, +1} basis is pulled back through the inverse
-    transversal scaling; a nonsingular diagonal never changes supports,
-    so sparsity carries over.  O(n + total nonzeros) field operations.
-    """
-    analysis = analyze(m.pattern)
-    pattern_basis = sparsest_null_basis(analysis, m.field)
-    scaling = transversal_scaling(m, analysis)
-    inv, mul = m.field.inv, m.field.mul
-    diag = scaling.diag
-    inv_cache = {}
-    vectors = []
-    for vec in pattern_basis.vectors:
-        out = {}
-        for v, x in vec.entries.items():
-            d = inv_cache.get(v)
-            if d is None:
-                d = inv_cache[v] = inv(diag[v])
-            out[v] = mul(d, x)
-        vectors.append(SparseVector._trusted(m.n, m.field, out))
-    return Basis(vectors)
+    """Sparsest basis of the null space of m: for each exposed vertex u of
+    ``maximum_matching``, ascending, the null vector that is 1 at u and 0
+    at every other exposed vertex (``kernel.sparsest_null_basis``).
+    O(n + total nonzeros) field operations."""
+    return sparsest_null_basis(m, maximum_matching(m.pattern))
 
 
 def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,

@@ -1,15 +1,17 @@
 """Slow, direct helpers on forests, matrices and vectors that only the
 test suite uses: paths between vertices, component lists, induced
-subforests, single entries, dense vectors, the null dimension and the
-restriction test of a null vector.  They read the public data of
-``Forest`` and ``AcyclicMatrix`` and favour plainness over speed.
+subforests, single entries, dense vectors, the null dimension, the
+pattern's {-1, 0, +1} null basis and the restriction test of a null
+vector.  They read the public data of ``Forest`` and ``AcyclicMatrix``
+and favour plainness over speed.
 ``test_forest_helpers.py`` checks the path, induced-subforest,
 null-dimension and restriction laws.
 """
 
 from bisect import bisect_left
 
-from forestnull import ValidationError, analyze, build_forest, maximum_matching
+from forestnull import (QQ, ValidationError, adjacency_matrix, analyze, build_forest,
+                        maximum_matching, null_basis)
 from forestnull.fields import require_same_field
 
 
@@ -90,6 +92,12 @@ def induced_subgraph(f, vertex_set) -> InducedForest:
 
 def null_dimension(f) -> int:
     return f.vertex_count - 2 * maximum_matching(f).nu
+
+
+def pattern_basis(f, field=QQ):
+    """The pattern's {-1, 0, +1} null basis: the null-basis walk on the
+    adjacency matrix."""
+    return null_basis(adjacency_matrix(f, field))
 
 
 def entry(m, u: int, v: int):

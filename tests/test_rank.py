@@ -219,8 +219,8 @@ def test_transfer_rank_bits_grow_sublinearly_on_wide_rationals():
 
 def transfer_rank_through_null_basis(m, n_mat, x):
     """``transfer_rank`` as it was when membership was decided by
-    dotting x with m's pulled-back null basis: the reference for the
-    rule that decides it on the pattern."""
+    dotting x with m's null basis: the reference for the rule that
+    decides it on the pattern."""
     if any(x.dot(b) for b in null_basis(m).vectors):
         raise ValidationError("vector is not in the row space of the source matrix")
     analysis = analyze(m.pattern)

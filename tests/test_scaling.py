@@ -2,15 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, SparseVector,
                         ValidationError, adjacency_matrix, analyze,
-                        build_forest, null_basis, sparsest_null_basis,
+                        build_forest, maximum_matching, null_basis,
                         transfer_null, transfer_rank, transversal_scaling)
 from forestnull.generate import random_matrix
 from forestnull import oracle
 from conftest import sv
-from forest_helpers import entries, neighbors_of, path, same_component
+from forest_helpers import entries, neighbors_of, path, pattern_basis, same_component
 from test_acceptance import Corpus, matrix_on
 from test_rank import CountingField
 from treegen import free_trees
@@ -261,21 +262,35 @@ def test_null_basis_m_p3(m_p3):
 
 def test_null_basis_m_star(m_star):
     basis = null_basis(m_star)
-    assert [v.entries for v in basis.vectors] == [
-        {1: -1, 2: Fraction(1, 2)},
-        {1: -1, 3: Fraction(1, 3)},
-    ]
+    assert [v.entries for v in basis.vectors] == [{2: 1, 1: -2}, {3: 1, 1: -3}]
     for vec in basis.vectors:
         assert m_star.apply(vec).is_zero()
 
 
+def assert_dual_to_exposed(m, basis):
+    """Vector k is 1 at exposed vertex u_k, 0 at every other exposed
+    vertex, and annihilated by m."""
+    exposed = maximum_matching(m.pattern).exposed
+    assert basis.dimension == len(exposed)
+    for u, vec in zip(exposed, basis.vectors):
+        assert vec.get(u) == m.field.one
+        assert not any(vec.get(e) for e in exposed if e != u)
+        assert m.apply(vec).is_zero()
+
+
 def test_null_basis_of_adjacency_is_pattern_basis():
+    # a basis of null(A) dual to the exposed vertices is unique, so the
+    # pattern's {-1, 0, +1} basis, which has that identity pattern, is
+    # exactly the walk's output once it passes these checks
     for n in range(1, 8):
         for edges in free_trees(n):
             f = build_forest(n, list(edges))
             a = adjacency_matrix(f)
-            assert [v.entries for v in null_basis(a).vectors] == \
-                [v.entries for v in sparsest_null_basis(analyze(f)).vectors]
+            basis = null_basis(a)
+            assert basis.dimension == n - oracle.dense_analysis(a).rank
+            assert_dual_to_exposed(a, basis)
+            for vec in basis.vectors:
+                assert set(vec.entries.values()) <= {1, -1}
 
 
 def test_null_basis_support_and_quality_preserved():
@@ -285,12 +300,81 @@ def test_null_basis_support_and_quality_preserved():
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 777 + trial, field, rng.randint(1, min(4, n)))
         fast = null_basis(m)
-        pattern_basis = sparsest_null_basis(analyze(m.pattern), field)
-        assert fast.total_nonzeros == pattern_basis.total_nonzeros
+        pattern = pattern_basis(m.pattern, field)
+        assert fast.total_nonzeros == pattern.total_nonzeros
         assert [v.support() for v in fast.vectors] == \
-            [v.support() for v in pattern_basis.vectors]
+            [v.support() for v in pattern.vectors]
         for vec in fast.vectors:
             assert m.apply(vec).is_zero()
+
+
+NULL_FIELDS = (QQ, PrimeField(7), PrimeField(1000003))
+
+
+def random_tree_edges(size, rng, first):
+    return [(first + rng.randrange(i), first + i) for i in range(1, size)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(NULL_FIELDS),
+       st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_null_basis_is_dual_to_the_exposed_vertices(field, components, rng):
+    # a component is a random tree, or, when flagged, that tree with a
+    # pendant leaf on every vertex: it has a perfect matching, so no
+    # exposed vertex and no vector
+    edges, perfect, n = [], set(), 0
+    for size, has_perfect_matching in components:
+        edges += random_tree_edges(size, rng, n)
+        if has_perfect_matching:
+            edges += [(n + i, n + size + i) for i in range(size)]
+            perfect.update(range(n, n + 2 * size))
+            size *= 2
+        n += size
+    labels = list(range(n))
+    rng.shuffle(labels)
+    f = build_forest(n, [(labels[u], labels[v]) for u, v in edges])
+    m = random_matrix_on(f, rng.randrange(2 ** 32), field)
+    basis = null_basis(m)
+    assert_dual_to_exposed(m, basis)
+    assert not set(maximum_matching(f).exposed) & {labels[v] for v in perfect}
+    assert [v.support() for v in basis.vectors] == \
+        [v.support() for v in pattern_basis(f, field).vectors]
+
+
+def test_null_basis_is_a_multiple_of_the_pulled_back_pattern_basis():
+    # differential check against the route the walk replaced: D^-1 b for
+    # the transversal scaling D and the pattern vector b
+    for trial in range(60):
+        rng = random.Random(trial)
+        n = rng.randint(1, 80)
+        field = NULL_FIELDS[trial % 3]
+        m = random_matrix(n, 4242 + trial, field, rng.randint(1, min(4, n)))
+        d = transversal_scaling(m, analyze(m.pattern))
+        pattern = pattern_basis(m.pattern, field)
+        for x, b in zip(null_basis(m).vectors, pattern.vectors, strict=True):
+            y = d.apply_inverse(b)
+            assert x.support() == y.support()
+            v = next(iter(y.entries))
+            c = field.mul(x.get(v), field.inv(y.get(v)))
+            assert c and x == y.scale(c)
+
+
+def test_null_basis_entries_take_linear_bits():
+    # every entry of a vector fits in 2 * nnz * b bits, numerator and
+    # denominator alike, with b the largest input size; anchoring at a
+    # transversal vertex instead carries the edge product of the path
+    # from it into every entry
+    for seed in range(6):
+        for components in (1, 3):
+            m = random_matrix(2 ** 11, seed, QQ, components)
+            b = max(max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+                    for x in m.row_flat)
+            for vec in null_basis(m).vectors:
+                bound = 2 * vec.nnz() * b
+                for x in vec.entries.values():
+                    assert abs(x.numerator).bit_length() <= bound
+                    assert x.denominator.bit_length() <= bound
 
 
 def test_null_space_transfer_both_directions():
