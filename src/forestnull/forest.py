@@ -7,16 +7,19 @@ in that order, which makes all downstream output reproducible byte for
 byte.  ``adjacency`` and ``edges`` are built from the arrays on access.
 
 ``build_forest`` and ``AcyclicMatrix.from_entries`` read the arrays off
-row-major sorted positions (``_row_major_csr``) and index them with one
-component sweep (``_indexed_forest``): components are started at their
-smallest vertex, in ascending order, and a stack walk pushes a vertex's
-unvisited neighbors ascending and pops the largest first.  The forest
-keeps the sweep's preorder (``order``), every vertex's ``parent`` (-1
-at a root) and ``parent_slot``, the slot j of the vertex in its
-parent's row.  Reversed, ``order`` is a post-order with children taken
-ascending; the kernel's matching runs over it instead of walking the
-tree again.  A ``Forest`` is never mutated after it is built; concurrent
-reads are safe.
+row-major sorted positions (``_row_major_csr``), the Matrix Market
+reader straight off a row-major file, and all of them index the arrays
+with one component sweep (``_indexed_forest``): components are started
+at their smallest vertex, in ascending order, and a stack walk pushes a
+vertex's unvisited neighbors ascending and pops the largest first.  The
+forest keeps the sweep's preorder (``order``), every vertex's
+``parent`` (-1 at a root) and ``parent_slot``, the slot j of the vertex
+in its parent's row.  Reversed, ``order`` is a post-order with children
+taken ascending; the kernel's matching runs over it instead of walking
+the tree again.  The sweep is also the symmetry and acyclicity check:
+it pairs each edge's two slots (twins), which it can do for every edge
+only when the layout is a symmetric forest.  A ``Forest`` is never
+mutated after it is built; concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
     except TypeError:
         _refuse_non_integer_ids(positions + [(u, v)])
         raise
-    return _indexed_forest(vertex_count, neighbors, offsets)
+    return _indexed_forest(vertex_count, neighbors, offsets)[0]
 
 
 def _refuse_non_integer_ids(pairs):
@@ -119,19 +122,26 @@ def _row_major_csr(vertex_count, items, duplicate):
     return array("i", [t[1] for t in items]), array("i", accumulate(degree))
 
 
-def _indexed_forest(vertex_count, neighbors, offsets) -> Forest:
-    """The ``Forest`` over a symmetric CSR layout.
+def _indexed_forest(vertex_count, neighbors, offsets):
+    """The ``Forest`` over a CSR layout, and the twin of every slot: the
+    slot of the same edge in the other endpoint's row.
 
     One component sweep labels the components and records the walk:
     each component starts at its smallest vertex, and a vertex's
     unvisited neighbors are pushed ascending, so the largest is visited
-    first.  In a forest the only visited neighbor of a popped vertex is
-    its parent; meeting any other one means a cycle, which is then named
-    by a second, slower pass.  The per-vertex results are C int arrays.
+    first.  Each slot of a popped vertex either pushes an unvisited
+    neighbor or points back at the vertex's parent; that back slot and
+    the parent's slot, ``parent_slot``, are twins.  The sweep thus proves
+    the layout a symmetric forest on the way: it meets no other visited
+    neighbor, and the n - components pushes leave the same number of
+    back slots, so every tree slot has its twin.  When it fails,
+    ``_refuse_pattern`` names why.  The per-vertex results and the twins
+    are C int arrays.
     """
     component_id = array("i", [-1]) * vertex_count
     parent = array("i", [-1]) * vertex_count
     parent_slot = array("i", [-1]) * vertex_count
+    twin = array("i", [-1]) * len(neighbors)
     order = array("i")
     visit = order.append
     count = 0
@@ -148,18 +158,44 @@ def _indexed_forest(vertex_count, neighbors, offsets) -> Forest:
             p = parent[x]
             for j in range(offsets[x], offsets[x + 1]):
                 y = neighbors[j]
-                if y != p:
-                    if component_id[y] >= 0:
-                        edges = _edges(vertex_count, neighbors, offsets)
-                        raise ValidationError("cycle detected at edge (%d, %d)",
-                                              *_find_cycle_edge(vertex_count, edges))
+                if y == p:
+                    k = parent_slot[x]
+                    twin[j] = k
+                    twin[k] = j
+                elif component_id[y] < 0:
                     component_id[y] = count
                     parent[y] = x
                     parent_slot[y] = j
                     push(y)
+                else:
+                    _refuse_pattern(vertex_count, neighbors, offsets)
         count += 1
+    if len(neighbors) != 2 * (vertex_count - count):
+        _refuse_pattern(vertex_count, neighbors, offsets)
     return Forest(vertex_count, neighbors, offsets, component_id, count, order,
-                  parent, parent_slot)
+                  parent, parent_slot), twin
+
+
+def _refuse_pattern(vertex_count, neighbors, offsets):
+    """Name why a CSR layout is not a symmetric forest.  A cycle is
+    reported before asymmetry: the first edge closing one among the
+    u < v positions, when those are half of all positions.  Otherwise
+    the first position, in canonical order, whose mirror is missing."""
+    edges = _edges(vertex_count, neighbors, offsets)
+    if 2 * len(edges) == len(neighbors):
+        cycle = _find_cycle_edge(vertex_count, edges)
+        if cycle is not None:
+            raise ValidationError("cycle detected at edge (%d, %d)", *cycle)
+    lower = set(edges)
+    upper = {(v, u) for u in range(vertex_count)
+             for v in neighbors[offsets[u]:offsets[u + 1]] if v < u}
+    only_lower = lower - upper
+    if only_lower:
+        a, b = min(only_lower)
+    else:
+        b, a = min(upper - lower)
+    raise ValidationError("asymmetric pattern: entry (%d, %d) present but (%d, %d) missing",
+                          a, b, b, a)
 
 
 def _edges(vertex_count, neighbors, offsets) -> list:

@@ -12,21 +12,21 @@ both arrays with the matrix it swaps them from.
 ``from_entries`` sorts the triples once.  In row-major order they are
 the CSR layout itself: ``_row_major_csr``, shared with ``build_forest``,
 takes the neighbor array from the columns and the offsets from the row
-counts, and the values are ``row_flat``.  One pass of a cursor per row
-places the column-side values and checks symmetry on the way; the
-pattern forest is then indexed by the component sweep, also shared,
-without a second sort.
+counts, and the values are ``row_flat``.  The component sweep, also
+shared, indexes the pattern forest and pairs the two slots of every
+edge, which proves the pattern symmetric; ``col_flat`` is ``row_flat``
+read through those twin slots.  The Matrix Market reader builds the
+same arrays straight from a row-major file and ends in the same
+``_from_csr``.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field as dc_field
 
 from .errors import ValidationError
 from .fields import Field, QQ, require_same_field
-from .forest import (Forest, _find_cycle_edge, _indexed_forest, _refuse_non_integer_ids,
-                     _row_major_csr)
+from .forest import Forest, _indexed_forest, _refuse_non_integer_ids, _row_major_csr
 
 #: Largest vertex count: the CSR arrays hold vertex ids as C ints.
 MAX_VERTICES = 2 ** 31 - 1
@@ -172,16 +172,16 @@ class AcyclicMatrix:
         except TypeError:
             _refuse_non_integer_ids(items + [(u, v)])
             raise
-        col_flat = _column_side(items, neighbors, offsets)
-        if col_flat is None:
-            lower = [(u, v) for u, v, _ in items if u < v]
-            if 2 * len(lower) == len(items):  # a cycle is reported before asymmetry
-                cycle = _find_cycle_edge(n, lower)
-                if cycle is not None:
-                    raise ValidationError("cycle detected at edge (%d, %d)", *cycle)
-            _raise_asymmetric(items, lower)
-        pattern = _indexed_forest(n, neighbors, offsets)
-        return cls(n, field, pattern, [x for _, _, x in items], col_flat)
+        return cls._from_csr(n, field, neighbors, offsets, [x for _, _, x in items])
+
+    @classmethod
+    def _from_csr(cls, n: int, field: Field, neighbors, offsets,
+                  row_flat: list) -> "AcyclicMatrix":
+        """The matrix whose row-major CSR arrays hold entries already
+        checked one by one; the component sweep refuses an asymmetric or
+        cyclic pattern."""
+        pattern, twin = _indexed_forest(n, neighbors, offsets)
+        return cls(n, field, pattern, row_flat, list(map(row_flat.__getitem__, twin)))
 
     def nnz(self) -> int:
         return len(self.row_flat)
@@ -225,43 +225,6 @@ class AcyclicMatrix:
 
     def __repr__(self):
         return "AcyclicMatrix(n=%d, nnz=%d, field=%s)" % (self.n, self.nnz(), self.field.name)
-
-
-def _column_side(items, neighbors, offsets):
-    """The column-side values of row-major sorted entries, aligned with
-    their slots, or None when the pattern is not symmetric.
-
-    Entry (u, v) belongs in the slot of u in v's row.  Rows come in
-    ascending order, so one cursor per row v meets v's neighbors in turn.
-    The pattern is symmetric iff every cursor finds u where it points
-    and ends exactly at the end of its row (so none ever left it).
-    """
-    col_flat = [None] * len(items)
-    cursor = array("i", offsets)
-    try:
-        for u, v, x in items:
-            k = cursor[v]
-            if neighbors[k] != u:
-                return None
-            col_flat[k] = x
-            cursor[v] = k + 1
-    except IndexError:  # a cursor ran past the last row
-        return None
-    if cursor[:-1] != offsets[1:]:
-        return None
-    return col_flat
-
-
-def _raise_asymmetric(items, lower):
-    lo = set(lower)
-    hi = {(v, u) for u, v, _ in items if u > v}
-    only_lo = lo - hi
-    if only_lo:
-        a, b = min(only_lo)
-    else:
-        b, a = min(hi - lo)
-    raise ValidationError("asymmetric pattern: entry (%d, %d) present but (%d, %d) missing",
-                          a, b, b, a)
 
 
 def adjacency_matrix(f: Forest, field: Field = QQ) -> AcyclicMatrix:

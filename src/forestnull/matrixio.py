@@ -9,7 +9,10 @@ Two interchangeable formats:
   A basis file is an n x dimension matrix, one column per vector, and
   follows the same rules for the banner, the field comment and the size
   line: matrices and bases share ``_coordinate_header`` and
-  ``_coordinate_entries``.
+  ``_coordinate_entries``.  A matrix whose entries come in row-major
+  order is read in one pass straight into its CSR arrays; any other
+  order is sorted first, and both give the same matrix and the same
+  errors.
 * JSON: ``{"n": ..., "field": ..., "entries": [[u, v, "value"], ...]}``
   for matrices; basis and vector files carry sparse ``{vertex: value}``
   maps so the sparsity of the output stays visible.
@@ -34,6 +37,8 @@ from __future__ import annotations
 import functools
 import io
 import json
+from array import array
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import oracle
@@ -170,10 +175,9 @@ def _coordinate_header(banner: str, lines):
     raise ParseError("missing size line")
 
 
-def _coordinate_entries(lines, idx: int, field: Field) -> list:
-    """The 0-based (row, col, value) triples of the lines after the size
-    line, which is line ``idx``."""
-    parse = field.reader()
+def _coordinate_entries(lines, idx: int, parse) -> list:
+    """The 0-based (row, col, value) triples of the lines after line
+    ``idx``, their values read by ``parse``."""
     triples = []
     append = triples.append
     for idx, raw in enumerate(lines, start=idx + 1):
@@ -193,17 +197,87 @@ def _coordinate_entries(lines, idx: int, field: Field) -> list:
 
 
 def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
+    """Entries in row-major order, as ``format_matrix`` writes them, go
+    straight into the CSR arrays: each position u n + v must exceed the
+    one before, so the columns are the neighbor array and each row only
+    records its first slot.  Blank and comment lines are skipped, and a
+    line that is no entry at all is refused, as in ``_coordinate_entries``.
+    At the first entry out of that order, out of range, on the diagonal,
+    zero or unreadable, the entries read so far join the triples that
+    ``_coordinate_entries`` reads from that line on, and ``from_entries``
+    sorts them and raises every error as for a file in any other order.
+    Nothing is allocated per vertex until the last line has been read."""
     field, n, cols, nnz, idx = _coordinate_header(banner, lines)
     if n != cols:
         raise ParseError("matrix must be square, got %d x %d" % (n, cols), line=idx)
     if n > MAX_VERTICES:
         raise ParseError("matrix size %d exceeds the limit of %d vertices"
                          % (n, MAX_VERTICES), line=idx)
-    triples = _coordinate_entries(lines, idx, field)
-    if len(triples) != nnz:
-        raise ParseError("size line announced %d entries, found %d"
-                         % (nnz, len(triples)))
+    parse = field.reader()
+    neighbors, row_flat = [], []
+    column, value = neighbors.append, row_flat.append
+    heads, starts = [], []  # the rows with entries, ascending, and their first slots
+    head = prev = -1
+    square = n * n
+    for idx, raw in enumerate(lines, start=idx + 1):
+        try:
+            a, b, c = raw.split()
+            u = int(a) - 1
+            v = int(b) - 1
+        except ValueError:
+            _check_non_entry_line(raw, idx)
+            continue
+        pos = u * n + v
+        x = None
+        if prev < pos < square and 0 <= v < n and u != v:
+            try:
+                x = parse(c)
+            except Exception:  # _coordinate_entries reports it
+                pass
+        if not x:
+            ends = starts[1:] + [len(neighbors)]
+            triples = [(r, neighbors[j], row_flat[j])
+                       for r, lo, hi in zip(heads, starts, ends) for j in range(lo, hi)]
+            triples += _coordinate_entries(chain([raw], lines), idx - 1, parse)
+            return _sorted_matrix(n, nnz, field, triples)
+        if u != head:
+            heads.append(u)
+            starts.append(len(neighbors))
+            head = u
+        column(v)
+        value(x)
+        prev = pos
+    if n < 0:  # no entry fits a negative n
+        return _sorted_matrix(n, nnz, field, [])
+    _check_entry_count(nnz, len(neighbors))
+    return AcyclicMatrix._from_csr(n, field, array("i", neighbors),
+                                   _row_offsets(n, heads, starts, len(neighbors)), row_flat)
+
+
+def _sorted_matrix(n: int, nnz: int, field: Field, triples: list) -> AcyclicMatrix:
+    """The matrix of the triples of a whole file, in any order: its
+    count is checked, then ``from_entries`` sorts and validates them."""
+    _check_entry_count(nnz, len(triples))
     return AcyclicMatrix.from_entries(n, triples, field)
+
+
+def _row_offsets(n: int, heads: list, starts: list, nnz: int) -> array:
+    """CSR offsets of n rows, from the rows that hold entries, ascending,
+    and their first slots."""
+    if len(heads) == n:  # then heads is 0, 1, ..., n - 1
+        offsets = array("i", starts)
+        offsets.append(nnz)
+        return offsets
+    offsets = array("i")
+    for u, s in zip(heads, starts):
+        offsets.extend(repeat(s, u + 1 - len(offsets)))
+    offsets.extend(repeat(nnz, n + 1 - len(offsets)))
+    return offsets
+
+
+def _check_entry_count(announced: int, found: int):
+    if found != announced:
+        raise ParseError("size line announced %d entries, found %d" % (announced, found))
 
 
 def _check_non_entry_line(raw: str, idx: int):
@@ -326,7 +400,7 @@ def parse_basis(text: str) -> Basis:
     _parse_count(n, "row count")
     _parse_count(nnz, "entry count")
     _check_basis_size(dim, n)
-    triples = _coordinate_entries(lines, idx, field)
+    triples = _coordinate_entries(lines, idx, field.reader())
     columns = {}
     for v, j, x in triples:
         if not 0 <= j < dim:
@@ -335,8 +409,7 @@ def parse_basis(text: str) -> Basis:
         if v in column:
             raise ParseError("duplicate entry at (%d, %d)" % (v + 1, j + 1))
         column[v] = x
-    if len(triples) != nnz:
-        raise ParseError("size line announced %d entries, found %d" % (nnz, len(triples)))
+    _check_entry_count(nnz, len(triples))
     if len(columns) < dim:
         empty = next(j for j in range(dim) if j not in columns)
         raise ParseError("basis vector %d has no entries" % (empty + 1))

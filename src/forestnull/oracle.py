@@ -234,10 +234,11 @@ def min_support_total(m: AcyclicMatrix) -> int:
     return total
 
 
-def _dp_matching_number(adjacency: list, skip: int = -1) -> int:
-    """Matching number of the forest with these per-vertex neighbor
-    lists, by subtree DP (independent of the greedy code)."""
-    n = len(adjacency)
+def _dp_matching_number(f: Forest, skip: int = -1) -> int:
+    """Matching number of the forest f, with vertex ``skip`` deleted when
+    it is given, by subtree DP over f's CSR arrays: its own DFS, not the
+    stored sweep, and independent of the greedy code."""
+    n, neighbors, offsets = f.vertex_count, f.neighbors, f.offsets
     state = [0] * n  # 0 new, 1 opened, 2 done
     if skip >= 0:
         state[skip] = 2
@@ -252,7 +253,7 @@ def _dp_matching_number(adjacency: list, skip: int = -1) -> int:
             v, parent = stack[-1]
             if state[v] == 0:
                 state[v] = 1
-                for c in adjacency[v]:
+                for c in neighbors[offsets[v]:offsets[v + 1]]:
                     if c != parent and state[c] == 0:
                         stack.append((c, v))
             else:
@@ -260,8 +261,8 @@ def _dp_matching_number(adjacency: list, skip: int = -1) -> int:
                 state[v] = 2
                 base = 0
                 gain = 0
-                for c in adjacency[v]:
-                    if c == parent or (skip >= 0 and c == skip):
+                for c in neighbors[offsets[v]:offsets[v + 1]]:
+                    if c == parent or c == skip:
                         continue
                     base += best[c]
                     g = 1 + unmatched[c] - best[c]
@@ -275,10 +276,8 @@ def _dp_matching_number(adjacency: list, skip: int = -1) -> int:
 
 def support_by_matching(f: Forest) -> frozenset:
     """{v : deleting v does not drop the matching number}."""
-    adjacency = f.adjacency
-    nu = _dp_matching_number(adjacency)
-    return frozenset(v for v in range(f.vertex_count)
-                     if _dp_matching_number(adjacency, skip=v) == nu)
+    nu = _dp_matching_number(f)
+    return frozenset(v for v in range(f.vertex_count) if _dp_matching_number(f, skip=v) == nu)
 
 
 def support_by_mis(f: Forest) -> frozenset:

@@ -592,9 +592,10 @@ def test_cli_check_at_and_above_the_oracle_cap(tmp_path, capsys, monkeypatch, co
         assert err.startswith("check: ok") and verdict in err
 
 
+@pytest.mark.parametrize("spoiled", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("bound", [None, 8])
 def test_cli_null_basis_check_refuses_a_vector_not_annihilated(tmp_path, capsys, monkeypatch,
-                                                              bound):
+                                                              bound, spoiled):
     # above the bound, M x = 0 is the only check null-basis runs
     from forestnull import Basis, cli
 
@@ -607,11 +608,12 @@ def test_cli_null_basis_check_refuses_a_vector_not_annihilated(tmp_path, capsys,
     offsets = m.pattern.offsets
     w = next(v for v in range(m.n) if offsets[v] < offsets[v + 1])  # w has a neighbor
 
-    def spoiled(m):
+    def spoil(m):
         vectors = null_basis(m).vectors
-        return Basis([vectors[0].add(sv(m.n, {w: 1}))] + vectors[1:])
+        vectors[spoiled] = vectors[spoiled].add(sv(m.n, {w: 1}))
+        return Basis(vectors)
 
-    monkeypatch.setattr(cli, "null_basis", spoiled)
+    monkeypatch.setattr(cli, "null_basis", spoil)
     assert main(["null-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
     assert capsys.readouterr().err == "error: check failed: output vector is not annihilated\n"
 

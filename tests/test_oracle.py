@@ -96,7 +96,7 @@ def test_dp_matching_agrees_with_fast_path():
         rng = random.Random(trial)
         n = rng.randint(1, 50)
         f = build_forest(n, random_forest_edges(n, rng, rng.randint(1, min(4, n))))
-        assert oracle._dp_matching_number(f.adjacency) == maximum_matching(f).nu
+        assert oracle._dp_matching_number(f) == maximum_matching(f).nu
 
 
 def test_dimension_laws_small_trees():
