@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: validate, support, null-basis, rank-basis, transfer, gen,
-bench, oracle.  Exit codes: 0 success, 1 validation/computation failure,
-2 usage error.  All output except bench timings is deterministic byte
-for byte for fixed inputs and flags.
+oracle.  Exit codes: 0 success, 1 validation/computation failure,
+2 usage error.  All output is deterministic byte for byte for fixed
+inputs and flags.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import random
 import sys
 
-from . import bench as bench_mod
 from . import matrixio, oracle
 from .errors import ForestNullError, ValidationError
 from .fields import parse_field_spec
@@ -61,12 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=1)
     p.add_argument("--out")
     p.add_argument("--format", choices=("mm", "json"), default="mm")
-
-    p = sub.add_parser("bench", help="time the null-basis pipeline, emit CSV")
-    p.add_argument("--sizes", default="2^15,2^16,2^17,2^18")
-    p.add_argument("--field", default="gf:1000003")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("oracle", help="brute-force cross checks")
     p.add_argument("operation", choices=("null-basis", "rank", "min-support"))
@@ -193,14 +186,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = bench_mod.parse_sizes(args.sizes)
-    field = parse_field_spec(args.field)
-    rows = bench_mod.run_bench(sizes, field, args.repeat, args.seed)
-    sys.stdout.write(bench_mod.format_csv(rows))
-    return 0
-
-
 def _cmd_oracle(args) -> int:
     m = matrixio.read_matrix(args.file)
     if args.operation == "null-basis":
@@ -222,7 +207,6 @@ _HANDLERS = {
     "rank-basis": _cmd_basis,
     "transfer": _cmd_transfer,
     "gen": _cmd_gen,
-    "bench": _cmd_bench,
     "oracle": _cmd_oracle,
 }
 

@@ -43,9 +43,9 @@ class SupportInfo:
 
 @dataclass(frozen=True)
 class Analysis:
-    """The pattern-only structure every fast path needs, built once."""
+    """The pattern-only structure every fast path needs, built once from
+    a forest that the caller keeps: nothing here refers back to it."""
 
-    forest: Forest
     matching: MatchingInfo
     support: SupportInfo
     transversal: tuple  # smallest support vertex per component, ascending
@@ -58,7 +58,7 @@ def analyze(f: Forest) -> Analysis:
     first = {}
     for v in sorted(info.supp):
         first.setdefault(f.component_id[v], v)
-    return Analysis(f, matching, info, tuple(first.values()))
+    return Analysis(matching, info, tuple(first.values()))
 
 
 def maximum_matching(f: Forest) -> MatchingInfo:

@@ -120,11 +120,9 @@ class Basis:
 
     vectors: list
     dimension: int = dc_field(init=False)
-    total_nonzeros: int = dc_field(init=False)
 
     def __post_init__(self):
         self.dimension = len(self.vectors)
-        self.total_nonzeros = sum(vec.nnz() for vec in self.vectors)
 
 
 class AcyclicMatrix:

