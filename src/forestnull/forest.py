@@ -4,31 +4,31 @@ Vertices are 0-based ints.  A forest is stored only as CSR arrays: the
 neighbors of all vertices in one flat array with per-vertex offsets,
 each row sorted ascending.  Every traversal in the package walks them
 in that order, which makes all downstream output reproducible byte for
-byte.  ``adjacency`` and ``edges`` are built from the arrays on access.
+byte.  ``edges`` is built from the arrays on access.
 
-``build_forest`` and ``AcyclicMatrix.from_entries`` read the arrays off
-row-major sorted positions (``_row_major_csr``), the Matrix Market
-reader straight off a row-major file, and all of them index the arrays
-with one component sweep (``_indexed_forest``): components are started
-at their smallest vertex, in ascending order, and a stack walk pushes a
-vertex's unvisited neighbors ascending and pops the largest first.  The
-forest keeps the sweep's preorder (``order``), every vertex's
-``parent`` (-1 at a root) and ``parent_slot``, the slot j of the vertex
-in its parent's row.  Reversed, ``order`` is a post-order with children
-taken ascending; the kernel's matching runs over it instead of walking
-the tree again.  The sweep is also the symmetry and acyclicity check:
-it pairs each edge's two slots (twins), which it can do for every edge
-only when the layout is a symmetric forest.  A ``Forest`` is never
-mutated after it is built; concurrent reads are safe.
+``build_forest`` is the pattern of ``AcyclicMatrix.from_entries`` on
+unit entries, so edge lists and matrices share one set of checks and
+texts, and ``matrix._row_offsets`` builds their offsets.  Every forest
+is indexed by one component sweep (``_indexed_forest``): components
+are started at their smallest vertex, in ascending order, and a stack
+walk pushes a vertex's unvisited neighbors ascending and pops the
+largest first.  The forest keeps the sweep's preorder (``order``),
+every vertex's ``parent`` (-1 at a root) and ``parent_slot``, the slot
+j of the vertex in its parent's row.  Reversed, ``order`` is a
+post-order with children taken ascending; the kernel's matching runs
+over it instead of walking the tree again.  The sweep is also the
+symmetry and acyclicity check: it pairs each edge's two slots (twins),
+which it can do for every edge only when the layout is a symmetric
+forest.  A ``Forest`` is never mutated after it is built; concurrent
+reads are safe.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
-from operator import index
 
 from .errors import ValidationError
+from .fields import QQ
 
 
 class Forest:
@@ -47,12 +47,6 @@ class Forest:
         self.parent_slot = parent_slot  # slot of v in parent[v]'s row, -1 at roots
 
     @property
-    def adjacency(self) -> list:
-        """Per-vertex sorted neighbor lists, built afresh on each access."""
-        nbs, off = self.neighbors, self.offsets
-        return [list(nbs[off[v]:off[v + 1]]) for v in range(self.vertex_count)]
-
-    @property
     def edges(self) -> list:
         """Canonical (u, v) pairs, u < v, sorted, built afresh on each access."""
         return _edges(self.vertex_count, self.neighbors, self.offsets)
@@ -67,59 +61,13 @@ class Forest:
 
 
 def build_forest(vertex_count: int, edge_list) -> Forest:
-    """Validate and index an acyclic edge list.
-
-    Rejects non-integer and out-of-range vertices, loops, duplicate
-    edges and cycles (a cycle report names the closing edge).
-    """
-    if vertex_count < 0:
-        raise ValidationError("vertex count must be non-negative")
-    positions = []
-    u = v = 0
-    try:
-        for u, v in edge_list:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValidationError("edge (%r, %r) out of range for %d vertices"
-                                      % (u, v, vertex_count))
-            if u == v:
-                raise ValidationError("loop edge at vertex %d" % u)
-            positions += ((u, v), (v, u))
-        positions.sort()
-        # a repeated edge's first repeated position is (u, v) with u < v
-        neighbors, offsets = _row_major_csr(vertex_count, positions, "duplicate edge (%d, %d)")
-    except TypeError:
-        _refuse_non_integer_ids(positions + [(u, v)])
-        raise
-    return _indexed_forest(vertex_count, neighbors, offsets)[0]
-
-
-def _refuse_non_integer_ids(pairs):
-    """Name the first vertex id in the (row, column, ...) tuples pairs
-    that is not an integer.  Called only once a TypeError has surfaced,
-    so valid input pays for no per-entry type test; returns when every
-    id is an integer, and the caller re-raises."""
-    for pair in pairs:
-        for x in pair[:2]:
-            try:
-                index(x)
-            except TypeError:
-                raise ValidationError("vertex ids must be integers, got %r" % (x,)) from None
-
-
-def _row_major_csr(vertex_count, items, duplicate):
-    """Neighbors and offsets of (row, column, ...) tuples sorted
-    row-major, refusing a repeated position with ``duplicate``.  C int
-    arrays: compact, contiguous, and much kinder to the cache than int
-    objects scattered over the heap."""
-    degree = [0] * (vertex_count + 1)
-    prev_u = prev_v = -1
-    for t in items:
-        u, v = t[0], t[1]
-        if u == prev_u and v == prev_v:
-            raise ValidationError(duplicate, u, v)
-        prev_u, prev_v = u, v
-        degree[u + 1] += 1
-    return array("i", [t[1] for t in items]), array("i", accumulate(degree))
+    """Validate and index an acyclic edge list as the pattern of the
+    matrix with a 1 at both orientations of every edge, so
+    ``AcyclicMatrix.from_entries`` refuses what it refuses."""
+    from .matrix import AcyclicMatrix  # matrix.py imports this module
+    one = QQ.one
+    return AcyclicMatrix.from_entries(
+        vertex_count, [e for u, v in edge_list for e in ((u, v, one), (v, u, one))]).pattern
 
 
 def _indexed_forest(vertex_count, neighbors, offsets):

@@ -9,24 +9,27 @@ M[neighbors[j], v] in ``col_flat`` for the vertex v owning slot j.
 Instances are immutable after construction, so ``transpose`` shares
 both arrays with the matrix it swaps them from.
 
-``from_entries`` sorts the triples once.  In row-major order they are
-the CSR layout itself: ``_row_major_csr``, shared with ``build_forest``,
-takes the neighbor array from the columns and the offsets from the row
-counts, and the values are ``row_flat``.  The component sweep, also
-shared, indexes the pattern forest and pairs the two slots of every
-edge, which proves the pattern symmetric; ``col_flat`` is ``row_flat``
-read through those twin slots.  The Matrix Market reader builds the
-same arrays straight from a row-major file and ends in the same
-``_from_csr``.
+``from_entries`` alone decides what a valid entry is; ``build_forest``
+calls it with unit values.  It sorts the triples once: in row-major
+order the columns are the neighbor array and the values ``row_flat``,
+and the duplicate scan records each row's first slot, which
+``_row_offsets`` turns into the offsets, as it does for the Matrix
+Market reader's row-major files.  Both end in ``_from_csr``: the
+component sweep indexes the pattern forest and pairs the two slots of
+every edge, which proves the pattern symmetric; ``col_flat`` is
+``row_flat`` read through those twin slots.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
+from operator import index
 
 from .errors import ValidationError
 from .fields import Field, QQ, require_same_field
-from .forest import Forest, _indexed_forest, _refuse_non_integer_ids, _row_major_csr
+from .forest import Forest, _indexed_forest
 
 #: Largest vertex count: the CSR arrays hold vertex ids as C ints.
 MAX_VERTICES = 2 ** 31 - 1
@@ -166,11 +169,22 @@ class AcyclicMatrix:
                 raise ValidationError("vertex count %d exceeds the limit of %d"
                                       % (n, MAX_VERTICES))
             items.sort()
-            neighbors, offsets = _row_major_csr(n, items, "duplicate entry at (%d, %d)")
+            heads, starts = [], []  # the rows with entries, ascending, and their first slots
+            head = prev = -1
+            for j, (u, v, _) in enumerate(items):
+                if index(u) != head:  # row ids reach no int array that would refuse 1.0
+                    heads.append(u)
+                    starts.append(j)
+                    head = u
+                elif v == prev:
+                    raise ValidationError("duplicate entry at (%d, %d)", u, v)
+                prev = v
+            neighbors = array("i", [t[1] for t in items])
         except TypeError:
             _refuse_non_integer_ids(items + [(u, v)])
             raise
-        return cls._from_csr(n, field, neighbors, offsets, [x for _, _, x in items])
+        return cls._from_csr(n, field, neighbors, _row_offsets(n, heads, starts, len(items)),
+                             [x for _, _, x in items])
 
     @classmethod
     def _from_csr(cls, n: int, field: Field, neighbors, offsets,
@@ -223,6 +237,32 @@ class AcyclicMatrix:
 
     def __repr__(self):
         return "AcyclicMatrix(n=%d, nnz=%d, field=%s)" % (self.n, self.nnz(), self.field.name)
+
+
+def _refuse_non_integer_ids(pairs):
+    """Name the first vertex id in the (row, column, ...) tuples pairs
+    that is not an integer.  Called only once a TypeError has surfaced;
+    returns when every id is an integer, and the caller re-raises."""
+    for pair in pairs:
+        for x in pair[:2]:
+            try:
+                index(x)
+            except TypeError:
+                raise ValidationError("vertex ids must be integers, got %r" % (x,)) from None
+
+
+def _row_offsets(n: int, heads: list, starts: list, nnz: int) -> array:
+    """CSR offsets of n rows, from the rows that hold entries, ascending,
+    and their first slots."""
+    if len(heads) == n:  # then heads is 0, 1, ..., n - 1
+        offsets = array("i", starts)
+        offsets.append(nnz)
+        return offsets
+    offsets = array("i")
+    for u, s in zip(heads, starts):
+        offsets.extend(repeat(s, u + 1 - len(offsets)))
+    offsets.extend(repeat(nnz, n + 1 - len(offsets)))
+    return offsets
 
 
 def adjacency_matrix(f: Forest, field: Field = QQ) -> AcyclicMatrix:

@@ -10,9 +10,10 @@ Two interchangeable formats:
   follows the same rules for the banner, the field comment and the size
   line: matrices and bases share ``_coordinate_header`` and
   ``_coordinate_entries``.  A matrix whose entries come in row-major
-  order is read in one pass straight into its CSR arrays; any other
-  order is sorted first, and both give the same matrix and the same
-  errors.
+  order is read in one pass straight into its CSR arrays, with its
+  offsets from ``matrix._row_offsets`` as in ``from_entries``; any
+  other order is sorted first, and both give the same matrix and the
+  same errors.
 * JSON: ``{"n": ..., "field": ..., "entries": [[u, v, "value"], ...]}``
   for matrices; basis and vector files carry sparse ``{vertex: value}``
   maps so the sparsity of the output stays visible.
@@ -38,13 +39,13 @@ import functools
 import io
 import json
 from array import array
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import oracle
 from .errors import ParseError, ValidationError
 from .fields import Field, QQ, parse_field_spec
-from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector
+from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector, _row_offsets
 
 _BANNER_FIELDS = ("real", "integer", "rational")
 
@@ -200,13 +201,13 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
     """Entries in row-major order, as ``format_matrix`` writes them, go
     straight into the CSR arrays: each position u n + v must exceed the
     one before, so the columns are the neighbor array and each row only
-    records its first slot.  Blank and comment lines are skipped, and a
-    line that is no entry at all is refused, as in ``_coordinate_entries``.
-    At the first entry out of that order, out of range, on the diagonal,
-    zero or unreadable, the entries read so far join the triples that
-    ``_coordinate_entries`` reads from that line on, and ``from_entries``
-    sorts them and raises every error as for a file in any other order.
-    Nothing is allocated per vertex until the last line has been read."""
+    records its first slot, for ``_row_offsets``.  Blank and comment
+    lines are skipped; a line that is no entry at all is refused, as in
+    ``_coordinate_entries``.  At the first entry out of that order, out
+    of range, on the diagonal, zero or unreadable, the entries so far
+    join the triples ``_coordinate_entries`` reads from that line on, and
+    ``from_entries`` sorts them and raises every error as for any other
+    order.  Nothing is allocated per vertex until the last line is read."""
     field, n, cols, nnz, idx = _coordinate_header(banner, lines)
     if n != cols:
         raise ParseError("matrix must be square, got %d x %d" % (n, cols), line=idx)
@@ -259,20 +260,6 @@ def _sorted_matrix(n: int, nnz: int, field: Field, triples: list) -> AcyclicMatr
     count is checked, then ``from_entries`` sorts and validates them."""
     _check_entry_count(nnz, len(triples))
     return AcyclicMatrix.from_entries(n, triples, field)
-
-
-def _row_offsets(n: int, heads: list, starts: list, nnz: int) -> array:
-    """CSR offsets of n rows, from the rows that hold entries, ascending,
-    and their first slots."""
-    if len(heads) == n:  # then heads is 0, 1, ..., n - 1
-        offsets = array("i", starts)
-        offsets.append(nnz)
-        return offsets
-    offsets = array("i")
-    for u, s in zip(heads, starts):
-        offsets.extend(repeat(s, u + 1 - len(offsets)))
-    offsets.extend(repeat(nnz, n + 1 - len(offsets)))
-    return offsets
 
 
 def _check_entry_count(announced: int, found: int):

@@ -1,9 +1,9 @@
 """Slow, direct helpers on forests, matrices and vectors that only the
 test suite uses: paths between vertices, component lists, induced
 subforests, single entries, dense vectors, the null dimension, the
-pattern's {-1, 0, +1} null basis and the restriction test of a null
-vector.  They read the public data of ``Forest`` and ``AcyclicMatrix``
-and favour plainness over speed.
+pattern's {-1, 0, +1} null basis, the null scaling by its own tree walk
+and the restriction test of a null vector.  They read the public data
+of ``Forest`` and ``AcyclicMatrix`` and favour plainness over speed.
 ``test_forest_helpers.py`` checks the path, induced-subforest,
 null-dimension and restriction laws.
 """
@@ -98,6 +98,38 @@ def pattern_basis(f, field=QQ):
     """The pattern's {-1, 0, +1} null basis: the null-basis walk on the
     adjacency matrix."""
     return null_basis(adjacency_matrix(f, field))
+
+
+def tree_edges_scaling(m, supp) -> list:
+    """The null scaling's diagonal by a walk of its own, D = 1 at each
+    component's smallest vertex in supp, stack-driven with neighbors
+    pushed ascending: the walk the stored sweep replaced.  It reads
+    neither the sweep nor ``analyze``; components without support keep
+    D = 1."""
+    field = m.field
+    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
+    diag = [field.one] * m.n
+    seen = bytearray(m.n)
+    for r in sorted(supp):
+        if seen[r]:
+            continue
+        seen[r] = 1
+        stack = [r]
+        while stack:
+            s = stack.pop()
+            for j in range(offsets[s], offsets[s + 1]):
+                t = neighbors[j]
+                if seen[t]:
+                    continue
+                seen[t] = 1
+                if t in supp:
+                    diag[t] = field.mul(diag[s], m.row_flat[j])
+                elif s in supp:
+                    diag[t] = field.mul(diag[s], field.inv(m.col_flat[j]))
+                else:
+                    diag[t] = diag[s]
+                stack.append(t)
+    return diag
 
 
 def entry(m, u: int, v: int):

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
-from forestnull import ValidationError, build_forest
+from forestnull import AcyclicMatrix, QQ, ValidationError, build_forest
 from forestnull.generate import random_forest_edges
-from forest_helpers import connected_components, path
+from forest_helpers import connected_components, neighbors_of, path
 
 
 def test_build_p3(p3):
     assert p3.component_count == 1
     assert p3.edges == [(0, 1), (1, 2)]
-    assert p3.adjacency == [[1], [0, 2], [1]]
+    assert list(p3.neighbors) == [1, 0, 2, 1]
+    assert list(p3.offsets) == [0, 1, 3, 4]
 
 
 def test_two_components():
@@ -29,21 +30,27 @@ def test_cycle_rejected():
         build_forest(3, [(0, 1), (1, 2), (0, 2)])
 
 
-def test_loop_and_duplicate_rejected():
-    with pytest.raises(ValidationError, match="loop"):
-        build_forest(2, [(1, 1)])
-    with pytest.raises(ValidationError, match="duplicate"):
-        build_forest(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValidationError, match="range"):
-        build_forest(2, [(0, 5)])
-
-
-@pytest.mark.parametrize("edges, bad", [([(0, 1.5)], "1.5"), ([(0, 1), (1.0, 2)], "1.0"),
-                                        ([(0, "1")], "'1'")])
-def test_non_integer_vertex_ids_rejected(edges, bad):
-    with pytest.raises(ValidationError) as exc:
-        build_forest(3, edges)
-    assert str(exc.value) == "vertex ids must be integers, got " + bad
+@pytest.mark.parametrize("n, edges, message", [
+    (2, [(1, 1)], "nonzero diagonal entry at vertex 1"),
+    (2, [(0, 1), (0, 1)], "duplicate entry at (0, 1)"),
+    (2, [(0, 1), (1, 0)], "duplicate entry at (0, 1)"),
+    (2, [(0, 5)], "entry (0, 5) out of range for n=2"),
+    (3, [(0, 1), (1, 2), (0, 2)], "cycle detected at edge (1, 2)"),
+    (3, [(0, 1.5)], "vertex ids must be integers, got 1.5"),
+    (3, [(0, 1), (1.0, 2)], "vertex ids must be integers, got 1.0"),
+    (3, [(0, "1")], "vertex ids must be integers, got '1'"),
+    (-1, [(0, 1)], "entry (0, 1) out of range for n=-1"),
+    (-1, [], "vertex count must be non-negative"),
+    (2 ** 31, [], "vertex count 2147483648 exceeds the limit of 2147483647"),
+])
+def test_build_forest_refuses_as_from_entries(n, edges, message):
+    # an edge list is checked as the unit entries of both its orientations
+    with pytest.raises(ValidationError) as want:
+        AcyclicMatrix.from_entries(n, [e for u, v in edges
+                                       for e in ((u, v, QQ.one), (v, u, QQ.one))])
+    with pytest.raises(ValidationError) as got:
+        build_forest(n, edges)
+    assert str(got.value) == str(want.value) == message
 
 
 def test_random_forests_properties():
@@ -55,11 +62,11 @@ def test_random_forests_properties():
         f = build_forest(n, edges)
         assert len(f.edges) == n - f.component_count
         assert f.component_count == k
-        # adjacency symmetry and sortedness
+        # neighbor symmetry and sortedness
         for v in range(n):
-            assert f.adjacency[v] == sorted(f.adjacency[v])
-            for w in f.adjacency[v]:
-                assert v in f.adjacency[w]
+            assert neighbors_of(f, v) == sorted(neighbors_of(f, v))
+            for w in neighbors_of(f, v):
+                assert v in neighbors_of(f, w)
         # path reversal
         comp = connected_components(f)[rng.randrange(f.component_count)]
         v, w = rng.choice(comp), rng.choice(comp)

@@ -1,7 +1,7 @@
-"""Ingest: the single-pass ``from_entries`` against ``build_forest``, the
-stored sweep order against the former DFS matching, the streaming
-Matrix Market reader, and fuzz properties over mutated matrix, basis
-and vector texts."""
+"""Ingest: the CSR arrays of ``from_entries`` and ``build_forest``
+against the sorted positions, the stored sweep order against the former
+DFS matching, the streaming Matrix Market reader, and fuzz properties
+over mutated matrix, basis and vector texts."""
 
 import io
 import itertools
@@ -88,19 +88,38 @@ def labeled_trees(n):
         yield edges
 
 
-def test_from_entries_forest_equals_build_forest(corpus_matrices):
+def sorted_positions_csr(n, positions):
+    """Neighbors and offsets of the (u, v) positions, sorted, with the
+    offsets counted per row: the CSR layout built apart from the package."""
+    positions = sorted(positions)
+    counts = [0] * n
+    for u, _ in positions:
+        counts[u] += 1
+    offsets = [0]
+    for c in counts:
+        offsets.append(offsets[-1] + c)
+    return [v for _, v in positions], offsets
+
+
+def assert_csr_of(f, positions):
+    neighbors, offsets = sorted_positions_csr(f.vertex_count, positions)
+    assert list(f.neighbors) == neighbors
+    assert list(f.offsets) == offsets
+
+
+def test_from_entries_csr_equals_the_sorted_positions(corpus_matrices):
+    rng = random.Random(1)
     for m in corpus_matrices:
-        again = AcyclicMatrix.from_entries(m.n, triples_of(m), m.field)
-        ref = build_forest(m.n, m.pattern.edges)
+        triples = triples_of(m)
+        rng.shuffle(triples)
+        again = AcyclicMatrix.from_entries(m.n, triples, m.field)
         got = again.pattern
-        assert got.edges == ref.edges
-        for name in ("neighbors", "offsets", "component_id", "order", "parent",
-                     "parent_slot"):
-            assert getattr(got, name) == getattr(ref, name), name
-        assert got.component_count == ref.component_count
-        values = dict(((u, v), x) for u, v, x in triples_of(m))
-        expected = [values[(ref.neighbors[j], v)]
-                    for v in range(m.n) for j in range(ref.offsets[v], ref.offsets[v + 1])]
+        assert_csr_of(got, [(u, v) for u, v, _ in triples])
+        assert got.edges == m.pattern.edges
+        assert got.component_count == m.n - len(got.edges)
+        values = dict(((u, v), x) for u, v, x in triples)
+        expected = [values[(got.neighbors[j], v)]
+                    for v in range(m.n) for j in range(got.offsets[v], got.offsets[v + 1])]
         assert again.col_flat == expected
         assert again.row_flat == m.row_flat
 
@@ -108,17 +127,21 @@ def test_from_entries_forest_equals_build_forest(corpus_matrices):
 def test_edges_equal_the_canonical_list_once_stored(corpus_matrices):
     """``Forest.edges``, read off the CSR arrays, against the list the
     forest stored before it kept only the arrays: the u < v positions of
-    the entries, sorted, and the sorted (min, max) pairs of an edge list."""
+    the entries, sorted, and the sorted (min, max) pairs of an edge list;
+    the arrays themselves against the sorted positions."""
     rng = random.Random(0)
     for m in corpus_matrices:
         triples = triples_of(m)
         rng.shuffle(triples)
         want = sorted((u, v) for u, v, _ in triples if u < v)
-        assert AcyclicMatrix.from_entries(m.n, triples, m.field).pattern.edges == want
+        got = AcyclicMatrix.from_entries(m.n, triples, m.field).pattern
+        assert got.edges == want
+        assert_csr_of(got, [(u, v) for u, v, _ in triples])
         edge_list = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in want]
         rng.shuffle(edge_list)
-        assert build_forest(m.n, edge_list).edges == sorted(
-            (min(e), max(e)) for e in edge_list) == want
+        f = build_forest(m.n, edge_list)
+        assert f.edges == sorted((min(e), max(e)) for e in edge_list) == want
+        assert_csr_of(f, edge_list + [(v, u) for u, v in edge_list])
 
 
 def test_sweep_records_parent_slots():
@@ -155,6 +178,10 @@ def test_sweep_records_parent_slots():
     (3, [(0, 1, 1), (1, 0, 1), (1, 2.5, 1)], "vertex ids must be integers, got 2.5"),
     (3, [("0", 1, 1)], "vertex ids must be integers, got '0'"),
     (3, [(0, 1, 1), (1, 0, 1), (2, None, 1)], "vertex ids must be integers, got None"),
+    # a row id reaches no int array, and here every row holds entries
+    (2, [(0, 1, 1), (1.0, 0, 1)], "vertex ids must be integers, got 1.0"),
+    (3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2.0, 1, 1)], "vertex ids must be integers, got 2.0"),
+    (3, [(0, 1, 1), (1, 0, 1), (1.0, 2, 1), (2, 1, 1)], "vertex ids must be integers, got 1.0"),
 ])
 def test_rejection_messages(n, triples, message):
     with pytest.raises(ValidationError) as exc:

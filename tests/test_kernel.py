@@ -8,7 +8,7 @@ from forestnull import (QQ, adjacency_matrix, analyze, build_forest,
                         maximum_matching, support)
 from forestnull.generate import random_forest_edges
 from forestnull import oracle
-from forest_helpers import pattern_basis
+from forest_helpers import neighbors_of, pattern_basis
 from treegen import free_forests, free_trees
 
 
@@ -68,7 +68,7 @@ def test_matching_partner_is_involution_on_edges():
         for v, p in enumerate(mi.partner):
             if p >= 0:
                 assert mi.partner[p] == v
-                assert p in f.adjacency[v]
+                assert p in neighbors_of(f, v)
         assert len(mi.exposed) == n - 2 * mi.nu
         assert mi.nu == brute_matching_number(n, f.edges) if n <= 12 else True
 

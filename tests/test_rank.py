@@ -5,13 +5,14 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, DiagonalScaling,
                         SparseVector, ValidationError, adjacency_matrix, analyze,
-                        in_row_space, null_basis, rank_basis,
+                        in_row_space, rank_basis,
                         supported_neighborhood_vector, transfer_rank,
                         transversal_scaling)
 from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import kernel, oracle
 from forestnull import rank as rank_module, scaling as scaling_module
 from conftest import F, sv
+from forest_helpers import tree_edges_scaling
 from test_acceptance import matrix_on
 
 GF = PrimeField(10007)
@@ -217,16 +218,6 @@ def test_transfer_rank_bits_grow_sublinearly_on_wide_rationals():
     assert largest[1] < 2 * largest[0], largest
 
 
-def transfer_rank_through_null_basis(m, n_mat, x):
-    """``transfer_rank`` from the public pieces: membership by dotting x
-    with ``null_basis(m)``, then D_N D_m^-1 x from a fresh analysis."""
-    if any(x.dot(b) for b in null_basis(m).vectors):
-        raise ValidationError("vector is not in the row space of the source matrix")
-    analysis = analyze(m.pattern)
-    d_m = transversal_scaling(m, analysis)
-    return transversal_scaling(n_mat, analysis).apply(d_m.apply_inverse(x))
-
-
 def membership_cases():
     """Seeded matrices with n <= 60 and 1-4 components over three fields,
     a second matrix on each pattern, and vectors in and out of the row
@@ -276,15 +267,18 @@ def test_row_space_membership_agrees_with_the_oracle(monkeypatch):
             members += 1
             got = transfer_rank(m, other, x)
             assert len(calls) == 1
-            assert got == transfer_rank_through_null_basis(m, other, x)
+            # D_N D_m^-1 x, with D anchored where transfer_rank anchors it
+            supp = oracle.dense_analysis(m).null_support
+            d_m, d_n = tree_edges_scaling(m, supp), tree_edges_scaling(other, supp)
+            mul, inv = m.field.mul, m.field.inv
+            assert got == SparseVector(m.n, m.field, {
+                v: mul(xv, mul(d_n[v], inv(d_m[v]))) for v, xv in x.entries.items()})
             assert echelon_of(other).contains(got)
         else:
             outsiders += 1
             with pytest.raises(ValidationError, match="not in the row space"):
                 transfer_rank(m, other, x)
             assert len(calls) == 1
-            with pytest.raises(ValidationError, match="not in the row space"):
-                transfer_rank_through_null_basis(m, other, x)
     assert members > 100 and outsiders > 100
 
 

@@ -11,7 +11,8 @@ from forestnull import (PrimeField, QQ, AcyclicMatrix, SparseVector,
 from forestnull.generate import random_matrix
 from forestnull import oracle
 from conftest import sv
-from forest_helpers import entries, neighbors_of, path, pattern_basis, same_component
+from forest_helpers import (entries, neighbors_of, path, pattern_basis, same_component,
+                            tree_edges_scaling)
 from test_acceptance import Corpus, matrix_on
 from test_rank import CountingField
 from treegen import free_trees
@@ -116,35 +117,6 @@ def test_vertex_scaling_matches_direct_path_products():
         assert got.diag == direct_null_scaling(m)
 
 
-def tree_edges_scaling(m, analysis):
-    """The null scaling by a walk of its own from each transversal vertex,
-    D = 1 there, stack-driven with neighbors pushed ascending (test-local
-    copy of the walk the stored sweep replaced)."""
-    field = m.field
-    supp = analysis.support.supp
-    neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
-    diag = [field.one] * m.n
-    seen = bytearray(m.n)
-    for r in analysis.transversal:
-        seen[r] = 1
-        stack = [r]
-        while stack:
-            s = stack.pop()
-            for j in range(offsets[s], offsets[s + 1]):
-                t = neighbors[j]
-                if seen[t]:
-                    continue
-                seen[t] = 1
-                if t in supp:
-                    diag[t] = field.mul(diag[s], m.row_flat[j])
-                elif s in supp:
-                    diag[t] = field.mul(diag[s], field.inv(m.col_flat[j]))
-                else:
-                    diag[t] = diag[s]
-                stack.append(t)
-    return diag
-
-
 def deep_transversal_matrix(k, field, seed):
     """An odd path of 2k + 1 vertices whose sweep root 0 is its second
     vertex and whose transversal vertex 1 is its far end, 2k - 1 edges
@@ -174,7 +146,7 @@ def test_sweep_scaling_equals_tree_edge_walk():
     for m in instances:
         analysis = analyze(m.pattern)
         got = transversal_scaling(m, analysis).diag
-        want = tree_edges_scaling(m, analysis)
+        want = tree_edges_scaling(m, analysis.support.supp)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
 
