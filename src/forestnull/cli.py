@@ -12,10 +12,11 @@ import argparse
 import json
 import random
 import sys
+from itertools import count
 
 from . import matrixio, oracle
 from .errors import ForestNullError, ValidationError
-from .fields import parse_field_spec
+from .fields import PrimeField, parse_field_spec
 from .generate import random_matrix
 from .kernel import analyze
 from .matrix import SparseVector
@@ -23,37 +24,47 @@ from .rank import rank_basis, transfer_rank
 from .scaling import null_basis, transfer_null
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of all seven subcommands, or of ``command`` alone,
+    whose top-level usage still names all seven."""
     parser = argparse.ArgumentParser(
         prog="forestnull",
         description="Sparsest null bases and row-space bases of zero-diagonal "
                     "matrices whose nonzero pattern is a forest.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        what, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=what))
+    return parser
 
-    p = sub.add_parser("validate", help="check that a file holds a valid matrix")
+
+def _file_arguments(p):
     p.add_argument("file")
 
-    p = sub.add_parser("support", help="print support, core, S-set and dimensions")
+
+def _support_arguments(p):
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
 
-    for name, what in (("null-basis", "sparsest null-space basis"),
-                       ("rank-basis", "row-space basis")):
-        p = sub.add_parser(name, help="compute the " + what)
-        p.add_argument("file")
-        p.add_argument("-o", "--out")
-        p.add_argument("--format", choices=("mm", "json"), default="mm")
-        p.add_argument("--check", action="store_true",
-                       help="verify the result (oracle cross-check for small n)")
 
-    p = sub.add_parser("transfer", help="move a vector between matrices sharing a pattern")
+def _basis_arguments(p):
+    p.add_argument("file")
+    p.add_argument("-o", "--out")
+    p.add_argument("--format", choices=("mm", "json"), default="mm")
+    p.add_argument("--check", action="store_true",
+                   help="verify the result (oracle cross-check for small n)")
+
+
+def _transfer_arguments(p):
     p.add_argument("--space", choices=("null", "rank"), required=True)
     p.add_argument("--from", dest="source", required=True, metavar="M")
     p.add_argument("--to", dest="target", required=True, metavar="N")
     p.add_argument("--vector", required=True, metavar="X_JSON")
     p.add_argument("-o", "--out")
 
-    p = sub.add_parser("gen", help="generate a seeded random instance")
+
+def _gen_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="rational")
@@ -61,13 +72,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--format", choices=("mm", "json"), default="mm")
 
-    p = sub.add_parser("oracle", help="brute-force cross checks")
+
+def _oracle_arguments(p):
     p.add_argument("operation", choices=("null-basis", "rank", "min-support"))
     p.add_argument("file")
     p.add_argument("-o", "--out")
     p.add_argument("--format", choices=("mm", "json"), default="mm")
 
-    return parser
+
+# command -> (help line, what adds its arguments)
+_SUBCOMMANDS = {
+    "validate": ("check that a file holds a valid matrix", _file_arguments),
+    "support": ("print support, core, S-set and dimensions", _support_arguments),
+    "null-basis": ("compute the sparsest null-space basis", _basis_arguments),
+    "rank-basis": ("compute the row-space basis", _basis_arguments),
+    "transfer": ("move a vector between matrices sharing a pattern", _transfer_arguments),
+    "gen": ("generate a seeded random instance", _gen_arguments),
+    "oracle": ("brute-force cross checks", _oracle_arguments),
+}
 
 
 def _emit(text: str, out_path):
@@ -112,18 +134,33 @@ def _cmd_basis(args) -> int:
     if null:
         _check_annihilated(m, basis)
     if m.n <= oracle.ORACLE_BOUND:
-        reference = oracle.dense_null_space(m) if null else oracle.dense_row_space(m)
-        if not oracle.same_span(basis, reference):
-            raise ValidationError("check failed: span differs from the oracle")
+        _check_span_certificate(m, basis, null)
         verified = "oracle span verified"
     elif null:
         verified = "oracle skipped for n > bound"
     else:
-        _check_rank_basis_without_oracle(m, basis)
+        draws = _check_rank_basis_without_oracle(m, basis)
         verified = ("equal to 2 * matching number by tree DP, orthogonal to a "
-                    "random null combination, oracle skipped for n > bound")
+                    "random null combination in each of %d independent draws "
+                    "(miss probability at most 2^-40), oracle skipped for n > bound"
+                    % draws)
     print("check: ok (dimension %d, %s)" % (basis.dimension, verified), file=sys.stderr)
     return 0
+
+
+def _check_span_certificate(m, basis, null):
+    """span(basis) is the target space S, the null space (null) or the
+    row space of m, against one exact elimination of m: the basis has
+    dim S vectors, they are independent, and each lies in S.  For the
+    null space, membership is M x = 0, checked before; for the row
+    space, each vector reduces to zero against the elimination's rows."""
+    echelon = oracle.row_echelon(m)
+    rank = len(echelon.rows)
+    independent = oracle._Echelon(m.field)
+    if (basis.dimension != (m.n - rank if null else rank)
+            or not (null or all(map(echelon.contains, basis.vectors)))
+            or not all(map(independent.insert, basis.vectors))):
+        raise ValidationError("check failed: span differs from the oracle")
 
 
 def _check_annihilated(m, basis):
@@ -143,28 +180,38 @@ def _check_annihilated(m, basis):
             raise ValidationError("check failed: output vector is not annihilated")
 
 
-def _check_rank_basis_without_oracle(m, basis):
+def _check_rank_basis_without_oracle(m, basis) -> int:
     """Checks that stay cheap at any n: the dimension is 2 nu, with nu
-    from the oracle's tree DP, and every vector is orthogonal to one
-    seeded random combination of the null basis, as row-space vectors
-    are orthogonal to the whole null space."""
+    from the oracle's tree DP, and every vector is orthogonal to seeded
+    random combinations of the null basis, as row-space vectors are
+    orthogonal to the whole null space.  The coefficients are uniform
+    over a set of q values, the field for GF(p) and [1, 2^31) for Q, so
+    a vector not orthogonal to the null space is orthogonal to one
+    combination with probability at most 1/q (Schwartz-Zippel); the
+    smallest number k of independent combinations with q^k >= 2^40
+    misses it with probability at most 2^-40.  Returns k."""
     nu = oracle._dp_matching_number(m.pattern)
     if basis.dimension != 2 * nu:
         raise ValidationError("check failed: dimension %d, expected 2 * %d"
                               % (basis.dimension, nu))
     field = m.field
     add, mul, zero = field.add, field.mul, field.zero
+    low, high = (0, field.p) if isinstance(field, PrimeField) else (1, 2 ** 31)
+    draws = next(k for k in count(1) if (high - low) ** k >= 2 ** 40)
     rng = random.Random(0)
-    combination = {}
-    for vec in null_basis(m).vectors:
-        c = field.coerce(rng.randrange(1, 2 ** 31))
-        for v, x in vec.entries.items():
-            combination[v] = add(combination.get(v, zero), mul(c, x))
-    probe = SparseVector(m.n, field, combination)
-    for vec in basis.vectors:
-        if vec.dot(probe):
-            raise ValidationError("check failed: a basis vector is not orthogonal "
-                                  "to the null space")
+    null_vectors = null_basis(m).vectors
+    for _ in range(draws):
+        combination = {}
+        for vec in null_vectors:
+            c = field.coerce(rng.randrange(low, high))
+            for v, x in vec.entries.items():
+                combination[v] = add(combination.get(v, zero), mul(c, x))
+        probe = SparseVector(m.n, field, combination)
+        for vec in basis.vectors:
+            if vec.dot(probe):
+                raise ValidationError("check failed: a basis vector is not orthogonal "
+                                      "to the null space")
+    return draws
 
 
 def _cmd_transfer(args) -> int:
@@ -212,8 +259,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ForestNullError, OSError) as exc:

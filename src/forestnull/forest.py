@@ -64,10 +64,16 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
     """Validate and index an acyclic edge list as the pattern of the
     matrix with a 1 at both orientations of every edge, so
     ``AcyclicMatrix.from_entries`` refuses what it refuses."""
-    from .matrix import AcyclicMatrix  # matrix.py imports this module
+    from .matrix import AcyclicMatrix, _malformed  # matrix.py imports this module
     one = QQ.one
-    return AcyclicMatrix.from_entries(
-        vertex_count, [e for u, v in edge_list for e in ((u, v, one), (v, u, one))]).pattern
+    entries = []
+    for e in edge_list:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise _malformed(e, "(u, v)") from None
+        entries += ((u, v, one), (v, u, one))
+    return AcyclicMatrix.from_entries(vertex_count, entries).pattern
 
 
 def _indexed_forest(vertex_count, neighbors, offsets):

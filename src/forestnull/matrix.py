@@ -154,7 +154,10 @@ class AcyclicMatrix:
         u = v = 0
         try:
             for t in triples:
-                u, v, value = t
+                try:
+                    u, v, value = t
+                except (TypeError, ValueError):
+                    raise _malformed(t, "(row, column, value)") from None
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValidationError("entry (%r, %r) out of range for n=" + str(n), u, v)
                 if u == v:
@@ -249,6 +252,11 @@ def _refuse_non_integer_ids(pairs):
                 index(x)
             except TypeError:
                 raise ValidationError("vertex ids must be integers, got %r" % (x,)) from None
+
+
+def _malformed(entry, shape: str) -> ValidationError:
+    """The error naming an entry that does not unpack to shape."""
+    return ValidationError("malformed entry %r: expected %s" % (entry, shape))
 
 
 def _row_offsets(n: int, heads: list, starts: list, nnz: int) -> array:

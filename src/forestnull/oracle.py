@@ -112,16 +112,27 @@ class DenseAnalysis:
     null_support: frozenset
 
 
+def row_echelon(m: AcyclicMatrix) -> "_Echelon":
+    """The reduced row echelon form of m's rows as an ``_Echelon``: one
+    elimination, whose rows keyed by pivot, ascending, satisfy the
+    form's invariant (a row stored at p has keys >= p).  Its rank is
+    ``len(rows)``, and ``contains`` tests row-space membership."""
+    _check_bound(m.n, ORACLE_BOUND, "dense elimination oracle")
+    rref_rows, pivots = _rref(_matrix_rows(m), m.n, m.field)
+    echelon = _Echelon(m.field)
+    echelon.rows = dict(zip(pivots, rref_rows))
+    return echelon
+
+
 def dense_analysis(m: AcyclicMatrix) -> DenseAnalysis:
     """One elimination, all the derived data."""
-    _check_bound(m.n, ORACLE_BOUND, "dense elimination oracle")
     n, field = m.n, m.field
-    rref_rows, pivots = _rref(_matrix_rows(m), n, field)
+    rows = row_echelon(m).rows
     null_vectors = [SparseVector._trusted(n, field, entries)
-                    for entries in _null_vectors(rref_rows, pivots, n, field)]
-    row_vectors = [SparseVector._trusted(n, field, row) for row in rref_rows]
+                    for entries in _null_vectors(rows.values(), rows.keys(), n, field)]
+    row_vectors = [SparseVector._trusted(n, field, row) for row in rows.values()]
     null_support = frozenset(v for vec in null_vectors for v in vec.entries)
-    return DenseAnalysis(Basis(null_vectors), Basis(row_vectors), len(pivots), null_support)
+    return DenseAnalysis(Basis(null_vectors), Basis(row_vectors), len(rows), null_support)
 
 
 def dense_null_space(m: AcyclicMatrix) -> Basis:

@@ -1,0 +1,185 @@
+"""``--check`` on null-basis and rank-basis.
+
+Up to ``ORACLE_BOUND`` vertices the check verifies a certificate
+against one exact elimination of M: the basis has as many vectors as
+the target space's dimension, they are independent, and each lies in
+the space (M x = 0 for the null space, reduction to zero against the
+elimination's rows for the row space).  The differential tests here
+hold its verdict to mutual span reduction against the dense reference
+basis, on the right basis and on spoiled ones.  Above the bound,
+rank-basis checks orthogonality to random null combinations.
+"""
+
+import random
+
+import pytest
+
+from forestnull import Basis, PrimeField, QQ, ValidationError
+from forestnull import build_forest, cli, matrixio, oracle
+from forestnull.generate import random_matrix
+from forestnull.rank import rank_basis
+from forestnull.scaling import null_basis
+from conftest import sv
+from test_acceptance import matrix_on
+from treegen import free_forests
+
+FIELDS = (QQ, PrimeField(7), PrimeField(1000003))
+SPAN_ERROR = "error: check failed: span differs from the oracle\n"
+ANNIHILATION_ERROR = "error: check failed: output vector is not annihilated\n"
+
+
+def random_instances():
+    """Random matrices over every field with 1-4 components, n <= 60."""
+    rng = random.Random(16)
+    for field in FIELDS:
+        for components in range(1, 5):
+            for _ in range(4):
+                n = rng.randint(components, 60)
+                yield random_matrix(n, rng.randrange(10 ** 6), field, components)
+
+
+def small_forest_instances():
+    """Every forest up to 8 vertices, with random values, the field
+    cycling through FIELDS."""
+    k = 0
+    for n in range(1, 9):
+        for edges in free_forests(n):
+            yield matrix_on(build_forest(n, list(edges)), k, FIELDS[k % 3])
+            k += 1
+
+
+def spoiled_bases(m, basis, null):
+    """The right basis, then spoiled ones: one vector dropped, one
+    repeated in place of another, one replaced by the sum of two (of
+    itself and another, which keeps the span, or of two others), and
+    for the row space one moved outside it, count and independence
+    kept."""
+    vectors = basis.vectors
+    d = len(vectors)
+    yield basis
+    for k in sorted({0, d - 1}) if d else ():
+        yield Basis(vectors[:k] + vectors[k + 1:])
+        if d < 2:
+            continue
+        i = (k + 1) % d
+        yield Basis(vectors[:k] + [vectors[i]] + vectors[k + 1:])
+        yield Basis(vectors[:k] + [vectors[k].add(vectors[i])] + vectors[k + 1:])
+        if d >= 3:
+            j = (k + 2) % d
+            yield Basis(vectors[:k] + [vectors[i].add(vectors[j])] + vectors[k + 1:])
+    if not null and d:
+        outside = sorted(oracle.dense_analysis(m).null_support)
+        for k, w in zip((0, d - 1), outside):
+            # e_w is outside the row space, so vectors[k] + e_w is too,
+            # and it is independent of the other vectors
+            moved = vectors[k].add(sv(m.n, {w: m.field.one}, m.field))
+            yield Basis(vectors[:k] + [moved] + vectors[k + 1:])
+
+
+def certificate_verdict(m, basis, null):
+    try:
+        if null:
+            cli._check_annihilated(m, basis)
+        cli._check_span_certificate(m, basis, null)
+    except ValidationError:
+        return False
+    return True
+
+
+def cases(m):
+    """(null, basis, same_span verdict against the dense reference)."""
+    analysis = oracle.dense_analysis(m)
+    for null, fast, reference in ((True, null_basis(m), analysis.null_basis),
+                                  (False, rank_basis(m), analysis.row_basis)):
+        for basis in spoiled_bases(m, fast, null):
+            yield null, basis, oracle.same_span(basis, reference)
+
+
+def test_certificate_agrees_with_same_span_on_random_matrices_and_small_forests():
+    instances = list(random_instances()) + list(small_forest_instances())
+    verdicts = {True: 0, False: 0}
+    for m in instances:
+        for null, basis, want in cases(m):
+            assert certificate_verdict(m, basis, null) == want, (m, null, basis.vectors)
+            verdicts[want] += 1
+    assert {m.field for m in instances} == set(FIELDS)
+    assert len(instances) == 48 + 155
+    # both verdicts are common: the sums with the vector itself keep the span
+    assert min(verdicts.values()) > 300, verdicts
+
+
+@pytest.mark.parametrize("bound", [None, 8])
+def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, capsys,
+                                                                  monkeypatch, bound):
+    # n <= 8, so even the lowered bound runs the certificate
+    if bound is not None:
+        monkeypatch.setattr(oracle, "ORACLE_BOUND", bound)
+    path, out = tmp_path / "m.mtx", str(tmp_path / "b")
+    refused = 0
+    for m in small_forest_instances():
+        matrixio.write_matrix(m, path)
+        for null, basis, want in cases(m):
+            command, producer = ("null-basis", "null_basis") if null else \
+                ("rank-basis", "rank_basis")
+            monkeypatch.setattr(cli, producer, lambda m, basis=basis: basis)
+            code = cli.main([command, str(path), "--check", "-o", out])
+            err = capsys.readouterr().err
+            assert code == (0 if want else 1), (m, command, basis.vectors)
+            if want:
+                assert err.startswith("check: ok") and "oracle span verified" in err
+            else:
+                refused += 1
+                assert err == SPAN_ERROR or (null and err == ANNIHILATION_ERROR)
+    assert refused > 300
+
+
+def test_row_echelon_rows_are_the_dense_row_basis():
+    for m in random_instances():
+        echelon = oracle.row_echelon(m)
+        rows = oracle.dense_analysis(m).row_basis.vectors
+        assert list(echelon.rows.values()) == [vec.entries for vec in rows]
+        assert list(echelon.rows) == [min(vec.entries) for vec in rows]
+        assert all(map(echelon.contains, rank_basis(m).vectors))
+
+
+def test_rank_basis_check_above_the_bound_refuses_20_spoiled_vectors_on_gf7(
+        tmp_path, capsys, monkeypatch):
+    # one combination with coefficients in GF(7) is orthogonal to a bad
+    # vector with probability 1/7, so one draw would likely pass one of
+    # these 20; the check draws enough of them for 2^-40
+    field = PrimeField(7)
+    m = random_matrix(40, 5, field, components=2)
+    path, out = tmp_path / "m.mtx", str(tmp_path / "b")
+    matrixio.write_matrix(m, path)
+    row_space = oracle.row_echelon(m)
+    outside = sorted(oracle.dense_analysis(m).null_support)
+    vectors = rank_basis(m).vectors
+    rng = random.Random(7)
+    moved = {}  # the spoiled vector's entries -> the spoiled basis
+    while len(moved) < 20:
+        # v_k + a e_w + b e_x, with w and x where null vectors are nonzero
+        k = rng.randrange(len(vectors))
+        w, x = rng.sample(outside, 2)
+        vec = vectors[k].add(sv(m.n, {w: rng.randrange(1, 7), x: rng.randrange(1, 7)}, field))
+        if not row_space.contains(vec):
+            moved[frozenset(vec.entries.items())] = Basis(vectors[:k] + [vec] + vectors[k + 1:])
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
+    assert cli.main(["rank-basis", str(path), "--check", "-o", out]) == 0
+    err = capsys.readouterr().err
+    assert "in each of 15 independent draws" in err and "2^-40" in err
+    assert "oracle skipped" in err
+    for basis in moved.values():
+        monkeypatch.setattr(cli, "rank_basis", lambda m, basis=basis: basis)
+        assert cli.main(["rank-basis", str(path), "--check", "-o", out]) == 1
+        assert capsys.readouterr().err == ("error: check failed: a basis vector is "
+                                           "not orthogonal to the null space\n")
+
+
+def test_rank_basis_check_above_the_bound_draw_counts(tmp_path, capsys, monkeypatch):
+    # ceil(40 / log2 q): q = 7, 1000003, and 2^31 - 1 coefficients over Q
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
+    for field, draws in ((PrimeField(7), 15), (PrimeField(1000003), 3), (QQ, 2)):
+        path = tmp_path / "m.mtx"
+        matrixio.write_matrix(random_matrix(30, 1, field), path)
+        assert cli.main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 0
+        assert "in each of %d independent draws" % draws in capsys.readouterr().err

@@ -53,6 +53,17 @@ def test_build_forest_refuses_as_from_entries(n, edges, message):
     assert str(got.value) == str(want.value) == message
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 2)], "malformed entry (0, 1, 2): expected (u, v)"),
+    ([0], "malformed entry 0: expected (u, v)"),
+    ([(0, 1), (1,)], "malformed entry (1,): expected (u, v)"),
+])
+def test_build_forest_names_a_malformed_edge(edges, message):
+    with pytest.raises(ValidationError) as exc:
+        build_forest(2, edges)
+    assert str(exc.value) == message
+
+
 def test_random_forests_properties():
     rng = random.Random(7)
     for trial in range(60):

@@ -182,6 +182,10 @@ def test_sweep_records_parent_slots():
     (2, [(0, 1, 1), (1.0, 0, 1)], "vertex ids must be integers, got 1.0"),
     (3, [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2.0, 1, 1)], "vertex ids must be integers, got 2.0"),
     (3, [(0, 1, 1), (1, 0, 1), (1.0, 2, 1), (2, 1, 1)], "vertex ids must be integers, got 1.0"),
+    # entries that are not triples
+    (2, [(0, 1)], "malformed entry (0, 1): expected (row, column, value)"),
+    (2, [(0, 1, 1), (1, 0, 1, 1)], "malformed entry (1, 0, 1, 1): expected (row, column, value)"),
+    (2, [(0, 1, 1), 5], "malformed entry 5: expected (row, column, value)"),
 ])
 def test_rejection_messages(n, triples, message):
     with pytest.raises(ValidationError) as exc:
