@@ -17,8 +17,7 @@ from .generate import random_matrix
 from .kernel import (Analysis, MatchingInfo, SupportInfo, analyze,
                      maximum_matching, support)
 from .matrix import AcyclicMatrix, Basis, SparseVector, adjacency_matrix
-from .rank import (in_row_space, rank_basis, supported_neighborhood_vector,
-                   transfer_rank)
+from .rank import rank_basis, supported_neighborhood_vector, transfer_rank
 from .scaling import (DiagonalScaling, null_basis, transfer_null,
                       transversal_scaling)
 
@@ -29,8 +28,7 @@ __all__ = [
     "Forest", "ForestNullError", "MatchingInfo", "OracleBoundError",
     "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
     "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
-    "build_forest", "in_row_space", "maximum_matching", "null_basis",
-    "parse_field_spec", "random_matrix", "rank_basis", "support",
-    "supported_neighborhood_vector", "transfer_null", "transfer_rank",
-    "transversal_scaling",
+    "build_forest", "maximum_matching", "null_basis", "parse_field_spec",
+    "random_matrix", "rank_basis", "support", "supported_neighborhood_vector",
+    "transfer_null", "transfer_rank", "transversal_scaling",
 ]

@@ -5,8 +5,10 @@ nonzero coordinate in a null vector), and a sparsest null basis: one
 alternating walk per exposed vertex over a matrix's own values, which
 on the forest's adjacency matrix is the pattern's {-1, 0, +1} basis.
 
+The results are named tuples (``MatchingInfo``, ``SupportInfo``,
+``Analysis``): immutable records that unpack like plain tuples.
 ``analyze`` bundles the matching, the support and the support
-transversal of one pattern into an immutable ``Analysis``; everything
+transversal of one pattern into one ``Analysis``; everything
 downstream that needs this structure takes the ``Analysis`` as an
 argument, so it is computed once per call and never cached on objects.
 
@@ -22,33 +24,24 @@ merged in component order without changing any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .forest import Forest
 from .matrix import AcyclicMatrix, Basis, SparseVector
 
+#: A maximum matching: each vertex's matched ``partner``, -1 when
+#: unmatched; the matching number ``nu``; the unmatched vertices
+#: ``exposed``, ascending.
+MatchingInfo = namedtuple("MatchingInfo", "partner nu exposed")
 
-@dataclass(eq=True)
-class MatchingInfo:
-    partner: list   # per-vertex matched partner, -1 when unmatched
-    nu: int         # matching number
-    exposed: tuple  # unmatched vertices, ascending
+#: ``supp``: the vertices with a nonzero coordinate in some null vector;
+#: ``core``: the neighbors of supp.
+SupportInfo = namedtuple("SupportInfo", "supp core")
 
-
-@dataclass(eq=True)
-class SupportInfo:
-    supp: frozenset   # vertices with a nonzero coordinate in some null vector
-    core: frozenset   # neighbors of supp
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """The pattern-only structure every fast path needs, built once from
-    a forest that the caller keeps: nothing here refers back to it."""
-
-    matching: MatchingInfo
-    support: SupportInfo
-    transversal: tuple  # smallest support vertex per component, ascending
+#: The pattern-only structure every fast path needs, built once from a
+#: forest the caller keeps (nothing here refers back to it); the
+#: ``transversal`` is the smallest support vertex per component, ascending.
+Analysis = namedtuple("Analysis", "matching support transversal")
 
 
 def analyze(f: Forest) -> Analysis:

@@ -23,7 +23,6 @@ every edge, which proves the pattern symmetric; ``col_flat`` is
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field as dc_field
 from itertools import repeat
 from operator import index
 
@@ -42,19 +41,27 @@ def require_compatible(a, b, what: str):
         raise ValidationError("dimension mismatch: %d vs %d" % (a.n, b.n))
 
 
-@dataclass
 class SparseVector:
-    """Vertex-indexed vector storing only its nonzero coordinates."""
+    """Vertex-indexed vector storing only its nonzero coordinates.
 
-    n: int
-    field: Field
-    entries: dict  # vertex -> nonzero field element
+    The constructor refuses an id that is not an integer in [0, n) and
+    coerces each value into the field, dropping the zeros."""
 
-    def __post_init__(self):
-        bad = [v for v in self.entries if not (0 <= v < self.n)]
-        if bad:
-            raise ValidationError("vector index %r out of range for n=" + str(self.n), bad[0])
-        self.entries = {v: x for v, x in self.entries.items() if x}
+    __slots__ = ("n", "field", "entries")
+
+    def __init__(self, n: int, field: Field, entries: dict):
+        coerce = field.coerce
+        checked = {}
+        for v, x in entries.items():
+            v = _vertex_id(v)
+            if not 0 <= v < n:
+                raise ValidationError("vector index %r out of range for n=" + str(n), v)
+            x = coerce(x)
+            if x:
+                checked[v] = x
+        self.n = n
+        self.field = field
+        self.entries = checked  # vertex -> nonzero field element
 
     @classmethod
     def _trusted(cls, n: int, field: Field, entries: dict) -> "SparseVector":
@@ -111,21 +118,33 @@ class SparseVector:
                 out.pop(v, None)
         return SparseVector(self.n, self.field, out)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.field, self.entries) == (other.n, other.field, other.entries)
+
     def __repr__(self):
         inside = ", ".join("%d: %s" % (v, self.field.format(x))
                            for v, x in sorted(self.entries.items()))
         return "SparseVector(n=%d, {%s})" % (self.n, inside)
 
 
-@dataclass(eq=True)
 class Basis:
     """An ordered, linearly independent list of sparse vectors."""
 
-    vectors: list
-    dimension: int = dc_field(init=False)
+    __slots__ = ("vectors", "dimension")
 
-    def __post_init__(self):
-        self.dimension = len(self.vectors)
+    def __init__(self, vectors: list):
+        self.vectors = vectors
+        self.dimension = len(vectors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vectors == other.vectors
+
+    def __repr__(self):
+        return "Basis(vectors=%r, dimension=%d)" % (self.vectors, self.dimension)
 
 
 class AcyclicMatrix:
@@ -183,8 +202,10 @@ class AcyclicMatrix:
                     raise ValidationError("duplicate entry at (%d, %d)", u, v)
                 prev = v
             neighbors = array("i", [t[1] for t in items])
-        except TypeError:
-            _refuse_non_integer_ids(items + [(u, v)])
+        except TypeError:  # name the first id that is not an integer, if any
+            for t in items + [(u, v)]:
+                _vertex_id(t[0])
+                _vertex_id(t[1])
             raise
         return cls._from_csr(n, field, neighbors, _row_offsets(n, heads, starts, len(items)),
                              [x for _, _, x in items])
@@ -242,16 +263,12 @@ class AcyclicMatrix:
         return "AcyclicMatrix(n=%d, nnz=%d, field=%s)" % (self.n, self.nnz(), self.field.name)
 
 
-def _refuse_non_integer_ids(pairs):
-    """Name the first vertex id in the (row, column, ...) tuples pairs
-    that is not an integer.  Called only once a TypeError has surfaced;
-    returns when every id is an integer, and the caller re-raises."""
-    for pair in pairs:
-        for x in pair[:2]:
-            try:
-                index(x)
-            except TypeError:
-                raise ValidationError("vertex ids must be integers, got %r" % (x,)) from None
+def _vertex_id(x) -> int:
+    """x as a vertex id; refuses a value that is not an integer."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValidationError("vertex ids must be integers, got %r" % (x,)) from None
 
 
 def _malformed(entry, shape: str) -> ValidationError:

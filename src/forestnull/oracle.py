@@ -23,7 +23,7 @@ own hard caps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -104,12 +104,9 @@ def _matrix_rows(m: AcyclicMatrix):
     return [dict(m.row_items(u)) for u in range(m.n)]
 
 
-@dataclass
-class DenseAnalysis:
-    null_basis: Basis
-    row_basis: Basis
-    rank: int
-    null_support: frozenset
+#: What one elimination of m's rows yields: the bases of its null space
+#: and row space, its rank, and the vertices its null space reaches.
+DenseAnalysis = namedtuple("DenseAnalysis", "null_basis row_basis rank null_support")
 
 
 def row_echelon(m: AcyclicMatrix) -> "_Echelon":

@@ -1,5 +1,5 @@
-"""Structured bases of the row space, row-space membership, and
-transfer through the null scaling.
+"""Structured bases of the row space, and transfer through the null
+scaling.
 
 The row space of a zero-diagonal forest-patterned matrix is spanned by,
 for every non-support vertex v, the unit vector e_v together with row v
@@ -8,10 +8,10 @@ vector"); zero vectors are dropped.  Row space is what "rank" means
 throughout this module; for symmetric matrices it coincides with the
 column space, in general it does not.
 
-Membership needs no scaling: the row space of any matrix is the
-orthogonal complement of its null space over every field, so x is in
-the row space of m iff x is orthogonal to m's own sparsest null basis.
-The transfer needs no second scaling.  The null scaling
+The transfer's membership check needs no scaling: the row space of any
+matrix is the orthogonal complement of its null space over every field,
+so x is in the row space of m iff x is orthogonal to m's own sparsest
+null basis.  The transfer needs no second scaling.  The null scaling
 D of m (``scaling.transversal_scaling``) carries null(m) onto null(A)
 for the pattern's adjacency matrix A, so for y in row(m) and b in
 null(A), (D^-1 y) . b = y . (D^-1 b) = 0: D^-1 carries row(m) onto
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .kernel import Analysis, analyze, sparsest_null_basis
-from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
-from .scaling import _transfer_analysis, null_basis, transversal_scaling
+from .matrix import AcyclicMatrix, Basis, SparseVector
+from .scaling import _transfer_analysis, transversal_scaling
 
 
 def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
@@ -51,12 +51,6 @@ def rank_basis(m: AcyclicMatrix) -> Basis:
         if not s_v.is_zero():
             vectors.append(s_v)
     return Basis(vectors)
-
-
-def in_row_space(m: AcyclicMatrix, x: SparseVector) -> bool:
-    """Row-space membership of x: x is orthogonal to m's null basis."""
-    require_compatible(m, x, "matrix and vector")
-    return not any(x.dot(b) for b in null_basis(m).vectors)
 
 
 def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,

@@ -28,6 +28,9 @@ same D serves row spaces, in the reverse direction (``rank``): the row
 space is the orthogonal complement of the null space, so D^-1 carries
 row(M) onto row(A).
 
+A ``DiagonalScaling`` coerces each diagonal value into its field and
+refuses a zero one, so it is nonsingular by construction.
+
 ``null_basis`` builds no scaling: each step of its walk is fixed by one
 row of M, and every vector is 1 at its exposed vertex instead of
 carrying D's edge product from the transversal vertex.
@@ -35,43 +38,49 @@ carrying D's edge product from the transversal vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
 from .fields import Field, require_same_field
 from .kernel import Analysis, analyze, maximum_matching, sparsest_null_basis
 from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
 
 
-@dataclass
 class DiagonalScaling:
     """A nonsingular diagonal matrix: one nonzero scalar per vertex."""
 
-    n: int
-    field: Field
-    diag: list
+    __slots__ = ("n", "field", "diag")
 
-    def __post_init__(self):
-        if len(self.diag) != self.n:
-            raise ValidationError("diagonal length %d != n=%d" % (len(self.diag), self.n))
-        for v, x in enumerate(self.diag):
-            if not x:
-                raise ValidationError("singular scaling: zero diagonal entry at vertex %d", v)
+    def __init__(self, n: int, field: Field, diag: list):
+        if len(diag) != n:
+            raise ValidationError("diagonal length %d != n=%d" % (len(diag), n))
+        diag = list(map(field.coerce, diag))
+        if not all(diag):
+            raise ValidationError("singular scaling: zero diagonal entry at vertex %d",
+                                  diag.index(field.zero))
+        self.n = n
+        self.field = field
+        self.diag = diag
 
     def apply(self, x: SparseVector) -> SparseVector:
+        """D x: a product of nonzero field elements is nonzero, so the
+        entries of D x and D^-1 x need none of the constructor's checks."""
         require_compatible(self, x, "scaling and vector")
         mul = self.field.mul
         diag = self.diag
-        return SparseVector(x.n, x.field,
-                            {v: mul(diag[v], xv) for v, xv in x.entries.items()})
+        return SparseVector._trusted(x.n, x.field,
+                                     {v: mul(diag[v], xv) for v, xv in x.entries.items()})
 
     def apply_inverse(self, x: SparseVector) -> SparseVector:
         """D^-1 x, inverting the diagonal only on the support of x."""
         require_compatible(self, x, "scaling and vector")
         mul, inv = self.field.mul, self.field.inv
         diag = self.diag
-        return SparseVector(x.n, x.field,
-                            {v: mul(inv(diag[v]), xv) for v, xv in x.entries.items()})
+        return SparseVector._trusted(x.n, x.field,
+                                     {v: mul(inv(diag[v]), xv) for v, xv in x.entries.items()})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.field, self.diag) == (other.n, other.field, other.diag)
 
     def __repr__(self):
         return "DiagonalScaling(n=%d, field=%s)" % (self.n, self.field.name)

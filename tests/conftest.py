@@ -10,7 +10,7 @@ def F(a, b=1):
 
 
 def sv(n, mapping, field=QQ):
-    return SparseVector(n, field, {v: field.coerce(x) for v, x in mapping.items()})
+    return SparseVector(n, field, mapping)
 
 
 @pytest.fixture

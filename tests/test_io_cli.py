@@ -582,12 +582,28 @@ def test_public_api():
         "Forest", "ForestNullError", "MatchingInfo", "OracleBoundError",
         "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
         "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
-        "build_forest", "in_row_space", "maximum_matching", "null_basis",
-        "parse_field_spec", "random_matrix", "rank_basis", "support",
-        "supported_neighborhood_vector", "transfer_null", "transfer_rank",
-        "transversal_scaling",
+        "build_forest", "maximum_matching", "null_basis", "parse_field_spec",
+        "random_matrix", "rank_basis", "support", "supported_neighborhood_vector",
+        "transfer_null", "transfer_rank", "transversal_scaling",
     ]
     assert all(hasattr(forestnull, name) for name in forestnull.__all__)
+
+
+def test_cli_imports_no_introspection_modules(tmp_path):
+    # dataclasses imports inspect, ast, dis and tokenize: a cost paid by every run
+    path = tmp_path / "m.mtx"
+    path.write_text(M_P3_TEXT)
+    script = ("import sys\n"
+              "from forestnull.cli import main\n"
+              "assert main(['validate', sys.argv[1]]) == 0\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+              " & set(sys.modules)))\n")
+    src = str(Path(forestnull.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script, str(path)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_traced_layer_functions_exist():

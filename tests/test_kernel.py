@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations
 
@@ -170,5 +169,17 @@ def test_analyze_bundles_matching_support_and_transversal():
     assert a.matching == maximum_matching(f)
     assert a.support == support(f, a.matching)
     assert a.transversal == (0, 7)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.transversal = ()
+
+
+def test_records_are_immutable_named_tuples():
+    f = build_forest(3, [(0, 1), (1, 2)])
+    a = analyze(f)
+    dense = oracle.dense_analysis(adjacency_matrix(f))
+    for record in (a.matching, a.support, a, dense):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    matching, info, transversal = a
+    assert info == (frozenset({0, 2}), frozenset({1})) and transversal == (0,)
+    assert hash(info) == hash(support(f, matching))

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from forestnull import (PrimeField, QQ, SparseVector, ValidationError,
-                        adjacency_matrix, AcyclicMatrix, build_forest)
+from forestnull import (PrimeField, QQ, Basis, DiagonalScaling, SparseVector,
+                        ValidationError, adjacency_matrix, AcyclicMatrix, build_forest)
 from conftest import sv
 from forest_helpers import entries, entry, to_list
 
@@ -93,6 +93,30 @@ def test_sparse_vector_drops_zeros():
     x = SparseVector(3, QQ, {0: Fraction(0), 1: Fraction(2)})
     assert x.support() == {1}
     assert x.nnz() == 1
+
+
+def test_sparse_vector_refuses_ids_and_values_it_cannot_hold():
+    for key in (1.0, "a"):
+        with pytest.raises(ValidationError) as exc:
+            SparseVector(3, QQ, {key: 2})
+        assert str(exc.value) == "vertex ids must be integers, got %r" % (key,)
+    with pytest.raises(ValidationError, match="floating point"):
+        SparseVector(3, QQ, {1: 0.5})
+    gf = PrimeField(7)
+    assert SparseVector(3, gf, {1: 7}).is_zero()
+    assert SparseVector(3, gf, {1: 9}).entries == {1: 2}
+
+
+def test_value_types_compare_by_value():
+    gf = PrimeField(7)
+    for make in (lambda n, field: SparseVector(n, field, {0: 1}),
+                 lambda n, field: Basis([SparseVector(n, field, {0: 1})]),
+                 lambda n, field: DiagonalScaling(n, field, [1] * n)):
+        a = make(3, QQ)
+        assert a == make(3, QQ)
+        assert a != make(4, QQ) and a != make(3, gf)
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 def test_vector_dot_and_scale():

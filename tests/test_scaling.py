@@ -95,6 +95,9 @@ def test_diagonal_scaling_invariants(m_p3):
 
     with pytest.raises(ValidationError, match="singular"):
         DiagonalScaling(2, QQ, [Fr(1), Fr(0)])
+    with pytest.raises(ValidationError, match="vertex 1$"):
+        DiagonalScaling(3, PrimeField(7), [1, 7, 1])
+    assert DiagonalScaling(2, PrimeField(7), [8, -1]).diag == [1, 6]
     d = DiagonalScaling(3, QQ, [Fr(2), Fr(-1, 3), Fr(5)])
     x = sv(3, {0: 7, 2: -2})
     assert d.apply_inverse(d.apply(x)) == x
