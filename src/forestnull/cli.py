@@ -140,9 +140,9 @@ def _cmd_basis(args) -> int:
         verified = "oracle skipped for n > bound"
     else:
         draws = _check_rank_basis_without_oracle(m, basis)
-        verified = ("equal to 2 * matching number by tree DP, orthogonal to a "
-                    "random null combination in each of %d independent draws "
-                    "(miss probability at most 2^-40), oracle skipped for n > bound"
+        verified = ("equal to 2 * matching number by tree DP, independent by peeling, "
+                    "orthogonal to a random null combination in each of %d independent "
+                    "draws (miss probability at most 2^-40), oracle skipped for n > bound"
                     % draws)
     print("check: ok (dimension %d, %s)" % (basis.dimension, verified), file=sys.stderr)
     return 0
@@ -151,15 +151,15 @@ def _cmd_basis(args) -> int:
 def _check_span_certificate(m, basis, null):
     """span(basis) is the target space S, the null space (null) or the
     row space of m, against one exact elimination of m: the basis has
-    dim S vectors, they are independent, and each lies in S.  For the
-    null space, membership is M x = 0, checked before; for the row
-    space, each vector reduces to zero against the elimination's rows."""
+    dim S vectors, they are independent (``oracle.first_dependent``
+    finds no dependent one), and each lies in S.  For the null space,
+    membership is M x = 0, checked before; for the row space, each
+    vector reduces to zero against the elimination's rows."""
     echelon = oracle.row_echelon(m)
     rank = len(echelon.rows)
-    independent = oracle._Echelon(m.field)
     if (basis.dimension != (m.n - rank if null else rank)
             or not (null or all(map(echelon.contains, basis.vectors)))
-            or not all(map(independent.insert, basis.vectors))):
+            or oracle.first_dependent(m.field, basis.vectors) >= 0):
         raise ValidationError("check failed: span differs from the oracle")
 
 
@@ -182,7 +182,9 @@ def _check_annihilated(m, basis):
 
 def _check_rank_basis_without_oracle(m, basis) -> int:
     """Checks that stay cheap at any n: the dimension is 2 nu, with nu
-    from the oracle's tree DP, and every vector is orthogonal to seeded
+    from the oracle's tree DP; the vectors peel completely
+    (``oracle._peel``), which proves them independent, as a row basis
+    of m always does; and every vector is orthogonal to seeded
     random combinations of the null basis, as row-space vectors are
     orthogonal to the whole null space.  The coefficients are uniform
     over a set of q values, the field for GF(p) and [1, 2^31) for Q, so
@@ -194,6 +196,9 @@ def _check_rank_basis_without_oracle(m, basis) -> int:
     if basis.dimension != 2 * nu:
         raise ValidationError("check failed: dimension %d, expected 2 * %d"
                               % (basis.dimension, nu))
+    if oracle._peel(basis.vectors):
+        raise ValidationError("check failed: basis vectors do not peel "
+                              "(independence unproven)")
     field = m.field
     add, mul, zero = field.add, field.mul, field.zero
     low, high = (0, field.p) if isinstance(field, PrimeField) else (1, 2 ** 31)
@@ -239,7 +244,7 @@ def _cmd_oracle(args) -> int:
         basis = oracle.dense_null_space(m)
         _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
     elif args.operation == "rank":
-        rank = oracle.dense_analysis(m).rank
+        rank = len(oracle.row_echelon(m).rows)
         _emit("rank: %d\nnull-dimension: %d\n" % (rank, m.n - rank), args.out)
     else:
         total = oracle.min_support_total(m)

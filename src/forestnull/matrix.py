@@ -44,12 +44,21 @@ def require_compatible(a, b, what: str):
 class SparseVector:
     """Vertex-indexed vector storing only its nonzero coordinates.
 
-    The constructor refuses an id that is not an integer in [0, n) and
-    coerces each value into the field, dropping the zeros."""
+    The constructor refuses a length n that is not a non-negative
+    integer and an id that is not an integer in [0, n), and coerces each
+    value into the field, dropping the zeros."""
 
     __slots__ = ("n", "field", "entries")
 
     def __init__(self, n: int, field: Field, entries: dict):
+        try:
+            length = index(n)
+        except TypeError:
+            length = -1
+        if length < 0:
+            raise ValidationError("vector length must be a non-negative integer, got %r"
+                                  % (n,))
+        n = length
         coerce = field.coerce
         checked = {}
         for v, x in entries.items():

@@ -424,10 +424,9 @@ def _independent_basis(field: Field, vectors) -> Basis:
     for j, vec in enumerate(vectors, start=1):
         if vec.is_zero():
             raise ParseError("basis vector %d is zero" % j)
-    echelon = oracle._Echelon(field)
-    for j, vec in enumerate(vectors, start=1):
-        if not echelon.insert(vec):
-            raise ParseError("basis vector %d depends on the vectors before it" % j)
+    j = oracle.first_dependent(field, vectors)
+    if j >= 0:
+        raise ParseError("basis vector %d depends on the vectors before it" % (j + 1))
     return Basis(vectors)
 
 

@@ -1,20 +1,25 @@
 """Brute-force ground truth, algorithmically independent of the fast path.
 
-Exact Gauss-Jordan elimination to reduced row echelon form, a tree-DP
-matching number, exhaustive independent-set enumeration, and a
-minimum-total-support search over column subsets.  Nothing here shares
-matching/support/scaling code with the rest of the package; it exists
-to catch systematic bugs and is wired into tests, the CLI's cross-check
-paths, and ``matrixio.parse_basis``, whose independence check inserts
-each vector read into an ``_Echelon``.
+Exact elimination of sparse rows, a tree-DP matching number, exhaustive
+independent-set enumeration, and a minimum-total-support search over
+column subsets.  Nothing here shares matching/support/scaling code with
+the rest of the package; it exists to catch systematic bugs and is
+wired into tests, the CLI's ``--check`` and ``oracle`` commands, and
+``matrixio.parse_basis``, whose independence check is
+``first_dependent``.
 
 Cost: the elimination touches only nonzeros.  A column -> rows
 incidence names, for each pivot column, the rows that hold it, and
 only those rows are eliminated, so an input that barely fills in (a
-forest matrix) costs about its fill, not n^2 probes.  The reduced
-echelon form is unique, so the result does not depend on which row is
-taken as pivot.  Span tests reduce a vector by the stored pivots it
-actually holds, taken from a heap in ascending order.
+forest matrix) costs about its fill, not n^2 probes.  The shortest
+holder is taken as pivot, which keeps that fill low.  ``row_echelon``
+stops after the forward phase: rank and row-space membership need no
+more.  ``_rref`` adds a back phase for the reduced form, which is
+unique, so ``dense_analysis`` does not depend on the pivot rule.  Span
+tests reduce a vector by the stored pivots it actually holds, taken
+from a heap in ascending order.  Independence tests first peel the
+vectors (``_peel``), which settles a basis of the fast path without
+any elimination.
 
 Size caps: the elimination routines refuse instances above
 ``ORACLE_BOUND`` (512 vertices); the exponential searches have their
@@ -41,35 +46,43 @@ def _check_bound(n: int, cap: int, what: str):
         raise OracleBoundError("%s limited to n <= %d, got n = %d" % (what, cap, n))
 
 
-def _rref(rows, n_cols, field):
-    """Reduced row echelon form of sparse dict rows, reduced in place.
+def _echelon(rows, n_cols, field):
+    """Forward elimination of sparse dict rows, in place, to an echelon
+    form: each pivot row is 1 at its pivot column and holds no column
+    below it.
 
     Columns are taken left to right.  A column -> rows incidence, kept
-    up to date as entries appear and cancel, names the rows holding
-    each column: the pivot is the lowest-index unused one, and only the
-    others in the incidence are eliminated.  Returns the pivot rows in
-    pivot order and the pivot columns.
+    up to date as entries appear and cancel, names the unused rows
+    holding each column.  The pivot is the shortest of them, ties going
+    to the lowest index, which keeps fill low (Markowitz's rule on a
+    row count alone), and only the other unused holders are eliminated.
+    Returns the pivot rows in pivot order and the pivot columns.
     """
     inv, mul, sub, neg = field.inv, field.mul, field.sub, field.neg
     holders = [set() for _ in range(n_cols)]
     for r, row in enumerate(rows):
         for k in row:
             holders[k].add(r)
-    used = [False] * len(rows)
     pivot_rows, pivots = [], []
     for c in range(n_cols):
-        p = min((r for r in holders[c] if not used[r]), default=-1)
-        if p < 0:
+        targets = holders[c]
+        if not targets:
             continue
-        used[p] = True
+        p = min(targets, key=lambda r: (len(rows[r]), r))
         prow = rows[p]
         scale = inv(prow[c])
         for k in prow:
             prow[k] = mul(prow[k], scale)
-        for r in [r for r in holders[c] if r != p]:
+            holders[k].discard(p)  # a pivot row is never eliminated again
+        pivot_rows.append(prow)
+        pivots.append(c)
+        if not targets:
+            continue
+        tail = [(k, v) for k, v in prow.items() if k != c]
+        for r in list(targets):
             row = rows[r]
-            coef = row[c]
-            for k, v in prow.items():
+            coef = row.pop(c)
+            for k, v in tail:
                 old = row.get(k)
                 if old is None:
                     row[k] = neg(mul(coef, v))
@@ -81,8 +94,43 @@ def _rref(rows, n_cols, field):
                 else:
                     del row[k]
                     holders[k].discard(r)
-        pivot_rows.append(prow)
-        pivots.append(c)
+        targets.clear()
+    return pivot_rows, pivots
+
+
+def _rref(rows, n_cols, field):
+    """Reduced row echelon form of sparse dict rows, reduced in place:
+    ``_echelon``, then a back phase that clears each pivot column from
+    the pivot rows above it, last pivot first.  A pivot row then holds
+    no other pivot column, so clearing one brings in free columns only,
+    and the rows above that hold each pivot column, listed once, stay
+    the rows to clear.  Returns the pivot rows in pivot order and the
+    pivot columns."""
+    pivot_rows, pivots = _echelon(rows, n_cols, field)
+    mul, sub, neg = field.mul, field.sub, field.neg
+    position = {c: i for i, c in enumerate(pivots)}
+    above = [[] for _ in pivots]  # above[j]: the rows before j holding pivots[j]
+    for i, row in enumerate(pivot_rows):
+        for k in row:
+            j = position.get(k)
+            if j is not None and j != i:
+                above[j].append(i)
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        tail = [(k, v) for k, v in pivot_rows[i].items() if k != c]
+        for r in above[i]:
+            row = pivot_rows[r]
+            coef = row.pop(c)
+            for k, v in tail:
+                old = row.get(k)
+                if old is None:
+                    row[k] = neg(mul(coef, v))
+                    continue
+                s = sub(old, mul(coef, v))
+                if s:
+                    row[k] = s
+                else:
+                    del row[k]
     return pivot_rows, pivots
 
 
@@ -110,26 +158,28 @@ DenseAnalysis = namedtuple("DenseAnalysis", "null_basis row_basis rank null_supp
 
 
 def row_echelon(m: AcyclicMatrix) -> "_Echelon":
-    """The reduced row echelon form of m's rows as an ``_Echelon``: one
+    """An echelon form of m's rows as an ``_Echelon``: one forward
     elimination, whose rows keyed by pivot, ascending, satisfy the
-    form's invariant (a row stored at p has keys >= p).  Its rank is
-    ``len(rows)``, and ``contains`` tests row-space membership."""
+    form's invariant (a row stored at p is 1 at p and has keys >= p).
+    Its rank is ``len(rows)``, and ``contains`` tests row-space
+    membership."""
     _check_bound(m.n, ORACLE_BOUND, "dense elimination oracle")
-    rref_rows, pivots = _rref(_matrix_rows(m), m.n, m.field)
+    pivot_rows, pivots = _echelon(_matrix_rows(m), m.n, m.field)
     echelon = _Echelon(m.field)
-    echelon.rows = dict(zip(pivots, rref_rows))
+    echelon.rows = dict(zip(pivots, pivot_rows))
     return echelon
 
 
 def dense_analysis(m: AcyclicMatrix) -> DenseAnalysis:
-    """One elimination, all the derived data."""
+    """One elimination to the reduced form, all the derived data."""
+    _check_bound(m.n, ORACLE_BOUND, "dense elimination oracle")
     n, field = m.n, m.field
-    rows = row_echelon(m).rows
+    rref_rows, pivots = _rref(_matrix_rows(m), n, field)
     null_vectors = [SparseVector._trusted(n, field, entries)
-                    for entries in _null_vectors(rows.values(), rows.keys(), n, field)]
-    row_vectors = [SparseVector._trusted(n, field, row) for row in rows.values()]
+                    for entries in _null_vectors(rref_rows, pivots, n, field)]
+    row_vectors = [SparseVector._trusted(n, field, row) for row in rref_rows]
     null_support = frozenset(v for vec in null_vectors for v in vec.entries)
-    return DenseAnalysis(Basis(null_vectors), Basis(row_vectors), len(rows), null_support)
+    return DenseAnalysis(Basis(null_vectors), Basis(row_vectors), len(pivots), null_support)
 
 
 def dense_null_space(m: AcyclicMatrix) -> Basis:
@@ -191,6 +241,49 @@ class _Echelon:
 
     def contains(self, vec: SparseVector) -> bool:
         return not self.reduce(vec)
+
+
+def _peel(vectors) -> list:
+    """The indices, ascending, of the vectors left after peeling:
+    removing, again and again, a vector that holds a coordinate no
+    other remaining vector holds.  Such a vector has coefficient 0 in
+    every linear dependency among the vectors, so every dependency lies
+    among those left, and none are left when the vectors peel
+    completely, which proves them independent.  A count of the
+    remaining holders of each coordinate, and the xor of their indices,
+    name the holder once the count is 1.  O(total nonzeros)."""
+    count, owners = {}, {}
+    for i, vec in enumerate(vectors):
+        for v in vec.entries:
+            count[v] = count.get(v, 0) + 1
+            owners[v] = owners.get(v, 0) ^ i
+    left = [True] * len(vectors)
+    lone = [v for v, k in count.items() if k == 1]
+    while lone:
+        w = lone.pop()
+        if count[w] != 1:
+            continue
+        i = owners[w]
+        left[i] = False
+        for v in vectors[i].entries:
+            count[v] -= 1
+            owners[v] ^= i
+            if count[v] == 1:
+                lone.append(v)
+    return [i for i, keep in enumerate(left) if keep]
+
+
+def first_dependent(field, vectors) -> int:
+    """The index of the first vector that depends on the vectors before
+    it, or -1 when they are independent.  The vectors left by ``_peel``
+    hold every dependency, so inserting only them, in order, into one
+    ``_Echelon`` rejects the same first vector as inserting all of
+    them."""
+    echelon = _Echelon(field)
+    for i in _peel(vectors):
+        if not echelon.insert(vectors[i]):
+            return i
+    return -1
 
 
 def same_span(a: Basis, b: Basis) -> bool:

@@ -60,6 +60,16 @@ class DiagonalScaling:
         self.field = field
         self.diag = diag
 
+    @classmethod
+    def _trusted(cls, n: int, field: Field, diag: list) -> "DiagonalScaling":
+        """A scaling from n nonzero field elements, without the checks
+        of the constructor."""
+        scaling = cls.__new__(cls)
+        scaling.n = n
+        scaling.field = field
+        scaling.diag = diag
+        return scaling
+
     def apply(self, x: SparseVector) -> SparseVector:
         """D x: a product of nonzero field elements is nonzero, so the
         entries of D x and D^-1 x need none of the constructor's checks."""
@@ -120,7 +130,8 @@ def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling
             diag[t] = mul(diag[s], inv(col_flat[j]))
         else:
             diag[t] = diag[s]
-    return DiagonalScaling(m.n, field, diag)
+    # products and inverses of nonzero field elements: nonzero
+    return DiagonalScaling._trusted(m.n, field, diag)
 
 
 def null_basis(m: AcyclicMatrix) -> Basis:

@@ -1,13 +1,16 @@
 """``--check`` on null-basis and rank-basis.
 
 Up to ``ORACLE_BOUND`` vertices the check verifies a certificate
-against one exact elimination of M: the basis has as many vectors as
-the target space's dimension, they are independent, and each lies in
-the space (M x = 0 for the null space, reduction to zero against the
-elimination's rows for the row space).  The differential tests here
-hold its verdict to mutual span reduction against the dense reference
-basis, on the right basis and on spoiled ones.  Above the bound,
-rank-basis checks orthogonality to random null combinations.
+against one forward elimination of M (``oracle.row_echelon``): the
+basis has as many vectors as the target space's dimension, they are
+independent (``oracle.first_dependent``: a peel, then one echelon form
+for the vectors it leaves), and each lies in the space (M x = 0 for the
+null space, reduction to zero against the elimination's rows for the
+row space).  The differential tests here hold its verdict to mutual
+span reduction against the dense reference basis, on the right basis
+and on spoiled ones.  Above the bound, rank-basis checks that the
+vectors peel completely and that they are orthogonal to random null
+combinations.
 """
 
 import random
@@ -133,13 +136,57 @@ def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, caps
     assert refused > 300
 
 
-def test_row_echelon_rows_are_the_dense_row_basis():
+def test_row_echelon_rows_are_an_echelon_form_of_the_dense_row_basis():
+    # forward elimination only: the rows are not the reduced ones, but
+    # they have the same pivots, the form's invariant, and the same span
     for m in random_instances():
         echelon = oracle.row_echelon(m)
-        rows = oracle.dense_analysis(m).row_basis.vectors
-        assert list(echelon.rows.values()) == [vec.entries for vec in rows]
-        assert list(echelon.rows) == [min(vec.entries) for vec in rows]
+        rows = oracle.dense_analysis(m).row_basis
+        assert list(echelon.rows) == [min(vec.entries) for vec in rows.vectors]
+        for p, row in echelon.rows.items():
+            assert row[p] == m.field.one and min(row) == p
+        forward = Basis([sv(m.n, row, m.field) for row in echelon.rows.values()])
+        assert oracle.same_span(forward, rows)
+        assert all(map(echelon.contains, rows.vectors))
         assert all(map(echelon.contains, rank_basis(m).vectors))
+
+
+def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matrices():
+    # what rank-basis --check relies on above the bound: unit vectors
+    # sit on non-support vertices, and Gallai-Edmonds leaves some support
+    # vertex with one remaining holder; a null vector is 1 at its own
+    # exposed vertex and 0 at the others
+    instances = list(random_instances())
+    k = 0
+    for n in range(1, 11):
+        for edges in free_forests(n):
+            instances.append(matrix_on(build_forest(n, list(edges)), k, FIELDS[k % 3]))
+            k += 1
+    for field in FIELDS:
+        for components in (1, 3):
+            instances.append(random_matrix(600, components, field, components))
+    for m in instances:
+        for basis in (null_basis(m), rank_basis(m)):
+            assert oracle._peel(basis.vectors) == [], (m, basis.vectors)
+    assert k == 637  # unlabeled forests on 1 to 10 vertices
+
+
+def test_rank_basis_check_above_the_bound_refuses_a_repeated_vector(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the count and orthogonality hold; only the peel can refuse it
+    m = random_matrix(40, 3, QQ, components=2)
+    path, out = tmp_path / "m.mtx", str(tmp_path / "b")
+    matrixio.write_matrix(m, path)
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
+    argv = ["rank-basis", str(path), "--check", "-o", out]
+    assert cli.main(argv) == 0
+    assert "independent by peeling" in capsys.readouterr().err
+    vectors = rank_basis(m).vectors
+    repeated = Basis(vectors[:-1] + vectors[-2:-1])
+    monkeypatch.setattr(cli, "rank_basis", lambda m: repeated)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("error: check failed: basis vectors do not peel "
+                                       "(independence unproven)\n")
 
 
 def test_rank_basis_check_above_the_bound_refuses_20_spoiled_vectors_on_gf7(

@@ -107,6 +107,13 @@ def test_sparse_vector_refuses_ids_and_values_it_cannot_hold():
     assert SparseVector(3, gf, {1: 9}).entries == {1: 2}
 
 
+@pytest.mark.parametrize("n", [2.5, -1, "3", None])
+def test_sparse_vector_refuses_a_length_that_is_not_a_count(n):
+    with pytest.raises(ValidationError) as exc:
+        SparseVector(n, QQ, {0: 1} if n != -1 else {})
+    assert str(exc.value) == "vector length must be a non-negative integer, got %r" % (n,)
+
+
 def test_value_types_compare_by_value():
     gf = PrimeField(7)
     for make in (lambda n, field: SparseVector(n, field, {0: 1}),

@@ -338,6 +338,48 @@ def test_sparse_oracle_matches_dense_reference_on_random_rows(case, rng):
         assert oracle.same_span(a, b) == reference_same_span(a, b)
 
 
+@st.composite
+def vector_lists(draw):
+    """Up to 12 vectors of length up to 10 over any of the three fields:
+    random ones, unit vectors, zero vectors, repeats (some scaled), and
+    sums of two earlier vectors."""
+    field = draw(st.sampled_from((QQ, PrimeField(7), PrimeField(1000003))))
+    n = draw(st.integers(1, 10))
+    value = st.integers(-3, 3).filter(bool).map(field.coerce)
+    vectors = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("random", "random", "unit", "zero", "repeat", "sum")))
+        if kind == "zero" or (kind in ("repeat", "sum") and not vectors):
+            vec = SparseVector(n, field, {})
+        elif kind == "random":
+            vec = SparseVector(n, field, draw(st.dictionaries(st.integers(0, n - 1), value,
+                                                              min_size=1, max_size=4)))
+        elif kind == "unit":
+            vec = SparseVector(n, field, {draw(st.integers(0, n - 1)): field.one})
+        elif kind == "repeat":
+            vec = draw(st.sampled_from(vectors)).scale(draw(value))
+        else:
+            vec = draw(st.sampled_from(vectors)).add(draw(st.sampled_from(vectors)))
+        vectors.append(vec)
+    return field, vectors
+
+
+def sequential_first_dependent(field, vectors):
+    echelon = oracle._Echelon(field)
+    return next((i for i, vec in enumerate(vectors) if not echelon.insert(vec)), -1)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(vector_lists())
+def test_first_dependent_matches_sequential_insertion(case):
+    field, vectors = case
+    assert oracle.first_dependent(field, vectors) == sequential_first_dependent(field, vectors)
+    # every dependency among the vectors lies among those the peel leaves
+    left = [vectors[i] for i in oracle._peel(vectors)]
+    assert ((sequential_first_dependent(field, left) >= 0)
+            == (sequential_first_dependent(field, vectors) >= 0))
+
+
 def test_oracle_doubling_ratio(monkeypatch):
     # guards against a return of the quadratic scans: the former
     # elimination and reduction took 0.09 s -> 0.44 s here (ratio 4.7)
@@ -362,3 +404,26 @@ def test_oracle_doubling_ratio(monkeypatch):
         if large / small < 3:
             return
     pytest.fail("oracle doubling ratio not below 3 after 3 attempts: %s" % summary)
+
+
+def test_row_echelon_doubling_ratio(monkeypatch):
+    # the forward elimination alone, as --check runs it: a pivot rule or
+    # an incidence update that scanned every row would be quadratic here
+    monkeypatch.setattr(oracle, "ORACLE_BOUND", 2048)
+    field = PrimeField(1000003)
+    cases = [random_matrix(n, n, field) for n in (1024, 2048)]
+
+    def seconds(m):
+        t0 = time.perf_counter()
+        rank = len(oracle.row_echelon(m).rows)
+        elapsed = time.perf_counter() - t0
+        assert rank == oracle.dense_analysis(m).rank
+        return elapsed
+
+    summary = None
+    for attempt in range(3):
+        small, large = (min(seconds(m) for _ in range(3)) for m in cases)
+        summary = "%.4fs -> %.4fs, ratio %.2f" % (small, large, large / small)
+        if large / small < 3:
+            return
+    pytest.fail("row_echelon doubling ratio not below 3 after 3 attempts: %s" % summary)

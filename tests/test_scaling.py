@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from forestnull import (PrimeField, QQ, AcyclicMatrix, SparseVector,
+from forestnull import (PrimeField, QQ, AcyclicMatrix, DiagonalScaling, SparseVector,
                         ValidationError, adjacency_matrix, analyze,
                         build_forest, maximum_matching, null_basis,
                         transfer_null, transfer_rank, transversal_scaling)
@@ -90,7 +90,6 @@ def test_vertex_scaling_of_adjacency_is_identity(p3):
 
 
 def test_diagonal_scaling_invariants(m_p3):
-    from forestnull import DiagonalScaling
     from fractions import Fraction as Fr
 
     with pytest.raises(ValidationError, match="singular"):
@@ -148,10 +147,13 @@ def test_sweep_scaling_equals_tree_edge_walk():
         instances.append(deep_transversal_matrix(40, field, 3))
     for m in instances:
         analysis = analyze(m.pattern)
-        got = transversal_scaling(m, analysis).diag
+        scaling = transversal_scaling(m, analysis)
+        got = scaling.diag
         want = tree_edges_scaling(m, analysis.support.supp)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
+        # built without the constructor's checks, which it would pass
+        assert scaling == DiagonalScaling(m.n, m.field, list(got))
 
 
 def test_transversal_scaling_is_linear_below_a_deep_transversal():
