@@ -8,27 +8,43 @@ alternating walk per exposed vertex of a maximum matching, 1 there and
 0 at the other exposed vertices), a structured row-space basis, and
 transfers of vectors between matrices sharing a pattern -- all in exact
 arithmetic over the rationals or a prime field.
-"""
 
-from .errors import ForestNullError, OracleBoundError, ParseError, ValidationError
-from .fields import Field, PrimeField, QQ, RationalField, parse_field_spec
-from .forest import Forest, build_forest
-from .generate import random_matrix
-from .kernel import (Analysis, MatchingInfo, SupportInfo, analyze,
-                     maximum_matching, support)
-from .matrix import AcyclicMatrix, Basis, SparseVector, adjacency_matrix
-from .rank import rank_basis, supported_neighborhood_vector, transfer_rank
-from .scaling import (DiagonalScaling, null_basis, transfer_null,
-                      transversal_scaling)
+``import forestnull`` loads no submodule.  Each name of ``__all__``, and
+each of its eight home modules (the keys of ``_EXPORTS``), is imported
+on first access (PEP 562) and then kept in the module globals, so a
+program pays only for the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcyclicMatrix", "Analysis", "Basis", "DiagonalScaling", "Field",
-    "Forest", "ForestNullError", "MatchingInfo", "OracleBoundError",
-    "ParseError", "PrimeField", "QQ", "RationalField", "SparseVector",
-    "SupportInfo", "ValidationError", "adjacency_matrix", "analyze",
-    "build_forest", "maximum_matching", "null_basis", "parse_field_spec",
-    "random_matrix", "rank_basis", "support", "supported_neighborhood_vector",
-    "transfer_null", "transfer_rank", "transversal_scaling",
-]
+# home module -> the names of __all__ it defines
+_EXPORTS = {
+    "errors": ("ForestNullError", "OracleBoundError", "ParseError", "ValidationError"),
+    "fields": ("Field", "PrimeField", "QQ", "RationalField", "parse_field_spec"),
+    "forest": ("Forest", "build_forest"),
+    "generate": ("random_matrix",),
+    "kernel": ("Analysis", "MatchingInfo", "SupportInfo", "analyze", "maximum_matching",
+               "support"),
+    "matrix": ("AcyclicMatrix", "Basis", "SparseVector", "adjacency_matrix"),
+    "rank": ("rank_basis", "supported_neighborhood_vector", "transfer_rank"),
+    "scaling": ("DiagonalScaling", "null_basis", "transfer_null", "transversal_scaling"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A name of ``__all__`` or a home module of one, imported on first
+    access and kept in the module globals."""
+    if name not in _EXPORTS and name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    module = import_module("." + _HOME.get(name, name), __name__)
+    value = module if name in _EXPORTS else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -4,24 +4,25 @@ Subcommands: validate, support, null-basis, rank-basis, transfer, gen,
 oracle.  Exit codes: 0 success, 1 validation/computation failure,
 2 usage error.  All output is deterministic byte for byte for fixed
 inputs and flags.
+
+A handler imports what it runs when it runs, so each command loads
+only its own modules: ``validate`` reads and checks the file and no
+more.  ``oracle`` loads only for ``--check`` and the ``oracle``
+command, ``json`` only for ``support --json`` and JSON input or output
+(through ``matrixio``), and ``random`` only for ``gen`` and the
+above-bound ``rank-basis --check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from itertools import count
 
-from . import matrixio, oracle
+from . import matrixio
 from .errors import ForestNullError, ValidationError
 from .fields import PrimeField, parse_field_spec
-from .generate import random_matrix
-from .kernel import analyze
 from .matrix import SparseVector
-from .rank import rank_basis, transfer_rank
-from .scaling import null_basis, transfer_null
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
@@ -53,7 +54,8 @@ def _basis_arguments(p):
     p.add_argument("-o", "--out")
     p.add_argument("--format", choices=("mm", "json"), default="mm")
     p.add_argument("--check", action="store_true",
-                   help="verify the result (oracle cross-check for small n)")
+                   help="verify the result: a certificate against an exact "
+                        "elimination up to n = 512, cheaper checks above")
 
 
 def _transfer_arguments(p):
@@ -108,6 +110,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_support(args) -> int:
+    from .kernel import analyze
     m = matrixio.read_matrix(args.file)
     analysis = analyze(m.pattern)
     nu, supp, core = analysis.matching.nu, analysis.support.supp, analysis.support.core
@@ -116,6 +119,7 @@ def _cmd_support(args) -> int:
     rows += [(key, sorted(v + 1 for v in ids))
              for key, ids in (("supp", supp), ("core", core), ("s-set", supp | core))]
     if args.json:
+        import json
         print(json.dumps({key.replace("-", "_"): value for key, value in rows}, indent=2))
     else:
         for key, value in rows:
@@ -127,10 +131,15 @@ def _cmd_support(args) -> int:
 def _cmd_basis(args) -> int:
     m = matrixio.read_matrix(args.file)
     null = args.command == "null-basis"
-    basis = null_basis(m) if null else rank_basis(m)
+    if null:
+        from .scaling import null_basis as produce
+    else:
+        from .rank import rank_basis as produce
+    basis = produce(m)
     _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
     if not args.check:
         return 0
+    from . import oracle
     if null:
         _check_annihilated(m, basis)
     if m.n <= oracle.ORACLE_BOUND:
@@ -155,6 +164,7 @@ def _check_span_certificate(m, basis, null):
     finds no dependent one), and each lies in S.  For the null space,
     membership is M x = 0, checked before; for the row space, each
     vector reduces to zero against the elimination's rows."""
+    from . import oracle
     echelon = oracle.row_echelon(m)
     rank = len(echelon.rows)
     if (basis.dimension != (m.n - rank if null else rank)
@@ -192,6 +202,9 @@ def _check_rank_basis_without_oracle(m, basis) -> int:
     combination with probability at most 1/q (Schwartz-Zippel); the
     smallest number k of independent combinations with q^k >= 2^40
     misses it with probability at most 2^-40.  Returns k."""
+    import random
+    from . import oracle
+    from .scaling import null_basis
     nu = oracle._dp_matching_number(m.pattern)
     if basis.dimension != 2 * nu:
         raise ValidationError("check failed: dimension %d, expected 2 * %d"
@@ -220,6 +233,8 @@ def _check_rank_basis_without_oracle(m, basis) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    from .rank import transfer_rank
+    from .scaling import transfer_null
     m = matrixio.read_matrix(args.source)
     n_mat = matrixio.read_matrix(args.target)
     x = matrixio.read_vector(args.vector)
@@ -232,6 +247,7 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import random_matrix
     field = parse_field_spec(args.field)
     m = random_matrix(args.n, args.seed, field, args.components)
     _emit(matrixio.format_matrix(m, args.format), args.out)
@@ -239,6 +255,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
     m = matrixio.read_matrix(args.file)
     if args.operation == "null-basis":
         basis = oracle.dense_null_space(m)

@@ -42,10 +42,10 @@ from fractions import Fraction
 from .errors import ValidationError
 
 #: A literal that ``Fraction`` reads as a decimal with an exponent: the
-#: decimal branch of the pattern in ``fractions``.
-_DECIMAL_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
-    r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+#: decimal branch of the pattern in ``fractions``, case-insensitive.  It
+#: is compiled on first use, through ``re``'s own cache.
+_DECIMAL_EXPONENT = (r"(?i)\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+                     r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*")
 
 #: Most distinct literals one ``RationalField.reader()`` remembers.
 READER_CAP = 4096
@@ -88,7 +88,7 @@ def _exponent_beyond_limit(text: str) -> bool:
     ``Fraction(text)`` raises when the digits before the exponent are
     at fault, as ``Fraction`` reads those first."""
     limit = sys.get_int_max_str_digits()
-    m = _DECIMAL_EXPONENT.fullmatch(text)
+    m = re.fullmatch(_DECIMAL_EXPONENT, text)
     if m is None or not limit:
         return False
     exp = m["exp"].replace("_", "").lstrip("+-")

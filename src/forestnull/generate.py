@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .fields import Field, PrimeField, QQ
-from .matrix import AcyclicMatrix
+from .matrix import MAX_VERTICES, AcyclicMatrix
 
 
 def _decode_tree(seq, n):
@@ -43,6 +43,10 @@ def _decode_tree(seq, n):
 
 
 def random_forest_edges(n: int, rng: random.Random, components: int = 1):
+    """The edges of a random forest on n vertices.  n is checked before
+    anything is drawn: an attachment sequence costs O(n)."""
+    if n > MAX_VERTICES:
+        raise ValidationError("vertex count %d exceeds the limit of %d" % (n, MAX_VERTICES))
     if n < 1:
         raise ValidationError("n must be >= 1")
     if not (1 <= components <= n):

@@ -31,18 +31,19 @@ trailing newline), so fixed inputs always produce identical bytes.  The
 JSON writers build the layout of ``json.dumps(doc, indent=2)`` directly
 in ``_json_blocks``, byte for byte, without the pure-Python encoder that
 ``indent`` selects.
+
+``json`` is imported on the first JSON read or write, and ``oracle``
+only to check that a basis read from a file is independent, so reading
+and writing Matrix Market matrices loads neither.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import json
 from array import array
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 
-from . import oracle
 from .errors import ParseError, ValidationError
 from .fields import Field, QQ, parse_field_spec
 from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector, _row_offsets
@@ -76,11 +77,19 @@ def format_matrix(m: AcyclicMatrix, fmt: str = "mm") -> str:
             lines.append("%d %d %s" % (u + 1, v + 1, fmt_scalar(x)))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        entries = _json_blocks("[]", (("%d" % (u + 1), "%d" % (v + 1), _quote(fmt_scalar(x)))
+        quote = _quoter()
+        entries = _json_blocks("[]", (("%d" % (u + 1), "%d" % (v + 1), quote(fmt_scalar(x)))
                                       for u, v, x in _row_major(m)), 2)
         return _json_document(m.n, m.field,
                               '"entries": ' + _json_blocks("[]", [entries], 1)[0])
     raise ParseError("unknown format %r (use 'mm' or 'json')" % fmt)
+
+
+def _quoter():
+    """``json``'s ASCII string quoter, imported on first use; each JSON
+    writer binds it once per call."""
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
 
 
 def _json_blocks(brackets: str, groups, depth: int) -> list:
@@ -96,7 +105,7 @@ def _json_document(n: int, field: Field, *members) -> str:
     """The text of ``json.dumps({"n": n, "field": field.name, ...},
     indent=2)`` plus a newline; ``members`` are the rendered key/value
     pairs after "field"."""
-    head = ('"n": %d' % n, '"field": ' + _quote(field.name))
+    head = ('"n": %d' % n, '"field": ' + _quoter()(field.name))
     return _json_blocks("{}", [head + members], 0)[0] + "\n"
 
 
@@ -285,6 +294,7 @@ def _check_non_entry_line(raw: str, idx: int):
 
 def _load_json(text: str, what: str, keys) -> dict:
     """The JSON object in text, which must hold each of keys."""
+    import json
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -305,7 +315,7 @@ def _unique_keys(pairs) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError("repeated key %s in a JSON object" % _quote(key))
+                raise ParseError("repeated key %s in a JSON object" % _quoter()(key))
             seen.add(key)
     return doc
 
@@ -360,7 +370,8 @@ def format_basis(basis, n: int, field: Field, fmt: str = "mm") -> str:
                 lines.append("%d %d %s" % (v + 1, j, field.format(vec.entries[v])))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        maps = _json_blocks("{}", map(_vector_members, vectors), 2)
+        quote = _quoter()
+        maps = _json_blocks("{}", (_vector_members(vec, quote) for vec in vectors), 2)
         return _json_document(n, field, '"dimension": %d' % len(vectors),
                               '"vectors": ' + _json_blocks("[]", [maps], 1)[0])
     raise ParseError("unknown format %r (use 'mm' or 'json')" % fmt)
@@ -424,16 +435,18 @@ def _independent_basis(field: Field, vectors) -> Basis:
     for j, vec in enumerate(vectors, start=1):
         if vec.is_zero():
             raise ParseError("basis vector %d is zero" % j)
-    j = oracle.first_dependent(field, vectors)
+    from .oracle import first_dependent
+    j = first_dependent(field, vectors)
     if j >= 0:
         raise ParseError("basis vector %d depends on the vectors before it" % (j + 1))
     return Basis(vectors)
 
 
-def _vector_members(vec: SparseVector) -> list:
-    """The rendered ``"vertex": "value"`` members of vec's JSON object."""
+def _vector_members(vec: SparseVector, quote) -> list:
+    """The rendered ``"vertex": "value"`` members of vec's JSON object,
+    each value quoted by ``quote``."""
     fmt = vec.field.format
-    return ['"%d": %s' % (v + 1, _quote(fmt(x))) for v, x in sorted(vec.entries.items())]
+    return ['"%d": %s' % (v + 1, quote(fmt(x))) for v, x in sorted(vec.entries.items())]
 
 
 def _vector_from_map(n: int, field: Field, value_of, mapping: dict) -> SparseVector:
@@ -449,8 +462,8 @@ def _vector_from_map(n: int, field: Field, value_of, mapping: dict) -> SparseVec
 
 
 def format_vector(vec: SparseVector) -> str:
-    return _json_document(vec.n, vec.field,
-                          '"vector": ' + _json_blocks("{}", [_vector_members(vec)], 1)[0])
+    members = _vector_members(vec, _quoter())
+    return _json_document(vec.n, vec.field, '"vector": ' + _json_blocks("{}", [members], 1)[0])
 
 
 @_ids_as_written

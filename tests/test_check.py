@@ -124,7 +124,8 @@ def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, caps
         for null, basis, want in cases(m):
             command, producer = ("null-basis", "null_basis") if null else \
                 ("rank-basis", "rank_basis")
-            monkeypatch.setattr(cli, producer, lambda m, basis=basis: basis)
+            monkeypatch.setattr("forestnull.%s.%s" % ("scaling" if null else "rank", producer),
+                                lambda m, basis=basis: basis)
             code = cli.main([command, str(path), "--check", "-o", out])
             err = capsys.readouterr().err
             assert code == (0 if want else 1), (m, command, basis.vectors)
@@ -183,7 +184,7 @@ def test_rank_basis_check_above_the_bound_refuses_a_repeated_vector(tmp_path, ca
     assert "independent by peeling" in capsys.readouterr().err
     vectors = rank_basis(m).vectors
     repeated = Basis(vectors[:-1] + vectors[-2:-1])
-    monkeypatch.setattr(cli, "rank_basis", lambda m: repeated)
+    monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: repeated)
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == ("error: check failed: basis vectors do not peel "
                                        "(independence unproven)\n")
@@ -216,7 +217,7 @@ def test_rank_basis_check_above_the_bound_refuses_20_spoiled_vectors_on_gf7(
     assert "in each of 15 independent draws" in err and "2^-40" in err
     assert "oracle skipped" in err
     for basis in moved.values():
-        monkeypatch.setattr(cli, "rank_basis", lambda m, basis=basis: basis)
+        monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
         assert cli.main(["rank-basis", str(path), "--check", "-o", out]) == 1
         assert capsys.readouterr().err == ("error: check failed: a basis vector is "
                                            "not orthogonal to the null space\n")

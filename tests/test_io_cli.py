@@ -372,6 +372,14 @@ def test_cli_gen_and_oracle(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("min-support-total:")
 
 
+def test_cli_gen_refuses_a_vertex_count_beyond_the_limit_before_drawing(capsys):
+    # refused before the O(n) attachment sequence is drawn
+    assert main(["gen", "--n", "2147483648"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vertex count 2147483648 exceeds the limit of 2147483647\n"
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -606,6 +614,75 @@ def test_cli_imports_no_introspection_modules(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _run_fresh(script, *args):
+    """The stdout of ``script`` run by ``python -S`` in a fresh process
+    that imports forestnull from this checkout."""
+    src = str(Path(forestnull.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *map(str, args)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_namespace_resolves_names_on_first_use():
+    script = """
+import sys
+import forestnull
+assert not [name for name in sys.modules if name.startswith("forestnull.")]
+modules = ("errors", "fields", "forest", "generate", "kernel", "matrix", "rank", "scaling")
+for name in modules:
+    assert getattr(forestnull, name) is sys.modules["forestnull." + name], name
+for name in forestnull.__all__:
+    value = getattr(forestnull, name)
+    assert getattr(sys.modules[value.__module__], name) is value, name
+star = {}
+exec("from forestnull import *", star)
+assert sorted(set(star) - {"__builtins__"}) == sorted(forestnull.__all__)
+assert set(forestnull.__all__) | set(modules) <= set(dir(forestnull))
+try:
+    forestnull.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'forestnull' has no attribute 'nope'"
+else:
+    raise AssertionError("forestnull.nope resolved")
+print("ok")
+"""
+    assert _run_fresh(script).splitlines()[-1] == "ok"
+
+
+def test_cli_commands_import_only_what_they_run(tmp_path):
+    # each command imports its compute modules, the oracle, json and
+    # random on first use; validate and null-basis load none they skip
+    path, out = tmp_path / "m.mtx", tmp_path / "out"
+    path.write_text(M_P3_TEXT)
+    script = """
+import sys
+from forestnull.cli import main
+path, out = sys.argv[1:]
+
+def loaded(names):
+    return sorted(name for name in names if name in sys.modules)
+
+assert main(["validate", path]) == 0
+after_validate = loaded(["forestnull.oracle", "forestnull.kernel", "forestnull.rank",
+                         "forestnull.scaling", "forestnull.generate", "random", "json",
+                         "heapq"])
+assert main(["null-basis", path, "-o", out]) == 0
+after_null_basis = loaded(["forestnull.oracle", "forestnull.rank", "forestnull.generate",
+                           "random", "json"])
+codes = [main(argv) for argv in (
+    ["null-basis", path, "--check", "-o", out],
+    ["rank-basis", path, "--check", "--format", "json", "-o", out],
+    ["support", path, "--json"],
+    ["gen", "--n", "5", "--seed", "1", "--out", out],
+    ["oracle", "rank", path, "-o", out])]
+print([after_validate, after_null_basis, codes])
+"""
+    last = _run_fresh(script, path, out).splitlines()[-1]
+    assert ast.literal_eval(last) == [[], [], [0, 0, 0, 0, 0]]
+
+
 def test_traced_layer_functions_exist():
     # perfbench/tracing.py wraps these functions by name; each must resolve
     source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
@@ -639,11 +716,11 @@ def test_cli_rank_basis_check_above_the_oracle_cap(tmp_path, capsys, monkeypatch
         first = min(null_basis(m).vectors[0].entries)
         return Basis(basis.vectors[:-1] + [basis.vectors[-1].add(sv(m.n, {first: 1}))])
 
-    monkeypatch.setattr(cli, "rank_basis", perturbed)
+    monkeypatch.setattr("forestnull.rank.rank_basis", perturbed)
     assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
     assert "not orthogonal to the null space" in capsys.readouterr().err
 
-    monkeypatch.setattr(cli, "rank_basis", lambda m: Basis(rank_basis(m).vectors[1:]))
+    monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: Basis(rank_basis(m).vectors[1:]))
     assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
     assert "check failed: dimension" in capsys.readouterr().err
 
@@ -681,7 +758,7 @@ def test_cli_null_basis_check_refuses_a_vector_not_annihilated(tmp_path, capsys,
         vectors[spoiled] = vectors[spoiled].add(sv(m.n, {w: 1}))
         return Basis(vectors)
 
-    monkeypatch.setattr(cli, "null_basis", spoil)
+    monkeypatch.setattr("forestnull.scaling.null_basis", spoil)
     assert main(["null-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
     assert capsys.readouterr().err == "error: check failed: output vector is not annihilated\n"
 
@@ -708,7 +785,7 @@ def test_cli_check_refuses_a_basis_with_the_wrong_span(tmp_path, capsys, monkeyp
     path = tmp_path / "m.mtx"
     m = random_matrix(60, 5, QQ, components=3)
     matrixio.write_matrix(m, path)
-    right = getattr(cli, producer)
+    right = getattr(forestnull, producer)
     assert right(m).dimension >= 2
 
     def last_replaced_by_first(m):
@@ -716,11 +793,11 @@ def test_cli_check_refuses_a_basis_with_the_wrong_span(tmp_path, capsys, monkeyp
         vectors = right(m).vectors
         return Basis(vectors[:-1] + vectors[:1])
 
-    monkeypatch.setattr(cli, producer, last_replaced_by_first)
+    monkeypatch.setattr(sys.modules[right.__module__], producer, last_replaced_by_first)
     argv = [command, str(path), "--check", "-o", str(tmp_path / "b")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: check failed: span differs from the oracle\n"
     # the certificate's independence test is what refuses it
-    monkeypatch.setattr(cli.oracle._Echelon, "insert", lambda self, vec: True)
+    monkeypatch.setattr(oracle._Echelon, "insert", lambda self, vec: True)
     assert main(argv) == 0
     assert "check: ok" in capsys.readouterr().err
