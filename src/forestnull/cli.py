@@ -54,8 +54,9 @@ def _basis_arguments(p):
     p.add_argument("-o", "--out")
     p.add_argument("--format", choices=("mm", "json"), default="mm")
     p.add_argument("--check", action="store_true",
-                   help="verify the result: a certificate against an exact "
-                        "elimination up to n = 512, cheaper checks above")
+                   help="verify the result: up to n = 512 a rank certificate "
+                        "(matched rows and a null basis that peel), with an exact "
+                        "elimination only when it is inconclusive; cheaper checks above")
 
 
 def _transfer_arguments(p):
@@ -136,35 +137,46 @@ def _cmd_basis(args) -> int:
     else:
         from .rank import rank_basis as produce
     basis = produce(m)
+    verified = None
+    if args.check:  # before the output, so that a refused run writes nothing
+        from . import oracle
+        if null:
+            _check_annihilated(m, basis)
+        if m.n <= oracle.ORACLE_BOUND:
+            _check_span_certificate(m, basis, null)
+            verified = "oracle span verified"
+        elif null:
+            verified = "oracle skipped for n > bound"
+        else:
+            draws = _check_rank_basis_without_oracle(m, basis)
+            verified = ("equal to 2 * matching number by tree DP, independent by peeling, "
+                        "orthogonal to a random null combination in each of %d independent "
+                        "draws (miss probability at most 2^-40), oracle skipped for n > bound"
+                        % draws)
     _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
-    if not args.check:
-        return 0
-    from . import oracle
-    if null:
-        _check_annihilated(m, basis)
-    if m.n <= oracle.ORACLE_BOUND:
-        _check_span_certificate(m, basis, null)
-        verified = "oracle span verified"
-    elif null:
-        verified = "oracle skipped for n > bound"
-    else:
-        draws = _check_rank_basis_without_oracle(m, basis)
-        verified = ("equal to 2 * matching number by tree DP, independent by peeling, "
-                    "orthogonal to a random null combination in each of %d independent "
-                    "draws (miss probability at most 2^-40), oracle skipped for n > bound"
-                    % draws)
-    print("check: ok (dimension %d, %s)" % (basis.dimension, verified), file=sys.stderr)
+    if verified:
+        print("check: ok (dimension %d, %s)" % (basis.dimension, verified), file=sys.stderr)
     return 0
 
 
 def _check_span_certificate(m, basis, null):
     """span(basis) is the target space S, the null space (null) or the
-    row space of m, against one exact elimination of m: the basis has
-    dim S vectors, they are independent (``oracle.first_dependent``
-    finds no dependent one), and each lies in S.  For the null space,
-    membership is M x = 0, checked before; for the row space, each
-    vector reduces to zero against the elimination's rows."""
+    row space of m.  A certificate needs no elimination
+    (``oracle.certifies_span``): m's rows at the vertices that
+    ``kernel.maximum_matching`` matches, and a null witness, fix the
+    rank.  The witness is the output (M x = 0 is checked before) or,
+    for the row space, ``kernel.sparsest_null_basis``, annihilated here.
+    Only when it is inconclusive does one exact elimination of m decide:
+    dim S vectors, independent (``oracle.first_dependent``), each in S
+    (M x = 0, or reduction to zero against the elimination's rows)."""
     from . import oracle
+    from .kernel import maximum_matching, sparsest_null_basis
+    matching = maximum_matching(m.pattern)
+    matched = [v for v, p in enumerate(matching.partner) if p >= 0]
+    witness = basis if null else sparsest_null_basis(m, matching)
+    if ((null or _annihilated(m, witness))
+            and oracle.certifies_span(m, matched, witness, None if null else basis)):
+        return
     echelon = oracle.row_echelon(m)
     rank = len(echelon.rows)
     if (basis.dimension != (m.n - rank if null else rank)
@@ -174,6 +186,11 @@ def _check_span_certificate(m, basis, null):
 
 
 def _check_annihilated(m, basis):
+    if not _annihilated(m, basis):
+        raise ValidationError("check failed: output vector is not annihilated")
+
+
+def _annihilated(m, basis) -> bool:
     """M x = 0 for every vector x of the basis, in one loop over M's CSR
     arrays and column-side values: nothing the fast path derived from M
     is read."""
@@ -187,7 +204,8 @@ def _check_annihilated(m, basis):
                 u = neighbors[j]
                 product[u] = add(get(u, zero), mul(col_flat[j], x))
         if any(product.values()):
-            raise ValidationError("check failed: output vector is not annihilated")
+            return False
+    return True
 
 
 def _check_rank_basis_without_oracle(m, basis) -> int:
@@ -209,7 +227,7 @@ def _check_rank_basis_without_oracle(m, basis) -> int:
     if basis.dimension != 2 * nu:
         raise ValidationError("check failed: dimension %d, expected 2 * %d"
                               % (basis.dimension, nu))
-    if oracle._peel(basis.vectors):
+    if oracle._peel([vec.entries for vec in basis.vectors], m.n):
         raise ValidationError("check failed: basis vectors do not peel "
                               "(independence unproven)")
     field = m.field

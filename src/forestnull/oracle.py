@@ -3,10 +3,17 @@
 Exact elimination of sparse rows, a tree-DP matching number, exhaustive
 independent-set enumeration, and a minimum-total-support search over
 column subsets.  Nothing here shares matching/support/scaling code with
-the rest of the package; it exists to catch systematic bugs and is
-wired into tests, the CLI's ``--check`` and ``oracle`` commands, and
+the rest of the package, nor imports ``kernel``, ``scaling`` or
+``rank``; it exists to catch systematic bugs and is wired into tests,
+the CLI's ``--check`` and ``oracle`` commands, and
 ``matrixio.parse_basis``, whose independence check is
 ``first_dependent``.
+
+A certificate (``certifies_span``) settles the CLI's own bases with no
+elimination: rows of M that peel prove rank >= r, and n - r annihilated
+null vectors that peel prove rank <= r.  The caller checks M x = 0 on
+the witness and the certificate checks the rest; when it proves
+nothing, the elimination decides.
 
 Cost: the elimination touches only nonzeros.  A column -> rows
 incidence names, for each pivot column, the rows that hold it, and
@@ -19,7 +26,7 @@ unique, so ``dense_analysis`` does not depend on the pivot rule.  Span
 tests reduce a vector by the stored pivots it actually holds, taken
 from a heap in ascending order.  Independence tests first peel the
 vectors (``_peel``), which settles a basis of the fast path without
-any elimination.
+any elimination; the certificate is peels and exact dot products.
 
 Size caps: the elimination routines refuse instances above
 ``ORACLE_BOUND`` (512 vertices); the exponential searches have their
@@ -243,29 +250,32 @@ class _Echelon:
         return not self.reduce(vec)
 
 
-def _peel(vectors) -> list:
-    """The indices, ascending, of the vectors left after peeling:
-    removing, again and again, a vector that holds a coordinate no
-    other remaining vector holds.  Such a vector has coefficient 0 in
-    every linear dependency among the vectors, so every dependency lies
-    among those left, and none are left when the vectors peel
-    completely, which proves them independent.  A count of the
-    remaining holders of each coordinate, and the xor of their indices,
-    name the holder once the count is 1.  O(total nonzeros)."""
-    count, owners = {}, {}
-    for i, vec in enumerate(vectors):
-        for v in vec.entries:
-            count[v] = count.get(v, 0) + 1
-            owners[v] = owners.get(v, 0) ^ i
-    left = [True] * len(vectors)
-    lone = [v for v, k in count.items() if k == 1]
+def _peel(supports, n: int) -> list:
+    """The indices, ascending, of the supports left after peeling:
+    removing, again and again, one that holds a coordinate no other
+    remaining one holds.  A support lists coordinates in [0, n): those
+    of a vector's nonzero entries (its ``entries``) or of a row of M (a
+    slice of its CSR ``neighbors``; stored entries are nonzero).  Such a
+    vector has coefficient 0 in every linear dependency among the
+    vectors, so every dependency lies among those left, and none are
+    left when the vectors peel completely, which proves them
+    independent.  A count of the remaining holders of each coordinate,
+    and the xor of their indices, name the holder once the count is 1.
+    O(n + total nonzeros)."""
+    count, owners = [0] * n, [0] * n
+    for i, support in enumerate(supports):
+        for v in support:
+            count[v] += 1
+            owners[v] ^= i
+    left = [True] * len(supports)
+    lone = [v for v, k in enumerate(count) if k == 1]
     while lone:
         w = lone.pop()
         if count[w] != 1:
             continue
         i = owners[w]
         left[i] = False
-        for v in vectors[i].entries:
+        for v in supports[i]:
             count[v] -= 1
             owners[v] ^= i
             if count[v] == 1:
@@ -279,11 +289,50 @@ def first_dependent(field, vectors) -> int:
     hold every dependency, so inserting only them, in order, into one
     ``_Echelon`` rejects the same first vector as inserting all of
     them."""
+    ids = {}  # compact coordinates: a parsed basis may be long and nearly empty
+    supports = [[ids.setdefault(v, len(ids)) for v in vec.entries] for vec in vectors]
     echelon = _Echelon(field)
-    for i in _peel(vectors):
+    for i in _peel(supports, len(ids)):
         if not echelon.insert(vectors[i]):
             return i
     return -1
+
+
+def certifies_span(m: AcyclicMatrix, matched, witness: Basis, row_basis=None) -> bool:
+    """Whether a certificate proves, with no elimination, that rank(m) is
+    r = len(matched) and span(witness) = null(m), and, given a
+    row_basis, span(row_basis) = row(m); False is inconclusive, not a
+    refusal.  The caller checks that m annihilates the witness.
+
+    m's rows at ``matched`` peel completely (``_peel`` on their CSR
+    slices), so rank >= r; the witness has n - r vectors that peel, so
+    nullity >= n - r.  A row basis of r vectors that peel and are
+    orthogonal to the witness lies in null(m)^perp = row(m), which has
+    dimension r.  The exact dot products go through a coordinate ->
+    witness-vector index."""
+    n, neighbors, offsets = m.n, m.pattern.neighbors, m.pattern.offsets
+    r = len(matched)
+    if (witness.dimension != n - r
+            or _peel([vec.entries for vec in witness.vectors], n)
+            or _peel([neighbors[offsets[u]:offsets[u + 1]] for u in matched], n)):
+        return False
+    if row_basis is None:
+        return True
+    if row_basis.dimension != r or _peel([vec.entries for vec in row_basis.vectors], n):
+        return False
+    add, mul, zero = m.field.add, m.field.mul, m.field.zero
+    holders = {}  # coordinate -> [(witness index, entry)]
+    for k, vec in enumerate(witness.vectors):
+        for v, x in vec.entries.items():
+            holders.setdefault(v, []).append((k, x))
+    for vec in row_basis.vectors:
+        dots = {}
+        for v, y in vec.entries.items():
+            for k, x in holders.get(v, ()):
+                dots[k] = add(dots.get(k, zero), mul(x, y))
+        if any(dots.values()):
+            return False
+    return True
 
 
 def same_span(a: Basis, b: Basis) -> bool:

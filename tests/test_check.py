@@ -1,16 +1,24 @@
 """``--check`` on null-basis and rank-basis.
 
-Up to ``ORACLE_BOUND`` vertices the check verifies a certificate
-against one forward elimination of M (``oracle.row_echelon``): the
+Up to ``ORACLE_BOUND`` vertices the check first tries a certificate
+that needs no elimination (``oracle.certifies_span``): M's rows at the
+vertices ``kernel.maximum_matching`` matches peel, so rank >= r; a null
+witness of n - r annihilated vectors peels, so rank = r and it spans
+the null space.  The witness is the output for null-basis and
+``kernel.sparsest_null_basis`` for rank-basis, whose r vectors must
+then peel and be orthogonal to it.  Only when that is inconclusive
+does one forward elimination of M (``oracle.row_echelon``) decide: the
 basis has as many vectors as the target space's dimension, they are
 independent (``oracle.first_dependent``: a peel, then one echelon form
 for the vectors it leaves), and each lies in the space (M x = 0 for the
 null space, reduction to zero against the elimination's rows for the
 row space).  The differential tests here hold its verdict to mutual
 span reduction against the dense reference basis, on the right basis
-and on spoiled ones.  Above the bound, rank-basis checks that the
-vectors peel completely and that they are orthogonal to random null
-combinations.
+and on spoiled ones; others hold that the CLI's own bases never need
+the elimination, that a bad witness falls back to it, and that a
+refused run writes no output.  Above the bound, rank-basis checks that
+the vectors peel completely and that they are orthogonal to random
+null combinations.
 """
 
 import random
@@ -18,7 +26,7 @@ import random
 import pytest
 
 from forestnull import Basis, PrimeField, QQ, ValidationError
-from forestnull import build_forest, cli, matrixio, oracle
+from forestnull import build_forest, cli, kernel, matrixio, oracle
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
@@ -168,7 +176,8 @@ def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matr
             instances.append(random_matrix(600, components, field, components))
     for m in instances:
         for basis in (null_basis(m), rank_basis(m)):
-            assert oracle._peel(basis.vectors) == [], (m, basis.vectors)
+            supports = [vec.entries for vec in basis.vectors]
+            assert oracle._peel(supports, m.n) == [], (m, basis.vectors)
     assert k == 637  # unlabeled forests on 1 to 10 vertices
 
 
@@ -231,3 +240,101 @@ def test_rank_basis_check_above_the_bound_draw_counts(tmp_path, capsys, monkeypa
         matrixio.write_matrix(random_matrix(30, 1, field), path)
         assert cli.main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 0
         assert "in each of %d independent draws" % draws in capsys.readouterr().err
+
+
+def write_instance(m, tmp_path):
+    path = tmp_path / "m.mtx"
+    matrixio.write_matrix(m, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, producer", [("null-basis", "forestnull.scaling.null_basis"),
+                                               ("rank-basis", "forestnull.rank.rank_basis")])
+def test_refused_check_writes_no_output(tmp_path, capsys, monkeypatch, command, producer):
+    m = random_matrix(20, 5, QQ)
+    path = write_instance(m, tmp_path)
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.write_text("earlier output\n")
+    produce = {"null-basis": null_basis, "rank-basis": rank_basis}[command]
+    right = produce(m).vectors
+    assert len(right) >= 2
+    monkeypatch.setattr(producer, lambda m: Basis(right[:-1]))
+    for out in ([], ["-o", str(fresh)], ["-o", str(kept)]):
+        assert cli.main([command, path, "--check"] + out) == 1
+        assert capsys.readouterr() == ("", SPAN_ERROR)
+    assert not fresh.exists() and kept.read_text() == "earlier output\n"
+    # a run that passes still writes its output
+    monkeypatch.setattr(producer, lambda m: Basis(right))
+    assert cli.main([command, path, "--check", "-o", str(kept)]) == 0
+    assert kept.read_text() == matrixio.format_basis(Basis(right), m.n, m.field, "mm")
+
+
+def certificate_instances():
+    """Every forest up to 8 vertices, then random matrices with n up to
+    512 and 512 itself, over every field with 1-4 components."""
+    yield from small_forest_instances()
+    rng = random.Random(20)
+    for field in FIELDS:
+        for components in range(1, 5):
+            for n in (rng.randint(components, 511), 512):
+                yield random_matrix(n, rng.randrange(10 ** 6), field, components)
+
+
+def test_cli_bases_are_certified_without_the_elimination(tmp_path, capsys, monkeypatch):
+    def no_elimination(m):
+        raise AssertionError("the certificate was inconclusive")
+
+    monkeypatch.setattr(oracle, "row_echelon", no_elimination)
+    sizes = []
+    for m in certificate_instances():
+        path = write_instance(m, tmp_path)
+        for command in ("null-basis", "rank-basis"):
+            assert cli.main([command, path, "--check", "-o", str(tmp_path / "b")]) == 0
+            assert "oracle span verified" in capsys.readouterr().err
+        sizes.append(m.n)
+    assert len(sizes) == 155 + 24 and sizes.count(512) == 12
+
+
+def test_rank_basis_check_falls_back_to_the_elimination_on_a_bad_witness(tmp_path, capsys,
+                                                                        monkeypatch):
+    # a witness that is short, repeats a vector or is not annihilated
+    # proves nothing, so the elimination decides, as it would have alone
+    calls = []
+    row_echelon = oracle.row_echelon
+    monkeypatch.setattr(oracle, "row_echelon", lambda m: calls.append(m.n) or row_echelon(m))
+    witness = kernel.sparsest_null_basis
+    for field in FIELDS:
+        m = random_matrix(40, 9, field, components=2)
+        path, out = write_instance(m, tmp_path), str(tmp_path / "b")
+        right = rank_basis(m).vectors
+        vectors = witness(m, kernel.maximum_matching(m.pattern)).vectors
+        k, w = next((k, min(vec.entries)) for k, vec in enumerate(vectors)
+                    if len(vec.entries) >= 2)
+        doubled = vectors[k].add(sv(m.n, {w: vectors[k].entries[w]}, field))
+        spoils = (vectors[1:], vectors[:-1] + vectors[:1],
+                  vectors[:k] + [doubled] + vectors[k + 1:])
+        for spoiled in (vectors,) + spoils:
+            monkeypatch.setattr(kernel, "sparsest_null_basis",
+                                lambda m, matching, spoiled=spoiled: Basis(spoiled))
+            del calls[:]
+            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: Basis(right))
+            assert cli.main(["rank-basis", path, "--check", "-o", out]) == 0
+            assert "oracle span verified" in capsys.readouterr().err
+            assert calls == ([] if spoiled is vectors else [m.n])
+            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: Basis(right[1:]))
+            assert cli.main(["rank-basis", path, "--check", "-o", out]) == 1
+            assert capsys.readouterr().err == SPAN_ERROR
+
+
+def test_certificate_refuses_forged_claims():
+    # the rows of every vertex peel only when m is nonsingular, and a
+    # matched set one short of the rank leaves the witness one too many
+    for m in random_instances():
+        matching = kernel.maximum_matching(m.pattern)
+        matched = [v for v, p in enumerate(matching.partner) if p >= 0]
+        witness = kernel.sparsest_null_basis(m, matching)
+        rank_basis_m = rank_basis(m)
+        assert oracle.certifies_span(m, matched, witness, rank_basis_m)
+        assert oracle.certifies_span(m, list(range(m.n)), Basis([])) == (len(matched) == m.n)
+        if matched:
+            assert not oracle.certifies_span(m, matched[1:], witness)

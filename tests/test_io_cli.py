@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +160,20 @@ def test_parse_basis_refuses_more_columns_than_rows_before_allocating(text):
 def test_parse_basis_checks_the_size_line_like_the_matrix_reader(text, message):
     with pytest.raises(ParseError, match=message):
         matrixio.parse_basis("%%MatrixMarket matrix coordinate rational general\n" + text)
+
+
+def test_parse_basis_allocates_nothing_per_row():
+    # the independence check peels compact coordinates, so a long and
+    # nearly empty basis costs its entries, not its 10^7 rows
+    text = ("%%MatrixMarket matrix coordinate rational general\n"
+            "10000000 2 3\n1 1 1\n10000000 1 2\n10000000 2 1\n")
+    tracemalloc.start()
+    try:
+        basis = matrixio.parse_basis(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dimension == 2 and peak < 10 ** 6
 
 
 @pytest.mark.parametrize("write", [
