@@ -16,6 +16,7 @@ above-bound ``rank-basis --check``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import count
 
@@ -25,19 +26,44 @@ from .fields import PrimeField, parse_field_spec
 from .matrix import SparseVector
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of all seven subcommands, or of ``command`` alone,
-    whose top-level usage still names all seven."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven subcommands."""
     parser = argparse.ArgumentParser(
-        prog="forestnull",
+        prog="forestnull", formatter_class=_formatter,
         description="Sparsest null bases and row-space bases of zero-diagonal "
                     "matrices whose nonzero pattern is a forest.")
-    metavar = None if command is None else "{%s}" % ",".join(_SUBCOMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _SUBCOMMANDS if command is None else (command,):
-        what, add_arguments = _SUBCOMMANDS[name]
-        add_arguments(sub.add_parser(name, help=what))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (what, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=what, formatter_class=_formatter))
     return parser
+
+
+def _parse_args(argv):
+    """argv as ``_build_parser`` parses it, which is built only for an
+    unknown command or arguments the command's own parser leaves."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog="forestnull " + argv[0], formatter_class=_formatter)
+        _SUBCOMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
+def _formatter(prog) -> argparse.HelpFormatter:
+    """argparse's help formatter at the width ``shutil.get_terminal_size``
+    gives it, read without importing ``shutil`` (and bz2, lzma and zlib
+    with it): COLUMNS, else the terminal of ``sys.__stdout__``, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
 
 
 def _file_arguments(p):
@@ -55,7 +81,7 @@ def _basis_arguments(p):
     p.add_argument("--format", choices=("mm", "json"), default="mm")
     p.add_argument("--check", action="store_true",
                    help="verify the result: up to n = 512 a rank certificate "
-                        "(matched rows and a null basis that peel), with an exact "
+                        "(matched pairs and a null basis that peels), with an exact "
                         "elimination only when it is inconclusive; cheaper checks above")
 
 
@@ -130,25 +156,26 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    from .kernel import maximum_matching, sparsest_null_basis
     m = matrixio.read_matrix(args.file)
     null = args.command == "null-basis"
-    if null:
-        from .scaling import null_basis as produce
-    else:
-        from .rank import rank_basis as produce
-    basis = produce(m)
+    matching = maximum_matching(m.pattern) if null or args.check else None  # shared
+    if not null:
+        from .rank import rank_basis
+    basis = sparsest_null_basis(m, matching) if null else rank_basis(m)
     verified = None
     if args.check:  # before the output, so that a refused run writes nothing
         from . import oracle
-        if null:
-            _check_annihilated(m, basis)
+        if null and not _annihilated(m, basis):
+            raise ValidationError("check failed: output vector is not annihilated")
+        witness = basis if null else sparsest_null_basis(m, matching)
         if m.n <= oracle.ORACLE_BOUND:
-            _check_span_certificate(m, basis, null)
+            _check_span_certificate(m, basis, null, matching.partner, witness)
             verified = "oracle span verified"
         elif null:
             verified = "oracle skipped for n > bound"
         else:
-            draws = _check_rank_basis_without_oracle(m, basis)
+            draws = _check_rank_basis_without_oracle(m, basis, witness)
             verified = ("equal to 2 * matching number by tree DP, independent by peeling, "
                         "orthogonal to a random null combination in each of %d independent "
                         "draws (miss probability at most 2^-40), oracle skipped for n > bound"
@@ -159,23 +186,15 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _check_span_certificate(m, basis, null):
-    """span(basis) is the target space S, the null space (null) or the
-    row space of m.  A certificate needs no elimination
-    (``oracle.certifies_span``): m's rows at the vertices that
-    ``kernel.maximum_matching`` matches, and a null witness, fix the
-    rank.  The witness is the output (M x = 0 is checked before) or,
-    for the row space, ``kernel.sparsest_null_basis``, annihilated here.
-    Only when it is inconclusive does one exact elimination of m decide:
-    dim S vectors, independent (``oracle.first_dependent``), each in S
-    (M x = 0, or reduction to zero against the elimination's rows)."""
+def _check_span_certificate(m, basis, null, partner, witness):
+    """span(basis) is the null space (null) or the row space of m, by
+    ``oracle.certifies_span`` on a matching's ``partner`` and an
+    annihilated null witness, or when that is inconclusive, as a matching
+    that is not maximum makes it, by one exact elimination: dim vectors,
+    independent (``oracle.first_dependent``), each in the space."""
     from . import oracle
-    from .kernel import maximum_matching, sparsest_null_basis
-    matching = maximum_matching(m.pattern)
-    matched = [v for v, p in enumerate(matching.partner) if p >= 0]
-    witness = basis if null else sparsest_null_basis(m, matching)
     if ((null or _annihilated(m, witness))
-            and oracle.certifies_span(m, matched, witness, None if null else basis)):
+            and oracle.certifies_span(m, partner, witness, None if null else basis)):
         return
     echelon = oracle.row_echelon(m)
     rank = len(echelon.rows)
@@ -183,11 +202,6 @@ def _check_span_certificate(m, basis, null):
             or not (null or all(map(echelon.contains, basis.vectors)))
             or oracle.first_dependent(m.field, basis.vectors) >= 0):
         raise ValidationError("check failed: span differs from the oracle")
-
-
-def _check_annihilated(m, basis):
-    if not _annihilated(m, basis):
-        raise ValidationError("check failed: output vector is not annihilated")
 
 
 def _annihilated(m, basis) -> bool:
@@ -208,12 +222,12 @@ def _annihilated(m, basis) -> bool:
     return True
 
 
-def _check_rank_basis_without_oracle(m, basis) -> int:
+def _check_rank_basis_without_oracle(m, basis, witness) -> int:
     """Checks that stay cheap at any n: the dimension is 2 nu, with nu
     from the oracle's tree DP; the vectors peel completely
     (``oracle._peel``), which proves them independent, as a row basis
     of m always does; and every vector is orthogonal to seeded
-    random combinations of the null basis, as row-space vectors are
+    random combinations of the null basis ``witness``, as row-space vectors are
     orthogonal to the whole null space.  The coefficients are uniform
     over a set of q values, the field for GF(p) and [1, 2^31) for Q, so
     a vector not orthogonal to the null space is orthogonal to one
@@ -222,7 +236,6 @@ def _check_rank_basis_without_oracle(m, basis) -> int:
     misses it with probability at most 2^-40.  Returns k."""
     import random
     from . import oracle
-    from .scaling import null_basis
     nu = oracle._dp_matching_number(m.pattern)
     if basis.dimension != 2 * nu:
         raise ValidationError("check failed: dimension %d, expected 2 * %d"
@@ -235,10 +248,9 @@ def _check_rank_basis_without_oracle(m, basis) -> int:
     low, high = (0, field.p) if isinstance(field, PrimeField) else (1, 2 ** 31)
     draws = next(k for k in count(1) if (high - low) ** k >= 2 ** 40)
     rng = random.Random(0)
-    null_vectors = null_basis(m).vectors
     for _ in range(draws):
         combination = {}
-        for vec in null_vectors:
+        for vec in witness.vectors:
             c = field.coerce(rng.randrange(low, high))
             for v, x in vec.entries.items():
                 combination[v] = add(combination.get(v, zero), mul(c, x))
@@ -299,9 +311,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _HANDLERS[args.command](args)
     except (ForestNullError, OSError) as exc:

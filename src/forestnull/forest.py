@@ -76,26 +76,24 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
     return AcyclicMatrix.from_entries(vertex_count, entries).pattern
 
 
-def _indexed_forest(vertex_count, neighbors, offsets):
-    """The ``Forest`` over a CSR layout, and the twin of every slot: the
-    slot of the same edge in the other endpoint's row.
+def _indexed_forest(vertex_count, neighbors, offsets, row_flat):
+    """The ``Forest`` over a CSR layout, and ``col_flat``: each value of
+    ``row_flat`` at the twin of its slot, the slot of the same edge in
+    the other endpoint's row.
 
-    One component sweep labels the components and records the walk:
-    each component starts at its smallest vertex, and a vertex's
-    unvisited neighbors are pushed ascending, so the largest is visited
-    first.  Each slot of a popped vertex either pushes an unvisited
-    neighbor or points back at the vertex's parent; that back slot and
-    the parent's slot, ``parent_slot``, are twins.  The sweep thus proves
+    The component sweep, in the order the module docstring gives, meets
+    each slot of a popped vertex once: it pushes an unvisited neighbor
+    or points back at the vertex's parent, and that back slot and the
+    parent's slot, ``parent_slot``, are twins.  The sweep thus proves
     the layout a symmetric forest on the way: it meets no other visited
-    neighbor, and the n - components pushes leave the same number of
-    back slots, so every tree slot has its twin.  When it fails,
-    ``_refuse_pattern`` names why.  The per-vertex results and the twins
-    are C int arrays.
+    neighbor, and the n - components pushes leave as many back slots,
+    so every tree slot has its twin.  When it fails, ``_refuse_pattern``
+    names why.  The per-vertex results are C int arrays.
     """
     component_id = array("i", [-1]) * vertex_count
     parent = array("i", [-1]) * vertex_count
     parent_slot = array("i", [-1]) * vertex_count
-    twin = array("i", [-1]) * len(neighbors)
+    col_flat = [None] * len(neighbors)
     order = array("i")
     visit = order.append
     count = 0
@@ -114,8 +112,8 @@ def _indexed_forest(vertex_count, neighbors, offsets):
                 y = neighbors[j]
                 if y == p:
                     k = parent_slot[x]
-                    twin[j] = k
-                    twin[k] = j
+                    col_flat[j] = row_flat[k]
+                    col_flat[k] = row_flat[j]
                 elif component_id[y] < 0:
                     component_id[y] = count
                     parent[y] = x
@@ -127,7 +125,7 @@ def _indexed_forest(vertex_count, neighbors, offsets):
     if len(neighbors) != 2 * (vertex_count - count):
         _refuse_pattern(vertex_count, neighbors, offsets)
     return Forest(vertex_count, neighbors, offsets, component_id, count, order,
-                  parent, parent_slot), twin
+                  parent, parent_slot), col_flat
 
 
 def _refuse_pattern(vertex_count, neighbors, offsets):

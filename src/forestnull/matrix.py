@@ -16,8 +16,8 @@ and the duplicate scan records each row's first slot, which
 ``_row_offsets`` turns into the offsets, as it does for the Matrix
 Market reader's row-major files.  Both end in ``_from_csr``: the
 component sweep indexes the pattern forest and pairs the two slots of
-every edge, which proves the pattern symmetric; ``col_flat`` is
-``row_flat`` read through those twin slots.
+every edge, which proves the pattern symmetric, and writes
+``col_flat``: each value of ``row_flat`` at the twin of its slot.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ class AcyclicMatrix:
         """The matrix whose row-major CSR arrays hold entries already
         checked one by one; the component sweep refuses an asymmetric or
         cyclic pattern."""
-        pattern, twin = _indexed_forest(n, neighbors, offsets)
-        return cls(n, field, pattern, row_flat, list(map(row_flat.__getitem__, twin)))
+        pattern, col_flat = _indexed_forest(n, neighbors, offsets, row_flat)
+        return cls(n, field, pattern, row_flat, col_flat)
 
     def nnz(self) -> int:
         return len(self.row_flat)

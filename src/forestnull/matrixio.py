@@ -208,15 +208,16 @@ def _coordinate_entries(lines, idx: int, parse) -> list:
 
 def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
     """Entries in row-major order, as ``format_matrix`` writes them, go
-    straight into the CSR arrays: each position u n + v must exceed the
-    one before, so the columns are the neighbor array and each row only
-    records its first slot, for ``_row_offsets``.  Blank and comment
-    lines are skipped; a line that is no entry at all is refused, as in
-    ``_coordinate_entries``.  At the first entry out of that order, out
-    of range, on the diagonal, zero or unreadable, the entries so far
-    join the triples ``_coordinate_entries`` reads from that line on, and
-    ``from_entries`` sorts them and raises every error as for any other
-    order.  Nothing is allocated per vertex until the last line is read."""
+    straight into the CSR arrays: an entry in the row of the one before
+    has a larger column, one in a new row a larger row, so the columns
+    are the neighbor array and each row records its first slot, for
+    ``_row_offsets``.  Blank and comment lines are skipped; a line that
+    is no entry at all is refused, as in ``_coordinate_entries``.  At the
+    first entry out of that order, out of range, on the diagonal, zero or
+    unreadable, the entries so far join the triples ``_coordinate_entries``
+    reads from that line on, and ``from_entries`` sorts them and raises
+    every error as for any other order.  Nothing is allocated per vertex
+    until the last line is read."""
     field, n, cols, nnz, idx = _coordinate_header(banner, lines)
     if n != cols:
         raise ParseError("matrix must be square, got %d x %d" % (n, cols), line=idx)
@@ -227,19 +228,18 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
     neighbors, row_flat = [], []
     column, value = neighbors.append, row_flat.append
     heads, starts = [], []  # the rows with entries, ascending, and their first slots
-    head = prev = -1
-    square = n * n
-    for idx, raw in enumerate(lines, start=idx + 1):
+    head, prev = -1, n  # row -1 takes no column: row 0 of a file is out of range
+    for raw in lines:  # idx + len(neighbors) + 1 is the number of this line
         try:
             a, b, c = raw.split()
             u = int(a) - 1
             v = int(b) - 1
         except ValueError:
-            _check_non_entry_line(raw, idx)
+            idx += 1
+            _check_non_entry_line(raw, idx + len(neighbors))
             continue
-        pos = u * n + v
         x = None
-        if prev < pos < square and 0 <= v < n and u != v:
+        if (prev < v < n if u == head else head < u < n and 0 <= v < n) and u != v:
             try:
                 x = parse(c)
             except Exception:  # _coordinate_entries reports it
@@ -248,7 +248,7 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
             ends = starts[1:] + [len(neighbors)]
             triples = [(r, neighbors[j], row_flat[j])
                        for r, lo, hi in zip(heads, starts, ends) for j in range(lo, hi)]
-            triples += _coordinate_entries(chain([raw], lines), idx - 1, parse)
+            triples += _coordinate_entries(chain([raw], lines), idx + len(neighbors), parse)
             return _sorted_matrix(n, nnz, field, triples)
         if u != head:
             heads.append(u)
@@ -256,7 +256,7 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
             head = u
         column(v)
         value(x)
-        prev = pos
+        prev = v
     if n < 0:  # no entry fits a negative n
         return _sorted_matrix(n, nnz, field, [])
     _check_entry_count(nnz, len(neighbors))

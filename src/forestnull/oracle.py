@@ -10,23 +10,17 @@ the CLI's ``--check`` and ``oracle`` commands, and
 ``first_dependent``.
 
 A certificate (``certifies_span``) settles the CLI's own bases with no
-elimination: rows of M that peel prove rank >= r, and n - r annihilated
-null vectors that peel prove rank <= r.  The caller checks M x = 0 on
-the witness and the certificate checks the rest; when it proves
-nothing, the elimination decides.
+elimination: r vertices paired along stored entries prove rank >= r,
+and n - r annihilated null vectors that peel prove rank <= r.  The
+caller checks M x = 0 on the witness and the certificate checks the
+rest; when it proves nothing, the elimination decides.
 
-Cost: the elimination touches only nonzeros.  A column -> rows
-incidence names, for each pivot column, the rows that hold it, and
-only those rows are eliminated, so an input that barely fills in (a
-forest matrix) costs about its fill, not n^2 probes.  The shortest
-holder is taken as pivot, which keeps that fill low.  ``row_echelon``
-stops after the forward phase: rank and row-space membership need no
-more.  ``_rref`` adds a back phase for the reduced form, which is
-unique, so ``dense_analysis`` does not depend on the pivot rule.  Span
-tests reduce a vector by the stored pivots it actually holds, taken
-from a heap in ascending order.  Independence tests first peel the
-vectors (``_peel``), which settles a basis of the fast path without
-any elimination; the certificate is peels and exact dot products.
+Cost: the elimination touches only nonzeros (``_echelon``), so a
+forest matrix, which barely fills in, costs about its fill, not n^2
+probes; ``_rref``'s reduced form is unique, so ``dense_analysis`` does
+not depend on the pivot rule.  Span tests reduce a vector only by the
+pivots it holds (``_Echelon.reduce``), independence tests peel first
+(``first_dependent``), and the certificate costs O(n + nonzeros).
 
 Size caps: the elimination routines refuse instances above
 ``ORACLE_BOUND`` (512 vertices); the exponential searches have their
@@ -298,23 +292,37 @@ def first_dependent(field, vectors) -> int:
     return -1
 
 
-def certifies_span(m: AcyclicMatrix, matched, witness: Basis, row_basis=None) -> bool:
+def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) -> bool:
     """Whether a certificate proves, with no elimination, that rank(m) is
-    r = len(matched) and span(witness) = null(m), and, given a
-    row_basis, span(row_basis) = row(m); False is inconclusive, not a
-    refusal.  The caller checks that m annihilates the witness.
+    the number r of vertices u with ``partner[u] >= 0``, that
+    span(witness) = null(m) and, given a row_basis, that span(row_basis)
+    = row(m); False is inconclusive, not a refusal.  The caller checks
+    that m annihilates the witness.
 
-    m's rows at ``matched`` peel completely (``_peel`` on their CSR
-    slices), so rank >= r; the witness has n - r vectors that peel, so
-    nullity >= n - r.  A row basis of r vectors that peel and are
-    orthogonal to the witness lies in null(m)^perp = row(m), which has
-    dimension r.  The exact dot products go through a coordinate ->
-    witness-vector index."""
+    Each such u must be paired: p = partner[u] is a vertex other than u
+    with partner[p] = u, and the pair is stored in m's CSR arrays, found
+    in the row of its smaller end (the pattern is symmetric).  That
+    proves rank >= r.  The paired vertices S carry a perfect matching of
+    m's pattern, a forest (``AcyclicMatrix`` proves it).  A nonzero term of
+    det M[S, S] is a permutation of S along edges whose cycles are all
+    2-cycles, as a longer one would be a cycle of the forest: a perfect
+    matching of S, and a forest has at most one.  So det M[S, S] =
+    +-prod M[u, p] M[p, u] over the pairs, which is not zero.  The
+    witness has n - r vectors that peel (``_peel``), so nullity >= n - r.
+    A row basis of r vectors that peel and are orthogonal to the witness
+    lies in null(m)^perp = row(m), of dimension r."""
     n, neighbors, offsets = m.n, m.pattern.neighbors, m.pattern.offsets
-    r = len(matched)
-    if (witness.dimension != n - r
-            or _peel([vec.entries for vec in witness.vectors], n)
-            or _peel([neighbors[offsets[u]:offsets[u + 1]] for u in matched], n)):
+    if len(partner) != n:
+        return False
+    r = 0
+    for u, p in enumerate(partner):  # each pair from its smaller end
+        if p > u:
+            if p >= n or partner[p] != u or p not in neighbors[offsets[u]:offsets[u + 1]]:
+                return False
+            r += 2
+        elif p >= 0 and (p == u or partner[p] != u):
+            return False
+    if witness.dimension != n - r or _peel([vec.entries for vec in witness.vectors], n):
         return False
     if row_basis is None:
         return True
@@ -333,22 +341,6 @@ def certifies_span(m: AcyclicMatrix, matched, witness: Basis, row_basis=None) ->
         if any(dots.values()):
             return False
     return True
-
-
-def same_span(a: Basis, b: Basis) -> bool:
-    """Mutual membership of two bases' span, by exact reduction."""
-    if a.dimension != b.dimension:
-        return False
-    if a.dimension == 0:
-        return True
-    field = a.vectors[0].field
-    ech_a, ech_b = _Echelon(field), _Echelon(field)
-    for vec in a.vectors:
-        ech_a.insert(vec)
-    for vec in b.vectors:
-        ech_b.insert(vec)
-    return (all(ech_b.contains(vec) for vec in a.vectors)
-            and all(ech_a.contains(vec) for vec in b.vectors))
 
 
 def min_support_total(m: AcyclicMatrix) -> int:

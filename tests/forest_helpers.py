@@ -1,9 +1,10 @@
 """Slow, direct helpers on forests, matrices and vectors that only the
 test suite uses: paths between vertices, component lists, induced
 subforests, single entries, dense vectors, the null dimension, the
-pattern's {-1, 0, +1} null basis, the null scaling by its own tree walk
-and the restriction test of a null vector.  They read the public data
-of ``Forest`` and ``AcyclicMatrix`` and favour plainness over speed.
+pattern's {-1, 0, +1} null basis, the null scaling by its own tree walk,
+the restriction test of a null vector and the equality of two bases'
+spans.  They read the public data of ``Forest`` and ``AcyclicMatrix``
+(and the oracle's echelon form) and favour plainness over speed.
 ``test_forest_helpers.py`` checks the path, induced-subforest,
 null-dimension and restriction laws.
 """
@@ -13,6 +14,7 @@ from bisect import bisect_left
 from forestnull import (QQ, ValidationError, adjacency_matrix, analyze, build_forest,
                         maximum_matching, null_basis)
 from forestnull.fields import require_same_field
+from forestnull.oracle import _Echelon
 
 
 def neighbors_of(f, v: int) -> list:
@@ -178,3 +180,19 @@ def restriction_check(m, x) -> bool:
         if acc:
             return False
     return True
+
+
+def same_span(a, b) -> bool:
+    """Mutual membership of two bases' span, by exact reduction."""
+    if a.dimension != b.dimension:
+        return False
+    if a.dimension == 0:
+        return True
+    field = a.vectors[0].field
+    ech_a, ech_b = _Echelon(field), _Echelon(field)
+    for vec in a.vectors:
+        ech_a.insert(vec)
+    for vec in b.vectors:
+        ech_b.insert(vec)
+    return (all(ech_b.contains(vec) for vec in a.vectors)
+            and all(ech_a.contains(vec) for vec in b.vectors))

@@ -1,21 +1,24 @@
 """``--check`` on null-basis and rank-basis.
 
 Up to ``ORACLE_BOUND`` vertices the check first tries a certificate
-that needs no elimination (``oracle.certifies_span``): M's rows at the
-vertices ``kernel.maximum_matching`` matches peel, so rank >= r; a null
-witness of n - r annihilated vectors peels, so rank = r and it spans
-the null space.  The witness is the output for null-basis and
-``kernel.sparsest_null_basis`` for rank-basis, whose r vectors must
-then peel and be orthogonal to it.  Only when that is inconclusive
-does one forward elimination of M (``oracle.row_echelon``) decide: the
-basis has as many vectors as the target space's dimension, they are
-independent (``oracle.first_dependent``: a peel, then one echelon form
-for the vectors it leaves), and each lies in the space (M x = 0 for the
-null space, reduction to zero against the elimination's rows for the
-row space).  The differential tests here hold its verdict to mutual
-span reduction against the dense reference basis, on the right basis
-and on spoiled ones; others hold that the CLI's own bases never need
-the elimination, that a bad witness falls back to it, and that a
+that needs no elimination (``oracle.certifies_span``): the r vertices
+that the matching of ``kernel.maximum_matching`` pairs, each pair a
+stored entry of M, prove rank >= r; a null witness of n - r
+annihilated vectors peels, so rank = r and it spans the null space.
+The witness is the output for null-basis and
+``kernel.sparsest_null_basis`` on the same matching for rank-basis,
+whose r vectors must then peel and be orthogonal to it.  Only when
+that is inconclusive does one forward elimination of M
+(``oracle.row_echelon``) decide: the basis has as many vectors as the
+target space's dimension, they are independent
+(``oracle.first_dependent``: a peel, then one echelon form for the
+vectors it leaves), and each lies in the space (M x = 0 for the null
+space, reduction to zero against the elimination's rows for the row
+space).  The differential tests here hold its verdict to mutual span
+reduction against the dense reference basis, on the right basis and on
+spoiled ones; others hold that the CLI's own bases never need the
+elimination, that a bad witness or a matching that is not maximum
+falls back to it, that forged pairings prove nothing, and that a
 refused run writes no output.  Above the bound, rank-basis checks that
 the vectors peel completely and that they are orthogonal to random
 null combinations.
@@ -31,6 +34,7 @@ from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
 from conftest import sv
+from forest_helpers import same_span
 from test_acceptance import matrix_on
 from treegen import free_forests
 
@@ -89,9 +93,11 @@ def spoiled_bases(m, basis, null):
 
 def certificate_verdict(m, basis, null):
     try:
-        if null:
-            cli._check_annihilated(m, basis)
-        cli._check_span_certificate(m, basis, null)
+        if null and not cli._annihilated(m, basis):
+            return False
+        matching = kernel.maximum_matching(m.pattern)
+        witness = basis if null else kernel.sparsest_null_basis(m, matching)
+        cli._check_span_certificate(m, basis, null, matching.partner, witness)
     except ValidationError:
         return False
     return True
@@ -103,7 +109,7 @@ def cases(m):
     for null, fast, reference in ((True, null_basis(m), analysis.null_basis),
                                   (False, rank_basis(m), analysis.row_basis)):
         for basis in spoiled_bases(m, fast, null):
-            yield null, basis, oracle.same_span(basis, reference)
+            yield null, basis, same_span(basis, reference)
 
 
 def test_certificate_agrees_with_same_span_on_random_matrices_and_small_forests():
@@ -127,13 +133,14 @@ def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, caps
         monkeypatch.setattr(oracle, "ORACLE_BOUND", bound)
     path, out = tmp_path / "m.mtx", str(tmp_path / "b")
     refused = 0
+    witness = kernel.sparsest_null_basis  # the rank-basis check's witness stays right
     for m in small_forest_instances():
         matrixio.write_matrix(m, path)
         for null, basis, want in cases(m):
-            command, producer = ("null-basis", "null_basis") if null else \
-                ("rank-basis", "rank_basis")
-            monkeypatch.setattr("forestnull.%s.%s" % ("scaling" if null else "rank", producer),
-                                lambda m, basis=basis: basis)
+            command = "null-basis" if null else "rank-basis"
+            monkeypatch.setattr(kernel, "sparsest_null_basis",
+                                (lambda m, matching, basis=basis: basis) if null else witness)
+            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
             code = cli.main([command, str(path), "--check", "-o", out])
             err = capsys.readouterr().err
             assert code == (0 if want else 1), (m, command, basis.vectors)
@@ -155,7 +162,7 @@ def test_row_echelon_rows_are_an_echelon_form_of_the_dense_row_basis():
         for p, row in echelon.rows.items():
             assert row[p] == m.field.one and min(row) == p
         forward = Basis([sv(m.n, row, m.field) for row in echelon.rows.values()])
-        assert oracle.same_span(forward, rows)
+        assert same_span(forward, rows)
         assert all(map(echelon.contains, rows.vectors))
         assert all(map(echelon.contains, rank_basis(m).vectors))
 
@@ -248,8 +255,9 @@ def write_instance(m, tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("command, producer", [("null-basis", "forestnull.scaling.null_basis"),
-                                               ("rank-basis", "forestnull.rank.rank_basis")])
+@pytest.mark.parametrize("command, producer",
+                         [("null-basis", "forestnull.kernel.sparsest_null_basis"),
+                          ("rank-basis", "forestnull.rank.rank_basis")])
 def test_refused_check_writes_no_output(tmp_path, capsys, monkeypatch, command, producer):
     m = random_matrix(20, 5, QQ)
     path = write_instance(m, tmp_path)
@@ -258,13 +266,13 @@ def test_refused_check_writes_no_output(tmp_path, capsys, monkeypatch, command, 
     produce = {"null-basis": null_basis, "rank-basis": rank_basis}[command]
     right = produce(m).vectors
     assert len(right) >= 2
-    monkeypatch.setattr(producer, lambda m: Basis(right[:-1]))
+    monkeypatch.setattr(producer, lambda m, *matching: Basis(right[:-1]))
     for out in ([], ["-o", str(fresh)], ["-o", str(kept)]):
         assert cli.main([command, path, "--check"] + out) == 1
         assert capsys.readouterr() == ("", SPAN_ERROR)
     assert not fresh.exists() and kept.read_text() == "earlier output\n"
     # a run that passes still writes its output
-    monkeypatch.setattr(producer, lambda m: Basis(right))
+    monkeypatch.setattr(producer, lambda m, *matching: Basis(right))
     assert cli.main([command, path, "--check", "-o", str(kept)]) == 0
     assert kept.read_text() == matrixio.format_basis(Basis(right), m.n, m.field, "mm")
 
@@ -326,15 +334,95 @@ def test_rank_basis_check_falls_back_to_the_elimination_on_a_bad_witness(tmp_pat
             assert capsys.readouterr().err == SPAN_ERROR
 
 
+def without_pair(partner, u):
+    """partner with u and its partner unmatched."""
+    forged = list(partner)
+    forged[u] = forged[partner[u]] = -1
+    return forged
+
+
+def forged_pairings(m, partner):
+    """(name, forged partner array): each is refused by one of the
+    pairing checks."""
+    n, neighbors, offsets = m.n, m.pattern.neighbors, m.pattern.offsets
+    matched = [u for u in range(n) if partner[u] >= 0]
+    exposed = [u for u in range(n) if partner[u] < 0]
+    if matched:
+        yield "one pair dropped", without_pair(partner, matched[0])
+    # b - c a pair, a another neighbor of b, paired elsewhere or exposed:
+    # a -> b makes partner no involution, every pair still stored
+    for b in matched:
+        c = partner[b]
+        a = next((a for a in neighbors[offsets[b]:offsets[b + 1]] if a != c), None)
+        if a is not None:
+            forged = list(partner)
+            forged[a] = b
+            yield "not an involution", forged
+            break
+    # two pairs u - p and a - b exchange partners: an involution, but
+    # the forest does not hold both u - b and a - p
+    for u, a in zip(matched, matched[1:]):
+        p, b = partner[u], partner[a]
+        if len({u, p, a, b}) == 4:
+            forged = list(partner)
+            forged[u], forged[b], forged[a], forged[p] = b, u, p, a
+            yield "pairs not stored", forged
+            break
+    if exposed:
+        forged = list(partner)
+        forged[exposed[0]] = exposed[0]
+        yield "paired with itself", forged
+        forged = list(partner)
+        forged[exposed[0]] = n
+        yield "partner out of range", forged
+
+
 def test_certificate_refuses_forged_claims():
-    # the rows of every vertex peel only when m is nonsingular, and a
-    # matched set one short of the rank leaves the witness one too many
+    # every prefix of the witness peels, so whatever rank a forged
+    # pairing claims, one prefix has the matching length; the pairing
+    # checks must refuse it
+    seen = set()
     for m in random_instances():
         matching = kernel.maximum_matching(m.pattern)
-        matched = [v for v, p in enumerate(matching.partner) if p >= 0]
+        partner = matching.partner
         witness = kernel.sparsest_null_basis(m, matching)
-        rank_basis_m = rank_basis(m)
-        assert oracle.certifies_span(m, matched, witness, rank_basis_m)
-        assert oracle.certifies_span(m, list(range(m.n)), Basis([])) == (len(matched) == m.n)
-        if matched:
-            assert not oracle.certifies_span(m, matched[1:], witness)
+        prefixes = [Basis(witness.vectors[:k]) for k in range(witness.dimension + 1)]
+        assert oracle.certifies_span(m, partner, witness, rank_basis(m))
+        assert not any(oracle.certifies_span(m, partner[:-1], w) for w in prefixes)
+        for name, forged in forged_pairings(m, partner):
+            assert not any(oracle.certifies_span(m, forged, w) for w in prefixes), (name, m)
+            seen.add(name)
+    assert len(seen) == 5, seen
+
+
+@pytest.mark.parametrize("command, producer",
+                         [("null-basis", "forestnull.kernel.sparsest_null_basis"),
+                          ("rank-basis", "forestnull.rank.rank_basis")])
+def test_check_reaches_its_verdict_by_elimination_on_a_matching_that_is_not_maximum(
+        tmp_path, capsys, monkeypatch, command, producer):
+    # a valid matching one pair short of maximum claims rank 2 nu - 2:
+    # no witness of n - 2 nu + 2 annihilated vectors peels, so the
+    # certificate is inconclusive and the elimination gives the verdict
+    # it gives on the maximum matching
+    calls = []
+    row_echelon = oracle.row_echelon
+    monkeypatch.setattr(oracle, "row_echelon", lambda m: calls.append(m.n) or row_echelon(m))
+    maximum = kernel.maximum_matching
+    for field in FIELDS:
+        monkeypatch.setattr(kernel, "maximum_matching", maximum)  # rank_basis calls it
+        m = random_matrix(40, 13, field, components=2)
+        path, out = write_instance(m, tmp_path), str(tmp_path / "b")
+        right = (null_basis if command == "null-basis" else rank_basis)(m).vectors
+        best = maximum(m.pattern)
+        partner = without_pair(best.partner, best.partner.index(max(best.partner)))
+        short = kernel.MatchingInfo(partner, best.nu - 1,
+                                    tuple(v for v, p in enumerate(partner) if p < 0))
+        monkeypatch.setattr(kernel, "maximum_matching", lambda f, short=short: short)
+        for vectors, code in ((right, 0), (right[1:], 1), (right[:-1] + right[:1], 1)):
+            monkeypatch.setattr(producer, lambda m, *matching, vectors=vectors: Basis(vectors))
+            del calls[:]
+            assert cli.main([command, path, "--check", "-o", out]) == code
+            assert calls == [m.n]
+            assert capsys.readouterr().err == (
+                SPAN_ERROR if code else
+                "check: ok (dimension %d, oracle span verified)\n" % len(right))

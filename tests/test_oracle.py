@@ -12,6 +12,7 @@ from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
 from conftest import sv
+from forest_helpers import same_span
 from treegen import free_trees
 
 
@@ -22,7 +23,7 @@ def path_matrix(n, field=QQ):
 def test_dense_null_space_m_p3(m_p3):
     basis = oracle.dense_null_space(m_p3)
     assert basis.dimension == 1
-    assert oracle.same_span(basis, Basis([sv(3, {0: 5, 2: -3})]))
+    assert same_span(basis, Basis([sv(3, {0: 5, 2: -3})]))
 
 
 def test_dense_null_space_p4_empty():
@@ -44,16 +45,16 @@ def test_rank_values(m_p3):
 def test_row_space(m_p3):
     rows = oracle.dense_row_space(m_p3)
     assert rows.dimension == 2
-    assert oracle.same_span(rows, Basis([sv(3, {1: 1}), sv(3, {0: 3, 2: 5})]))
+    assert same_span(rows, Basis([sv(3, {1: 1}), sv(3, {0: 3, 2: 5})]))
 
 
 def test_same_span():
     a = Basis([sv(3, {0: 1, 2: -1})])
     b = Basis([sv(3, {0: 5, 2: -5})])
-    assert oracle.same_span(a, a)
-    assert oracle.same_span(a, b)
-    assert not oracle.same_span(Basis([sv(3, {0: 1})]), Basis([sv(3, {1: 1})]))
-    assert not oracle.same_span(a, Basis([]))
+    assert same_span(a, a)
+    assert same_span(a, b)
+    assert not same_span(Basis([sv(3, {0: 1})]), Basis([sv(3, {1: 1})]))
+    assert not same_span(a, Basis([]))
 
 
 def test_min_support_total():
@@ -273,7 +274,7 @@ def test_sparse_oracle_matches_dense_reference_on_corpus(acceptance_instances):
             if fast.dimension:
                 pairs.append((perturbed(fast, i), dense))
             for a, b in pairs:
-                verdict = oracle.same_span(a, b)
+                verdict = same_span(a, b)
                 assert verdict == reference_same_span(a, b)
                 caught += not verdict
     assert len(acceptance_instances) == 785
@@ -335,7 +336,7 @@ def test_sparse_oracle_matches_dense_reference_on_random_rows(case, rng):
              (nonzero, list(reversed(nonzero)))]
     for a, b in pairs:
         a, b = Basis(a), Basis(b)
-        assert oracle.same_span(a, b) == reference_same_span(a, b)
+        assert same_span(a, b) == reference_same_span(a, b)
 
 
 @st.composite
@@ -392,7 +393,7 @@ def test_oracle_doubling_ratio(monkeypatch):
 
     def seconds(m, fast):
         t0 = time.perf_counter()
-        verdict = oracle.same_span(fast, oracle.dense_analysis(m).null_basis)
+        verdict = same_span(fast, oracle.dense_analysis(m).null_basis)
         elapsed = time.perf_counter() - t0
         assert verdict
         return elapsed

@@ -93,6 +93,10 @@ def _broken(defect, k):
     size, count = 6, None
     if defect == "out-of-range":
         entries[k][1] = 7
+    elif defect == "row-zero":
+        entries[k][0] = 0
+    elif defect == "column-zero":
+        entries[k][1] = 0
     elif defect == "diagonal":
         entries[k][1] = u
     elif defect == "zero":
@@ -133,7 +137,7 @@ def _broken(defect, k):
     return HEAD + "%d %d %d\n" % (size, size, count) + "".join(line + "\n" for line in lines)
 
 
-DEFECTS = ("out-of-range", "diagonal", "zero", "duplicate", "disorder-then-duplicate",
+DEFECTS = ("out-of-range", "row-zero", "column-zero", "diagonal", "zero", "duplicate", "disorder-then-duplicate",
            "bad-literal", "short-line", "field-comment", "count", "asymmetric", "cyclic",
            "cyclic-at", "cyclic-and-asymmetric", "asymmetric-and-cyclic")
 BROKEN_FILES = [("%s@%s" % (defect, where), _broken(defect, k))
@@ -146,6 +150,12 @@ VALIDATE_ERRORS = {
     'out-of-range@first': 'entry (1, 7) out of range for n=6',
     'out-of-range@middle': 'entry (3, 7) out of range for n=6',
     'out-of-range@last': 'entry (6, 7) out of range for n=6',
+    'row-zero@first': 'entry (0, 2) out of range for n=6',
+    'row-zero@middle': 'entry (0, 1) out of range for n=6',
+    'row-zero@last': 'entry (0, 3) out of range for n=6',
+    'column-zero@first': 'entry (1, 0) out of range for n=6',
+    'column-zero@middle': 'entry (3, 0) out of range for n=6',
+    'column-zero@last': 'entry (6, 0) out of range for n=6',
     'diagonal@first': 'nonzero diagonal entry at vertex 1',
     'diagonal@middle': 'nonzero diagonal entry at vertex 3',
     'diagonal@last': 'nonzero diagonal entry at vertex 6',
