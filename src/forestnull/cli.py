@@ -5,6 +5,13 @@ oracle.  Exit codes: 0 success, 1 validation/computation failure,
 2 usage error.  All output is deterministic byte for byte for fixed
 inputs and flags.
 
+The options of every command are written once, in ``_SUBCOMMANDS``.
+``_read_argv`` reads a well-formed argv from that table alone;
+``_build_parser`` turns it into argparse actions for every other argv,
+so help, usage errors and argparse's own forms (abbreviations,
+``--x=v``, ``--``) are argparse's, and ``argparse`` and ``os`` load
+only then.
+
 A handler imports what it runs when it runs, so each command loads
 only its own modules: ``validate`` reads and checks the file and no
 more.  ``oracle`` loads only for ``--check`` and the ``oracle``
@@ -15,8 +22,6 @@ above-bound ``rank-basis --check``.
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
 from itertools import count
 
@@ -25,35 +30,112 @@ from .errors import ForestNullError, ValidationError
 from .fields import PrimeField, parse_field_spec
 from .matrix import SparseVector
 
+_FILE = (("file",), {})
+_OUT = (("-o", "--out"), {})
+_FORMAT = (("--format",), {"choices": ("mm", "json"), "default": "mm"})
+_BASIS = (_FILE, _OUT, _FORMAT, (("--check",), {"action": "store_true", "help":
+          "verify the result: up to n = 512 a rank certificate (matched pairs and a null "
+          "basis that peels), with an exact elimination only when it is inconclusive; "
+          "cheaper checks above"}))
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of all seven subcommands."""
+#: command -> (help line, its arguments: (option strings or the name of
+#: a positional, ``add_argument`` keywords), in the order help lists them)
+_SUBCOMMANDS = {
+    "validate": ("check that a file holds a valid matrix", (_FILE,)),
+    "support": ("print support, core, S-set and dimensions",
+                (_FILE, (("--json",), {"action": "store_true"}))),
+    "null-basis": ("compute the sparsest null-space basis", _BASIS),
+    "rank-basis": ("compute the row-space basis", _BASIS),
+    "transfer": ("move a vector between matrices sharing a pattern", (
+        (("--space",), {"choices": ("null", "rank"), "required": True}),
+        (("--from",), {"dest": "source", "required": True, "metavar": "M"}),
+        (("--to",), {"dest": "target", "required": True, "metavar": "N"}),
+        (("--vector",), {"required": True, "metavar": "X_JSON"}),
+        _OUT)),
+    "gen": ("generate a seeded random instance", (
+        (("--n",), {"type": int, "required": True}),
+        (("--seed",), {"type": int, "default": 0}),
+        (("--field",), {"default": "rational"}),
+        (("--components",), {"type": int, "default": 1}),
+        (("--out",), {}),
+        _FORMAT)),
+    "oracle": ("brute-force cross checks", (
+        (("operation",), {"choices": ("null-basis", "rank", "min-support")}),
+        _FILE, _OUT, _FORMAT)),
+}
+
+
+def _parse_args(argv):
+    """argv as ``_build_parser`` parses it."""
+    return _read_argv(argv) or _build_parser().parse_args(argv)
+
+
+def _read_argv(argv):
+    """The attributes ``_build_parser().parse_args(argv)`` sets, read
+    from ``_SUBCOMMANDS`` when argv is a command, then its exact option
+    strings and positionals: every value option followed by a value
+    that does not start with "-", as many positionals as the command
+    has and none starting with "-", every value of its ``type`` and
+    ``choices``, every required option given.  A repeated option keeps
+    its last value.  None for any other argv, which argparse reads."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    values, options, positionals = {"command": argv[0]}, {}, []
+    for names, spec in _SUBCOMMANDS[argv[0]][1]:
+        dest = spec.get("dest", names[-1].lstrip("-").replace("-", "_"))
+        values[dest] = False if "action" in spec else spec.get("default")
+        if names[0][0] == "-":
+            options.update(dict.fromkeys(names, (dest, spec)))
+        else:
+            positionals.append((dest, spec))
+    required = {dest for dest, spec in options.values() if spec.get("required")}
+    words, free = iter(argv[1:]), []
+    try:
+        for word in words:
+            if word[:1] != "-":
+                free.append(word)
+                continue
+            dest, spec = options[word]
+            values[dest] = True if "action" in spec else _value(spec, next(words, "-"))
+            required.discard(dest)
+        for (dest, spec), word in zip(positionals, free, strict=True):
+            values[dest] = _value(spec, word)
+    except (KeyError, ValueError):  # an unknown option string, a bad value or count
+        return None
+    # type(sys.implementation) is types.SimpleNamespace, without importing types
+    return None if required else type(sys.implementation)(**values)
+
+
+def _value(spec: dict, word: str):
+    """word as the argument ``spec`` reads it; ValueError when argparse
+    would not take it as that value."""
+    value = spec.get("type", str)(word)
+    if word[:1] == "-" or value not in spec.get("choices", (value,)):
+        raise ValueError(word)
+    return value
+
+
+def _build_parser():
+    """The argparse parser of all seven subcommands, from ``_SUBCOMMANDS``."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="forestnull", formatter_class=_formatter,
         description="Sparsest null bases and row-space bases of zero-diagonal "
                     "matrices whose nonzero pattern is a forest.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (what, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=what, formatter_class=_formatter))
+    for name, (what, arguments) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=what, formatter_class=_formatter)
+        for names, spec in arguments:
+            command.add_argument(*names, **spec)
     return parser
 
 
-def _parse_args(argv):
-    """argv as ``_build_parser`` parses it, which is built only for an
-    unknown command or arguments the command's own parser leaves."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog="forestnull " + argv[0], formatter_class=_formatter)
-        _SUBCOMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return _build_parser().parse_args(argv)
-
-
-def _formatter(prog) -> argparse.HelpFormatter:
+def _formatter(prog):
     """argparse's help formatter at the width ``shutil.get_terminal_size``
     gives it, read without importing ``shutil`` (and bz2, lzma and zlib
     with it): COLUMNS, else the terminal of ``sys.__stdout__``, else 80."""
+    import argparse
+    import os
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
@@ -64,61 +146,6 @@ def _formatter(prog) -> argparse.HelpFormatter:
         except (AttributeError, ValueError, OSError):
             columns = 0
     return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
-
-
-def _file_arguments(p):
-    p.add_argument("file")
-
-
-def _support_arguments(p):
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-
-
-def _basis_arguments(p):
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
-    p.add_argument("--format", choices=("mm", "json"), default="mm")
-    p.add_argument("--check", action="store_true",
-                   help="verify the result: up to n = 512 a rank certificate "
-                        "(matched pairs and a null basis that peels), with an exact "
-                        "elimination only when it is inconclusive; cheaper checks above")
-
-
-def _transfer_arguments(p):
-    p.add_argument("--space", choices=("null", "rank"), required=True)
-    p.add_argument("--from", dest="source", required=True, metavar="M")
-    p.add_argument("--to", dest="target", required=True, metavar="N")
-    p.add_argument("--vector", required=True, metavar="X_JSON")
-    p.add_argument("-o", "--out")
-
-
-def _gen_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", default="rational")
-    p.add_argument("--components", type=int, default=1)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("mm", "json"), default="mm")
-
-
-def _oracle_arguments(p):
-    p.add_argument("operation", choices=("null-basis", "rank", "min-support"))
-    p.add_argument("file")
-    p.add_argument("-o", "--out")
-    p.add_argument("--format", choices=("mm", "json"), default="mm")
-
-
-# command -> (help line, what adds its arguments)
-_SUBCOMMANDS = {
-    "validate": ("check that a file holds a valid matrix", _file_arguments),
-    "support": ("print support, core, S-set and dimensions", _support_arguments),
-    "null-basis": ("compute the sparsest null-space basis", _basis_arguments),
-    "rank-basis": ("compute the row-space basis", _basis_arguments),
-    "transfer": ("move a vector between matrices sharing a pattern", _transfer_arguments),
-    "gen": ("generate a seeded random instance", _gen_arguments),
-    "oracle": ("brute-force cross checks", _oracle_arguments),
-}
 
 
 def _emit(text: str, out_path):

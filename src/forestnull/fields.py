@@ -31,19 +31,24 @@ costs about what a table lookup does.  ``RationalField.reader()``
 builds each distinct literal once and hands out the same immutable
 ``Fraction`` for every repeat, remembering at most ``READER_CAP``
 distinct texts; nothing outlives the read.
+
+Importing this module loads neither ``fractions`` nor ``re``, so a
+prime-field program never pays for them.  ``fractions`` loads when the
+first ``RationalField`` is made, which binds ``Fraction`` for every
+element method; ``QQ`` is made on first access (PEP 562).  ``re`` loads
+only for a rational literal that ``Fraction`` must read itself.
 """
 
 from __future__ import annotations
 
-import re
 import sys
-from fractions import Fraction
 
 from .errors import ValidationError
 
 #: A literal that ``Fraction`` reads as a decimal with an exponent: the
 #: decimal branch of the pattern in ``fractions``, case-insensitive.  It
-#: is compiled on first use, through ``re``'s own cache.
+#: is compiled on first use, through ``re``'s own cache; ``re`` loads
+#: with it.
 _DECIMAL_EXPONENT = (r"(?i)\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
                      r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*")
 
@@ -87,6 +92,7 @@ def _exponent_beyond_limit(text: str) -> bool:
     ``int`` call refuses it before any power is built.  Raises what
     ``Fraction(text)`` raises when the digits before the exponent are
     at fault, as ``Fraction`` reads those first."""
+    import re
     limit = sys.get_int_max_str_digits()
     m = re.fullmatch(_DECIMAL_EXPONENT, text)
     if m is None or not limit:
@@ -149,8 +155,12 @@ class RationalField(Field):
     """Arbitrary-precision rationals, always reduced with positive denominator."""
 
     name = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+
+    def __init__(self):
+        global Fraction  # every element method below runs after this import
+        from fractions import Fraction
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -274,7 +284,8 @@ class PrimeField(Field):
             return value % self.p
         if isinstance(value, str):
             return self.parse(value)
-        if isinstance(value, Fraction) and value.denominator == 1:
+        fractions = sys.modules.get("fractions")  # no value is a Fraction before it loads
+        if fractions and isinstance(value, fractions.Fraction) and value.denominator == 1:
             return int(value) % self.p
         raise ValidationError("prime-field values must be integers, got %r" % (value,))
 
@@ -291,8 +302,13 @@ class PrimeField(Field):
         return hash(("prime-field", self.p))
 
 
-#: The default field.
-QQ = RationalField()
+def __getattr__(name):
+    """``QQ``, the default field, built on first access (PEP 562), so
+    that ``fractions`` loads only when a rational is needed."""
+    if name == "QQ":
+        globals()["QQ"] = RationalField()
+        return QQ
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def parse_field_spec(text: str) -> Field:
@@ -301,7 +317,7 @@ def parse_field_spec(text: str) -> Field:
         raise ValidationError("field spec must be a string, got %r" % (text,))
     words = text.strip().lower().replace(":", " ").split()
     if words == ["rational"]:
-        return QQ
+        return sys.modules[__name__].QQ  # built on first access
     if len(words) == 2 and words[0] == "gf":
         try:
             p = int(words[1], 10)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from array import array
 
 from .errors import ValidationError
-from .fields import QQ
 
 
 class Forest:
@@ -64,6 +63,7 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
     """Validate and index an acyclic edge list as the pattern of the
     matrix with a 1 at both orientations of every edge, so
     ``AcyclicMatrix.from_entries`` refuses what it refuses."""
+    from .fields import QQ
     from .matrix import AcyclicMatrix, _malformed  # matrix.py imports this module
     one = QQ.one
     entries = []
@@ -73,7 +73,7 @@ def build_forest(vertex_count: int, edge_list) -> Forest:
         except (TypeError, ValueError):
             raise _malformed(e, "(u, v)") from None
         entries += ((u, v, one), (v, u, one))
-    return AcyclicMatrix.from_entries(vertex_count, entries).pattern
+    return AcyclicMatrix.from_entries(vertex_count, entries, QQ).pattern
 
 
 def _indexed_forest(vertex_count, neighbors, offsets, row_flat):

@@ -26,8 +26,9 @@ from array import array
 from itertools import repeat
 from operator import index
 
+from . import fields
 from .errors import ValidationError
-from .fields import Field, QQ, require_same_field
+from .fields import Field, require_same_field
 from .forest import Forest, _indexed_forest
 
 #: Largest vertex count: the CSR arrays hold vertex ids as C ints.
@@ -170,12 +171,14 @@ class AcyclicMatrix:
         self.col_flat = col_flat
 
     @classmethod
-    def from_entries(cls, n: int, triples, field: Field = QQ) -> "AcyclicMatrix":
-        """Build and validate a matrix from (row, col, value) triples.
+    def from_entries(cls, n: int, triples, field: Field = None) -> "AcyclicMatrix":
+        """Build and validate a matrix from (row, col, value) triples
+        over ``field``, QQ by default.
 
         Rejects non-integer vertex ids, diagonal entries, explicit zeros,
         duplicate positions, asymmetric patterns and cyclic patterns.
         """
+        field = fields.QQ if field is None else field
         coerce = field.coerce
         items = []
         append = items.append
@@ -299,7 +302,9 @@ def _row_offsets(n: int, heads: list, starts: list, nnz: int) -> array:
     return offsets
 
 
-def adjacency_matrix(f: Forest, field: Field = QQ) -> AcyclicMatrix:
-    """The matrix with a 1 at both orientations of every edge of f."""
+def adjacency_matrix(f: Forest, field: Field = None) -> AcyclicMatrix:
+    """The matrix with a 1 at both orientations of every edge of f, over
+    ``field``, QQ by default."""
+    field = fields.QQ if field is None else field
     ones = [field.one] * len(f.neighbors)
     return AcyclicMatrix(f.vertex_count, field, f, ones, list(ones))

@@ -34,18 +34,20 @@ in ``_json_blocks``, byte for byte, without the pure-Python encoder that
 
 ``json`` is imported on the first JSON read or write, and ``oracle``
 only to check that a basis read from a file is independent, so reading
-and writing Matrix Market matrices loads neither.
+and writing Matrix Market matrices loads neither.  A coordinate file
+over GF(p) builds no rational field, so it loads no ``fractions``
+either: the rational default is taken only after the size line, when
+no ``% field:`` comment came before it.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 from array import array
 from itertools import chain
 
 from .errors import ParseError, ValidationError
-from .fields import Field, QQ, parse_field_spec
+from .fields import Field, RationalField, parse_field_spec
 from .matrix import MAX_VERTICES, AcyclicMatrix, Basis, SparseVector, _row_offsets
 
 _BANNER_FIELDS = ("real", "integer", "rational")
@@ -64,7 +66,7 @@ def _parse_int(value, what: str) -> int:
 
 def _coordinate_head(field: Field, rows: int, cols: int, nnz: int) -> list:
     """The banner, field comment and size line of a coordinate file."""
-    qualifier = "rational" if field == QQ else "integer"
+    qualifier = "rational" if isinstance(field, RationalField) else "integer"
     return ["%%MatrixMarket matrix coordinate " + qualifier + " general",
             "% field: " + field.name, "%d %d %d" % (rows, cols, nnz)]
 
@@ -117,12 +119,13 @@ def _row_major(m: AcyclicMatrix):
 def _ids_as_written(parse):
     """``parse``, with the vertex ids its validation errors name counted
     from 1, as the files write them; the library counts from 0."""
-    @functools.wraps(parse)
     def read(source):
         try:
             return parse(source)
         except ValidationError as exc:
             raise exc.one_based() from None
+    read.__name__, read.__qualname__ = parse.__name__, parse.__qualname__
+    read.__doc__, read.__wrapped__ = parse.__doc__, parse
     return read
 
 
@@ -161,7 +164,7 @@ def _coordinate_header(banner: str, lines):
         raise ParseError("unsupported banner %r (expected 'matrix coordinate "
                          "<real|integer|rational> general')" % banner.rstrip("\r\n"),
                          line=1)
-    field = QQ
+    field = None  # rational unless a field comment names another
     for idx, raw in enumerate(lines, start=2):
         line = raw.strip()
         if not line:
@@ -181,7 +184,7 @@ def _coordinate_header(banner: str, lines):
             rows, cols, nnz = (int(p) for p in parts)
         except ValueError:
             raise ParseError("size line must hold three integers", line=idx)
-        return field, rows, cols, nnz, idx
+        return field or parse_field_spec("rational"), rows, cols, nnz, idx
     raise ParseError("missing size line")
 
 

@@ -21,7 +21,7 @@ row(A), and D carries it back.  D only maps; it decides nothing.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .kernel import Analysis, analyze, sparsest_null_basis
+from .kernel import Analysis, maximum_matching, sparsest_null_basis, support
 from .matrix import AcyclicMatrix, Basis, SparseVector
 from .scaling import _transfer_analysis, transversal_scaling
 
@@ -40,16 +40,19 @@ def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
 def rank_basis(m: AcyclicMatrix) -> Basis:
     """Basis of the row space of m, of size twice the matching number:
     unit vectors first (ascending vertex), then the nonzero
-    supported-neighborhood vectors (ascending vertex)."""
-    analysis = analyze(m.pattern)
-    supp = analysis.support.supp
+    supported-neighborhood vectors (ascending vertex), each read from
+    the vertex's CSR slice of ``row_flat``."""
+    supp = support(m.pattern, maximum_matching(m.pattern)).supp
     non_supp = [v for v in range(m.n) if v not in supp]
     one = m.field.one
     vectors = [SparseVector._trusted(m.n, m.field, {v: one}) for v in non_supp]
+    neighbors, offsets, row_flat = m.pattern.neighbors, m.pattern.offsets, m.row_flat
     for v in non_supp:
-        s_v = supported_neighborhood_vector(m, analysis, v)
-        if not s_v.is_zero():
-            vectors.append(s_v)
+        lo, hi = offsets[v], offsets[v + 1]
+        # row_flat holds only nonzero values, so no entry needs dropping
+        entries = {w: x for w, x in zip(neighbors[lo:hi], row_flat[lo:hi]) if w in supp}
+        if entries:
+            vectors.append(SparseVector._trusted(m.n, m.field, entries))
     return Basis(vectors)
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import forestnull
 from forestnull import ParseError, PrimeField, QQ, ValidationError
@@ -28,6 +29,15 @@ M_P3_TEXT = """%%MatrixMarket matrix coordinate rational general
 2 1 3
 2 3 5
 3 2 7
+"""
+
+M_P3_GF7_TEXT = """%%MatrixMarket matrix coordinate integer general
+% field: gf 7
+3 3 4
+1 2 2
+2 1 3
+2 3 5
+3 2 6
 """
 
 
@@ -432,6 +442,8 @@ PARSER_PARITY_ARGV = [
     ["gen", "--n", "5", "--seed", "2"],
     ["oracle"], ["oracle", "-h"], ["oracle", "rank"], ["oracle", "min", "FILE"],
     ["oracle", "rank", "FILE"],
+    ["null-basis", "FILE", "--chec"], ["rank-basis", "FILE", "--format=json"],
+    ["validate", "--", "FILE"], ["gen", "--n", "-5"], ["null-basis", "FILE", "-o"],
 ]
 
 
@@ -446,22 +458,79 @@ def _outcome(argv, capsys):
 
 @pytest.mark.parametrize("argv", PARSER_PARITY_ARGV, ids=" ".join)
 def test_cli_subcommand_parser_matches_the_full_parser(p3_file, capsys, monkeypatch, argv):
-    # main builds only the parser of the command it runs, and the parser
-    # of all seven only to report an unknown command or arguments left
-    # over; stdout, stderr and the exit code are those of the full parser
+    # main builds no parser for an argv the reader accepts, and the
+    # parser of all seven for every other argv; stdout, stderr and the
+    # exit code are those of the full parser
     from forestnull import cli
 
     argv = [p3_file if arg == "FILE" else arg for arg in argv]
-    built = []  # the prog of every parser that gets its arguments
-    for name, (what, add_arguments) in cli._SUBCOMMANDS.items():
-        monkeypatch.setitem(cli._SUBCOMMANDS, name,
-                            (what, lambda p, add=add_arguments: built.append(p.prog) or add(p)))
+    built = []  # the prog of every ArgumentParser made
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: init(self, *a, **k) or built.append(self.prog))
     got = _outcome(argv, capsys)
-    one = ["forestnull " + argv[0]] if argv and argv[0] in cli._HANDLERS else []
-    every = ["forestnull " + name for name in cli._SUBCOMMANDS]
-    assert built == (one if one and "unrecognized arguments" not in got[2] else one + every)
+    every = ["forestnull"] + ["forestnull " + name for name in cli._SUBCOMMANDS]
+    assert built == ([] if cli._read_argv(argv) is not None else every)
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
     assert got == _outcome(argv, capsys)
+
+
+# words for argv: exact option strings come from the command's table;
+# these add valid values, choices and ints, then prefixes, joined values,
+# non-choices, non-ints, values starting with "-", "--", help and ""
+_ARGV_VALUES = ("mm", "json", "null", "rank", "null-basis", "min-support", "rational",
+                "gf:7", "5", "0", " 7", "+3", "1_0", "x.mtx", "a b", "", "validate")
+_ARGV_WORDS = ("--chec", "--fo", "--ou", "--sp", "-o=x", "--format=json", "--out=x", "--n=5",
+               "xml", "row", "min", "-5", "ten", "5.0", "-x", "-", "--", "-h", "--help")
+
+
+@st.composite
+def _cli_argvs(draw):
+    """An argv of a command, or of a word that is none, in chunks: most
+    often every positional and required option with a value;
+    then options, each with a value unless it is a flag, and now and
+    then a loose word; the chunks shuffled."""
+    from forestnull import cli
+
+    name = draw(st.sampled_from(sorted(cli._SUBCOMMANDS) + ["bench", "-h"]))
+    arguments = cli._SUBCOMMANDS.get(name, ("", ()))[1]
+    options = [(s, "action" in spec) for names, spec in arguments for s in names if s[0] == "-"]
+    value = st.sampled_from(_ARGV_VALUES)
+    word = st.one_of(value, st.sampled_from(_ARGV_WORDS + tuple(s for s, _ in options)))
+    chunks = []
+    if draw(st.integers(0, 3)):
+        chunks += [[draw(word)] for names, _ in arguments if names[0][0] != "-"]
+        chunks += [[names[-1], draw(word)] for names, spec in arguments if spec.get("required")]
+    if options:
+        chunks += [[option] if flag else [option, draw(word)]
+                   for option, flag in draw(st.lists(st.sampled_from(options), max_size=3))]
+    if draw(st.integers(0, 3)) == 0:
+        chunks.append([draw(word)])
+    return [name] + [w for chunk in draw(st.permutations(chunks)) for w in chunk]
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_cli_argvs())
+def test_reader_sets_what_argparse_sets_on_every_argv_it_accepts(argv):
+    from forestnull import cli
+
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+def test_reader_accepts_every_well_formed_call():
+    from forestnull import cli
+
+    for argv in (["validate", "f"], ["support", "f", "--json", "--json"],
+                 ["null-basis", "--check", "f", "--format", "mm", "--format", "json"],
+                 ["rank-basis", "f", "-o", "x", "--out", ""],
+                 ["transfer", "--vector", "x", "--to", "b", "--space", "rank", "--from", "a"],
+                 ["gen", "--n", " 7", "--seed", "+3", "--components", "1_0", "--field", "gf:7"],
+                 ["oracle", "--format", "json", "min-support", "-o", "x", "f"]):
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("columns, terminal", [
@@ -697,9 +766,30 @@ print("ok")
 
 def test_cli_commands_import_only_what_they_run(tmp_path):
     # each command imports its compute modules, the oracle, json and
-    # random on first use; validate and null-basis load none they skip
-    path, out = tmp_path / "m.mtx", tmp_path / "out"
+    # random on first use; validate and null-basis load none they skip.
+    # A well-formed call over GF(p) loads neither argparse, re and os
+    # nor fractions and functools, nor what these bring; help does
+    path, gf, out = tmp_path / "m.mtx", tmp_path / "gf7.mtx", tmp_path / "out"
     path.write_text(M_P3_TEXT)
+    gf.write_text(M_P3_GF7_TEXT)
+    script = """
+import sys
+from forestnull.cli import main
+gf, out = sys.argv[1:]
+unused = ["argparse", "re", "enum", "gettext", "locale", "os", "functools", "fractions",
+          "decimal", "numbers"]
+assert main(["validate", gf]) == 0
+after_validate = sorted(name for name in unused if name in sys.modules)
+assert main(["null-basis", gf, "--check", "-o", out]) == 0
+after_check = sorted(name for name in unused if name in sys.modules)
+try:
+    main(["null-basis", "-h"])
+except SystemExit as exc:
+    print([after_validate, after_check, exc.code, "argparse" in sys.modules])
+"""
+    lines = _run_fresh(script, gf, out).splitlines()
+    assert any(line.startswith("usage: forestnull null-basis [-h]") for line in lines)
+    assert ast.literal_eval(lines[-1]) == [[], [], 0, True]
     script = """
 import sys
 from forestnull.cli import main
@@ -711,7 +801,7 @@ def loaded(names):
 assert main(["validate", path]) == 0
 after_validate = loaded(["forestnull.oracle", "forestnull.kernel", "forestnull.rank",
                          "forestnull.scaling", "forestnull.generate", "random", "json",
-                         "heapq"])
+                         "heapq", "fractions"])
 assert main(["null-basis", path, "-o", out]) == 0
 after_null_basis = loaded(["forestnull.oracle", "forestnull.rank", "forestnull.generate",
                            "random", "json"])
@@ -724,7 +814,7 @@ codes = [main(argv) for argv in (
 print([after_validate, after_null_basis, codes])
 """
     last = _run_fresh(script, path, out).splitlines()[-1]
-    assert ast.literal_eval(last) == [[], [], [0, 0, 0, 0, 0]]
+    assert ast.literal_eval(last) == [["fractions"], [], [0, 0, 0, 0, 0]]
 
 
 # Traced by perfbench/tracing.py, but moved into the tests' helpers:

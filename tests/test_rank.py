@@ -255,8 +255,9 @@ def test_row_space_membership_agrees_with_the_oracle(monkeypatch):
         calls.append(f)
         return kernel.analyze(f)
 
+    # rank.py imports no analyze; set one there anyway, so that no call escapes the count
     for module in (rank_module, scaling_module):
-        monkeypatch.setattr(module, "analyze", counted)
+        monkeypatch.setattr(module, "analyze", counted, raising=False)
     members = outsiders = 0
     for m, other, x in membership_cases():
         member = echelon_of(m).contains(x)
