@@ -16,27 +16,27 @@ A handler imports what it runs when it runs, so each command loads
 only its own modules: ``validate`` reads and checks the file and no
 more.  ``oracle`` loads only for ``--check`` and the ``oracle``
 command, ``json`` only for ``support --json`` and JSON input or output
-(through ``matrixio``), and ``random`` only for ``gen`` and the
-above-bound ``rank-basis --check``.
+(through ``matrixio``), and ``random`` only for ``gen``.
+
+``--check`` runs one certificate at every n; the elimination is a
+fallback only up to ``oracle.ORACLE_BOUND`` = 512.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import count
 
 from . import matrixio
 from .errors import ForestNullError, ValidationError
-from .fields import PrimeField, parse_field_spec
-from .matrix import SparseVector
+from .fields import parse_field_spec
 
 _FILE = (("file",), {})
 _OUT = (("-o", "--out"), {})
 _FORMAT = (("--format",), {"choices": ("mm", "json"), "default": "mm"})
 _BASIS = (_FILE, _OUT, _FORMAT, (("--check",), {"action": "store_true", "help":
-          "verify the result: up to n = 512 a rank certificate (matched pairs and a null "
-          "basis that peels), with an exact elimination only when it is inconclusive; "
-          "cheaper checks above"}))
+          "verify the result: a rank certificate (matched pairs and a null basis that "
+          "peels) at every n, with an exact elimination only when it is inconclusive, "
+          "up to n = 512"}))
 
 #: command -> (help line, its arguments: (option strings or the name of
 #: a positional, ``add_argument`` keywords), in the order help lists them)
@@ -190,26 +190,15 @@ def _cmd_basis(args) -> int:
     if not null:
         from .rank import rank_basis
     basis = sparsest_null_basis(m, matching) if null else rank_basis(m)
-    verified = None
     if args.check:  # before the output, so that a refused run writes nothing
-        from . import oracle
         if null and not _annihilated(m, basis):
             raise ValidationError("check failed: output vector is not annihilated")
         witness = basis if null else sparsest_null_basis(m, matching)
-        if m.n <= oracle.ORACLE_BOUND:
-            _check_span_certificate(m, basis, null, matching.partner, witness)
-            verified = "oracle span verified"
-        elif null:
-            verified = "oracle skipped for n > bound"
-        else:
-            draws = _check_rank_basis_without_oracle(m, basis, witness)
-            verified = ("equal to 2 * matching number by tree DP, independent by peeling, "
-                        "orthogonal to a random null combination in each of %d independent "
-                        "draws (miss probability at most 2^-40), oracle skipped for n > bound"
-                        % draws)
+        _check_span_certificate(m, basis, null, matching.partner, witness)
     _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
-    if verified:
-        print("check: ok (dimension %d, %s)" % (basis.dimension, verified), file=sys.stderr)
+    if args.check:
+        print("check: ok (dimension %d, oracle span verified)" % basis.dimension,
+              file=sys.stderr)
     return 0
 
 
@@ -218,11 +207,16 @@ def _check_span_certificate(m, basis, null, partner, witness):
     ``oracle.certifies_span`` on a matching's ``partner`` and an
     annihilated null witness, or when that is inconclusive, as a matching
     that is not maximum makes it, by one exact elimination: dim vectors,
-    independent (``oracle.first_dependent``), each in the space."""
+    independent (``oracle.first_dependent``), each in the space.  Above
+    ``oracle.ORACLE_BOUND`` no elimination runs, and an inconclusive
+    certificate is refused."""
     from . import oracle
     if ((null or _annihilated(m, witness))
             and oracle.certifies_span(m, partner, witness, None if null else basis)):
         return
+    if m.n > oracle.ORACLE_BOUND:
+        raise ValidationError("check failed: span not certified, and no elimination "
+                              "runs above n = %d" % oracle.ORACLE_BOUND)
     echelon = oracle.row_echelon(m)
     rank = len(echelon.rows)
     if (basis.dimension != (m.n - rank if null else rank)
@@ -247,46 +241,6 @@ def _annihilated(m, basis) -> bool:
         if any(product.values()):
             return False
     return True
-
-
-def _check_rank_basis_without_oracle(m, basis, witness) -> int:
-    """Checks that stay cheap at any n: the dimension is 2 nu, with nu
-    from the oracle's tree DP; the vectors peel completely
-    (``oracle._peel``), which proves them independent, as a row basis
-    of m always does; and every vector is orthogonal to seeded
-    random combinations of the null basis ``witness``, as row-space vectors are
-    orthogonal to the whole null space.  The coefficients are uniform
-    over a set of q values, the field for GF(p) and [1, 2^31) for Q, so
-    a vector not orthogonal to the null space is orthogonal to one
-    combination with probability at most 1/q (Schwartz-Zippel); the
-    smallest number k of independent combinations with q^k >= 2^40
-    misses it with probability at most 2^-40.  Returns k."""
-    import random
-    from . import oracle
-    nu = oracle._dp_matching_number(m.pattern)
-    if basis.dimension != 2 * nu:
-        raise ValidationError("check failed: dimension %d, expected 2 * %d"
-                              % (basis.dimension, nu))
-    if oracle._peel([vec.entries for vec in basis.vectors], m.n):
-        raise ValidationError("check failed: basis vectors do not peel "
-                              "(independence unproven)")
-    field = m.field
-    add, mul, zero = field.add, field.mul, field.zero
-    low, high = (0, field.p) if isinstance(field, PrimeField) else (1, 2 ** 31)
-    draws = next(k for k in count(1) if (high - low) ** k >= 2 ** 40)
-    rng = random.Random(0)
-    for _ in range(draws):
-        combination = {}
-        for vec in witness.vectors:
-            c = field.coerce(rng.randrange(low, high))
-            for v, x in vec.entries.items():
-                combination[v] = add(combination.get(v, zero), mul(c, x))
-        probe = SparseVector(m.n, field, combination)
-        for vec in basis.vectors:
-            if vec.dot(probe):
-                raise ValidationError("check failed: a basis vector is not orthogonal "
-                                      "to the null space")
-    return draws
 
 
 def _cmd_transfer(args) -> int:

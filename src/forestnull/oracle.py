@@ -10,10 +10,11 @@ the CLI's ``--check`` and ``oracle`` commands, and
 ``first_dependent``.
 
 A certificate (``certifies_span``) settles the CLI's own bases with no
-elimination: r vertices paired along stored entries prove rank >= r,
-and n - r annihilated null vectors that peel prove rank <= r.  The
-caller checks M x = 0 on the witness and the certificate checks the
-rest; when it proves nothing, the elimination decides.
+elimination, at any n: r vertices paired along stored entries prove
+rank >= r, and n - r annihilated null vectors that peel prove
+rank <= r.  The caller checks M x = 0 on the witness and the
+certificate checks the rest; when it proves nothing, the elimination
+decides, up to ``ORACLE_BOUND`` only.
 
 Cost: the elimination touches only nonzeros (``_echelon``), so a
 forest matrix, which barely fills in, costs about its fill, not n^2

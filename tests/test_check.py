@@ -1,30 +1,30 @@
 """``--check`` on null-basis and rank-basis.
 
-Up to ``ORACLE_BOUND`` vertices the check first tries a certificate
-that needs no elimination (``oracle.certifies_span``): the r vertices
-that the matching of ``kernel.maximum_matching`` pairs, each pair a
-stored entry of M, prove rank >= r; a null witness of n - r
-annihilated vectors peels, so rank = r and it spans the null space.
-The witness is the output for null-basis and
-``kernel.sparsest_null_basis`` on the same matching for rank-basis,
-whose r vectors must then peel and be orthogonal to it.  Only when
-that is inconclusive does one forward elimination of M
+At every n the check first tries a certificate that needs no
+elimination (``oracle.certifies_span``): the r vertices that the
+matching of ``kernel.maximum_matching`` pairs, each pair a stored entry
+of M, prove rank >= r; a null witness of n - r annihilated vectors
+peels, so rank = r and it spans the null space.  The witness is the
+output for null-basis and ``kernel.sparsest_null_basis`` on the same
+matching for rank-basis, whose r vectors must then peel and be
+orthogonal to it.  Only when that is inconclusive, and only up to
+``ORACLE_BOUND`` vertices, does one forward elimination of M
 (``oracle.row_echelon``) decide: the basis has as many vectors as the
 target space's dimension, they are independent
 (``oracle.first_dependent``: a peel, then one echelon form for the
 vectors it leaves), and each lies in the space (M x = 0 for the null
 space, reduction to zero against the elimination's rows for the row
-space).  The differential tests here hold its verdict to mutual span
-reduction against the dense reference basis, on the right basis and on
-spoiled ones; others hold that the CLI's own bases never need the
-elimination, that a bad witness or a matching that is not maximum
-falls back to it, that forged pairings prove nothing, and that a
-refused run writes no output.  Above the bound, rank-basis checks that
-the vectors peel completely and that they are orthogonal to random
-null combinations.
+space); above the bound an inconclusive certificate is refused.  The
+differential tests here hold the verdict to mutual span reduction
+against a reference basis, on the right basis and on spoiled ones,
+below the bound and at a real n above it; others hold that the CLI's
+own bases never need the elimination, that a bad witness or a matching
+that is not maximum falls back to it, that forged pairings prove
+nothing, and that a refused run writes no output.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +41,8 @@ from treegen import free_forests
 FIELDS = (QQ, PrimeField(7), PrimeField(1000003))
 SPAN_ERROR = "error: check failed: span differs from the oracle\n"
 ANNIHILATION_ERROR = "error: check failed: output vector is not annihilated\n"
+BOUND_ERROR = ("error: check failed: span not certified, and no elimination runs "
+               "above n = 512\n")
 
 
 def random_instances():
@@ -63,12 +65,13 @@ def small_forest_instances():
             k += 1
 
 
-def spoiled_bases(m, basis, null):
+def spoiled_bases(m, basis, null, outside):
     """The right basis, then spoiled ones: one vector dropped, one
     repeated in place of another, one replaced by the sum of two (of
     itself and another, which keeps the span, or of two others), and
     for the row space one moved outside it, count and independence
-    kept."""
+    kept, by adding e_w for a vertex w of ``outside``, ascending
+    vertices where some null vector is nonzero."""
     vectors = basis.vectors
     d = len(vectors)
     yield basis
@@ -83,7 +86,6 @@ def spoiled_bases(m, basis, null):
             j = (k + 2) % d
             yield Basis(vectors[:k] + [vectors[i].add(vectors[j])] + vectors[k + 1:])
     if not null and d:
-        outside = sorted(oracle.dense_analysis(m).null_support)
         for k, w in zip((0, d - 1), outside):
             # e_w is outside the row space, so vectors[k] + e_w is too,
             # and it is independent of the other vectors
@@ -106,9 +108,10 @@ def certificate_verdict(m, basis, null):
 def cases(m):
     """(null, basis, same_span verdict against the dense reference)."""
     analysis = oracle.dense_analysis(m)
+    outside = sorted(analysis.null_support)
     for null, fast, reference in ((True, null_basis(m), analysis.null_basis),
                                   (False, rank_basis(m), analysis.row_basis)):
-        for basis in spoiled_bases(m, fast, null):
+        for basis in spoiled_bases(m, fast, null, outside):
             yield null, basis, same_span(basis, reference)
 
 
@@ -168,7 +171,7 @@ def test_row_echelon_rows_are_an_echelon_form_of_the_dense_row_basis():
 
 
 def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matrices():
-    # what rank-basis --check relies on above the bound: unit vectors
+    # what the certificate relies on above the bound: unit vectors
     # sit on non-support vertices, and Gallai-Edmonds leaves some support
     # vertex with one remaining holder; a null vector is 1 at its own
     # exposed vertex and 0 at the others
@@ -188,65 +191,39 @@ def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matr
     assert k == 637  # unlabeled forests on 1 to 10 vertices
 
 
-def test_rank_basis_check_above_the_bound_refuses_a_repeated_vector(tmp_path, capsys,
-                                                                    monkeypatch):
-    # the count and orthogonality hold; only the peel can refuse it
-    m = random_matrix(40, 3, QQ, components=2)
-    path, out = tmp_path / "m.mtx", str(tmp_path / "b")
-    matrixio.write_matrix(m, path)
-    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
-    argv = ["rank-basis", str(path), "--check", "-o", out]
-    assert cli.main(argv) == 0
-    assert "independent by peeling" in capsys.readouterr().err
-    vectors = rank_basis(m).vectors
-    repeated = Basis(vectors[:-1] + vectors[-2:-1])
-    monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: repeated)
-    assert cli.main(argv) == 1
-    assert capsys.readouterr().err == ("error: check failed: basis vectors do not peel "
-                                       "(independence unproven)\n")
-
-
-def test_rank_basis_check_above_the_bound_refuses_20_spoiled_vectors_on_gf7(
-        tmp_path, capsys, monkeypatch):
-    # one combination with coefficients in GF(7) is orthogonal to a bad
-    # vector with probability 1/7, so one draw would likely pass one of
-    # these 20; the check draws enough of them for 2^-40
-    field = PrimeField(7)
-    m = random_matrix(40, 5, field, components=2)
-    path, out = tmp_path / "m.mtx", str(tmp_path / "b")
-    matrixio.write_matrix(m, path)
-    row_space = oracle.row_echelon(m)
-    outside = sorted(oracle.dense_analysis(m).null_support)
-    vectors = rank_basis(m).vectors
-    rng = random.Random(7)
-    moved = {}  # the spoiled vector's entries -> the spoiled basis
-    while len(moved) < 20:
-        # v_k + a e_w + b e_x, with w and x where null vectors are nonzero
-        k = rng.randrange(len(vectors))
-        w, x = rng.sample(outside, 2)
-        vec = vectors[k].add(sv(m.n, {w: rng.randrange(1, 7), x: rng.randrange(1, 7)}, field))
-        if not row_space.contains(vec):
-            moved[frozenset(vec.entries.items())] = Basis(vectors[:k] + [vec] + vectors[k + 1:])
-    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
-    assert cli.main(["rank-basis", str(path), "--check", "-o", out]) == 0
-    err = capsys.readouterr().err
-    assert "in each of 15 independent draws" in err and "2^-40" in err
-    assert "oracle skipped" in err
-    for basis in moved.values():
-        monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
-        assert cli.main(["rank-basis", str(path), "--check", "-o", out]) == 1
-        assert capsys.readouterr().err == ("error: check failed: a basis vector is "
-                                           "not orthogonal to the null space\n")
-
-
-def test_rank_basis_check_above_the_bound_draw_counts(tmp_path, capsys, monkeypatch):
-    # ceil(40 / log2 q): q = 7, 1000003, and 2^31 - 1 coefficients over Q
-    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
-    for field, draws in ((PrimeField(7), 15), (PrimeField(1000003), 3), (QQ, 2)):
-        path = tmp_path / "m.mtx"
-        matrixio.write_matrix(random_matrix(30, 1, field), path)
-        assert cli.main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 0
-        assert "in each of %d independent draws" % draws in capsys.readouterr().err
+@pytest.mark.parametrize("field, components", [(QQ, 1), (QQ, 3), (PrimeField(7), 1),
+                                               (PrimeField(7), 3)],
+                         ids=["Q-1", "Q-3", "GF7-1", "GF7-3"])
+def test_cli_check_above_the_bound_agrees_with_same_span(tmp_path, capsys, monkeypatch,
+                                                         field, components):
+    # a real n above ORACLE_BOUND: the certificate alone decides, so the
+    # right basis and the span-keeping sums pass and every other spoil
+    # is refused in one line, with nothing written
+    m = random_matrix(650, 23 + components, field, components)
+    assert m.n > oracle.ORACLE_BOUND
+    path = write_instance(m, tmp_path)
+    outside = sorted(kernel.support(m.pattern, kernel.maximum_matching(m.pattern)).supp)
+    witness = kernel.sparsest_null_basis  # the rank-basis check's witness stays right
+    verdicts = Counter()
+    for null, fast in ((True, null_basis(m)), (False, rank_basis(m))):
+        command = "null-basis" if null else "rank-basis"
+        for k, basis in enumerate(spoiled_bases(m, fast, null, outside)):
+            monkeypatch.setattr(kernel, "sparsest_null_basis",
+                                (lambda m, matching, basis=basis: basis) if null else witness)
+            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
+            out = tmp_path / ("%s-%d" % (command, k))
+            code = cli.main([command, path, "--check", "-o", str(out)])
+            want = same_span(basis, fast)
+            assert capsys.readouterr() == ("", (
+                "check: ok (dimension %d, oracle span verified)\n" % basis.dimension
+                if want else BOUND_ERROR))
+            assert (code, out.exists()) == ((0, True) if want else (1, False))
+            verdicts[command, want] += 1
+    # the right basis and two sums with the vector itself keep the span;
+    # two each of dropped, repeated and sum of two others, and for the
+    # row space two moved outside it, do not
+    assert verdicts == {("null-basis", True): 3, ("null-basis", False): 6,
+                        ("rank-basis", True): 3, ("rank-basis", False): 8}
 
 
 def write_instance(m, tmp_path):

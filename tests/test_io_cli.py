@@ -18,6 +18,7 @@ from forestnull import ParseError, PrimeField, QQ, ValidationError
 from forestnull import matrixio, oracle
 from forestnull.cli import _build_parser, main
 from forestnull.generate import random_matrix
+from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
 from conftest import sv
 from forest_helpers import entry
@@ -766,12 +767,15 @@ print("ok")
 
 def test_cli_commands_import_only_what_they_run(tmp_path):
     # each command imports its compute modules, the oracle, json and
-    # random on first use; validate and null-basis load none they skip.
+    # random on first use; validate and null-basis load none they skip,
+    # and only gen loads random, whatever n --check runs at.
     # A well-formed call over GF(p) loads neither argparse, re and os
     # nor fractions and functools, nor what these bring; help does
     path, gf, out = tmp_path / "m.mtx", tmp_path / "gf7.mtx", tmp_path / "out"
+    big = tmp_path / "big.mtx"
     path.write_text(M_P3_TEXT)
     gf.write_text(M_P3_GF7_TEXT)
+    matrixio.write_matrix(random_matrix(oracle.ORACLE_BOUND + 88, 5, QQ, components=3), big)
     script = """
 import sys
 from forestnull.cli import main
@@ -793,7 +797,7 @@ except SystemExit as exc:
     script = """
 import sys
 from forestnull.cli import main
-path, out = sys.argv[1:]
+path, big, out = sys.argv[1:]
 
 def loaded(names):
     return sorted(name for name in names if name in sys.modules)
@@ -808,13 +812,16 @@ after_null_basis = loaded(["forestnull.oracle", "forestnull.rank", "forestnull.g
 codes = [main(argv) for argv in (
     ["null-basis", path, "--check", "-o", out],
     ["rank-basis", path, "--check", "--format", "json", "-o", out],
-    ["support", path, "--json"],
+    ["rank-basis", big, "--check", "-o", out],
+    ["support", path, "--json"])]
+before_gen = loaded(["random"])
+codes += [main(argv) for argv in (
     ["gen", "--n", "5", "--seed", "1", "--out", out],
     ["oracle", "rank", path, "-o", out])]
-print([after_validate, after_null_basis, codes])
+print([after_validate, after_null_basis, before_gen, loaded(["random"]), codes])
 """
-    last = _run_fresh(script, path, out).splitlines()[-1]
-    assert ast.literal_eval(last) == [["fractions"], [], [0, 0, 0, 0, 0]]
+    last = _run_fresh(script, path, big, out).splitlines()[-1]
+    assert ast.literal_eval(last) == [["fractions"], [], [], ["random"], [0] * 6]
 
 
 # Traced by perfbench/tracing.py, but moved into the tests' helpers:
@@ -840,51 +847,25 @@ def test_traced_layer_functions_exist():
         assert callable(obj), (module_name, attr)
 
 
-def test_cli_rank_basis_check_above_the_oracle_cap(tmp_path, capsys, monkeypatch):
-    from forestnull import Basis, cli
-    from forestnull.rank import rank_basis
-
-    path = tmp_path / "m.mtx"
-    matrixio.write_matrix(random_matrix(40, 11, QQ, components=2), path)
-    monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
-    assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 0
-    err = capsys.readouterr().err
-    assert "check: ok" in err and "equal to 2 * matching number" in err
-    assert "orthogonal to a random null combination" in err
-    assert "oracle skipped" in err
-
-    def perturbed(m):
-        basis = rank_basis(m)
-        # add 1 at a support vertex to the last vector
-        first = min(null_basis(m).vectors[0].entries)
-        return Basis(basis.vectors[:-1] + [basis.vectors[-1].add(sv(m.n, {first: 1}))])
-
-    monkeypatch.setattr("forestnull.rank.rank_basis", perturbed)
-    assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
-    assert "not orthogonal to the null space" in capsys.readouterr().err
-
-    monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: Basis(rank_basis(m).vectors[1:]))
-    assert main(["rank-basis", str(path), "--check", "-o", str(tmp_path / "b")]) == 1
-    assert "check failed: dimension" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command", ["null-basis", "rank-basis"])
 def test_cli_check_at_and_above_the_oracle_cap(tmp_path, capsys, monkeypatch, command):
-    # the oracle runs up to and including the bound, and is skipped above it
+    # one certificate at every n: the bound changes nothing on a right basis
     monkeypatch.setattr(oracle, "ORACLE_BOUND", 8)
-    for n, verdict in ((8, "oracle span verified"), (9, "oracle skipped")):
+    for n in (8, 9):
         path = tmp_path / ("m%d.mtx" % n)
-        matrixio.write_matrix(random_matrix(n, n, QQ, components=2), path)
+        m = random_matrix(n, n, QQ, components=2)
+        matrixio.write_matrix(m, path)
         assert main([command, str(path), "--check", "-o", str(tmp_path / "b")]) == 0
-        err = capsys.readouterr().err
-        assert err.startswith("check: ok") and verdict in err
+        dimension = (null_basis(m) if command == "null-basis" else rank_basis(m)).dimension
+        assert capsys.readouterr().err == (
+            "check: ok (dimension %d, oracle span verified)\n" % dimension)
 
 
 @pytest.mark.parametrize("spoiled", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("bound", [None, 8])
 def test_cli_null_basis_check_refuses_a_vector_not_annihilated(tmp_path, capsys, monkeypatch,
                                                               bound, spoiled):
-    # above the bound, M x = 0 is the only check null-basis runs
+    # at every n, null-basis tests M x = 0 before the certificate
     from forestnull import Basis, cli
 
     path = tmp_path / "m.mtx"
