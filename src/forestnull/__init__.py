@@ -26,7 +26,7 @@ _EXPORTS = {
     "kernel": ("Analysis", "MatchingInfo", "SupportInfo", "analyze", "maximum_matching",
                "support"),
     "matrix": ("AcyclicMatrix", "Basis", "SparseVector", "adjacency_matrix"),
-    "rank": ("rank_basis", "supported_neighborhood_vector", "transfer_rank"),
+    "rank": ("rank_basis", "transfer_rank"),
     "scaling": ("DiagonalScaling", "null_basis", "transfer_null", "transversal_scaling"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -18,8 +18,8 @@ more.  ``oracle`` loads only for ``--check`` and the ``oracle``
 command, ``json`` only for ``support --json`` and JSON input or output
 (through ``matrixio``), and ``random`` only for ``gen``.
 
-``--check`` runs one certificate at every n; the elimination is a
-fallback only up to ``oracle.ORACLE_BOUND`` = 512.
+``--check`` runs one certificate at every n, ``oracle.certifies_span``,
+and no elimination: a run it does not certify is refused in one line.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ _FILE = (("file",), {})
 _OUT = (("-o", "--out"), {})
 _FORMAT = (("--format",), {"choices": ("mm", "json"), "default": "mm"})
 _BASIS = (_FILE, _OUT, _FORMAT, (("--check",), {"action": "store_true", "help":
-          "verify the result: a rank certificate (matched pairs and a null basis that "
-          "peels) at every n, with an exact elimination only when it is inconclusive, "
-          "up to n = 512"}))
+          "verify the result: a rank certificate (matched pairs and an annihilated "
+          "null basis that peels) at every n"}))
 
 #: command -> (help line, its arguments: (option strings or the name of
 #: a positional, ``add_argument`` keywords), in the order help lists them)
@@ -119,33 +118,15 @@ def _build_parser():
     """The argparse parser of all seven subcommands, from ``_SUBCOMMANDS``."""
     import argparse
     parser = argparse.ArgumentParser(
-        prog="forestnull", formatter_class=_formatter,
+        prog="forestnull",
         description="Sparsest null bases and row-space bases of zero-diagonal "
                     "matrices whose nonzero pattern is a forest.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (what, arguments) in _SUBCOMMANDS.items():
-        command = sub.add_parser(name, help=what, formatter_class=_formatter)
+        command = sub.add_parser(name, help=what)
         for names, spec in arguments:
             command.add_argument(*names, **spec)
     return parser
-
-
-def _formatter(prog):
-    """argparse's help formatter at the width ``shutil.get_terminal_size``
-    gives it, read without importing ``shutil`` (and bz2, lzma and zlib
-    with it): COLUMNS, else the terminal of ``sys.__stdout__``, else 80."""
-    import argparse
-    import os
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
 
 
 def _emit(text: str, out_path):
@@ -164,10 +145,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_support(args) -> int:
-    from .kernel import analyze
+    from .kernel import maximum_matching, support
     m = matrixio.read_matrix(args.file)
-    analysis = analyze(m.pattern)
-    nu, supp, core = analysis.matching.nu, analysis.support.supp, analysis.support.core
+    matching = maximum_matching(m.pattern)
+    nu, (supp, core) = matching.nu, support(m.pattern, matching)
     rows = [("n", m.n), ("components", m.pattern.component_count),
             ("matching-number", nu), ("null-dimension", m.n - 2 * nu), ("rank", 2 * nu)]
     rows += [(key, sorted(v + 1 for v in ids))
@@ -191,56 +172,15 @@ def _cmd_basis(args) -> int:
         from .rank import rank_basis
     basis = sparsest_null_basis(m, matching) if null else rank_basis(m)
     if args.check:  # before the output, so that a refused run writes nothing
-        if null and not _annihilated(m, basis):
-            raise ValidationError("check failed: output vector is not annihilated")
+        from .oracle import certifies_span
         witness = basis if null else sparsest_null_basis(m, matching)
-        _check_span_certificate(m, basis, null, matching.partner, witness)
+        if not certifies_span(m, matching.partner, witness, None if null else basis):
+            raise ValidationError("check failed: span not certified")
     _emit(matrixio.format_basis(basis, m.n, m.field, args.format), args.out)
     if args.check:
         print("check: ok (dimension %d, oracle span verified)" % basis.dimension,
               file=sys.stderr)
     return 0
-
-
-def _check_span_certificate(m, basis, null, partner, witness):
-    """span(basis) is the null space (null) or the row space of m, by
-    ``oracle.certifies_span`` on a matching's ``partner`` and an
-    annihilated null witness, or when that is inconclusive, as a matching
-    that is not maximum makes it, by one exact elimination: dim vectors,
-    independent (``oracle.first_dependent``), each in the space.  Above
-    ``oracle.ORACLE_BOUND`` no elimination runs, and an inconclusive
-    certificate is refused."""
-    from . import oracle
-    if ((null or _annihilated(m, witness))
-            and oracle.certifies_span(m, partner, witness, None if null else basis)):
-        return
-    if m.n > oracle.ORACLE_BOUND:
-        raise ValidationError("check failed: span not certified, and no elimination "
-                              "runs above n = %d" % oracle.ORACLE_BOUND)
-    echelon = oracle.row_echelon(m)
-    rank = len(echelon.rows)
-    if (basis.dimension != (m.n - rank if null else rank)
-            or not (null or all(map(echelon.contains, basis.vectors)))
-            or oracle.first_dependent(m.field, basis.vectors) >= 0):
-        raise ValidationError("check failed: span differs from the oracle")
-
-
-def _annihilated(m, basis) -> bool:
-    """M x = 0 for every vector x of the basis, in one loop over M's CSR
-    arrays and column-side values: nothing the fast path derived from M
-    is read."""
-    add, mul, zero = m.field.add, m.field.mul, m.field.zero
-    neighbors, offsets, col_flat = m.pattern.neighbors, m.pattern.offsets, m.col_flat
-    for vec in basis.vectors:
-        product = {}
-        get = product.get
-        for v, x in vec.entries.items():
-            for j in range(offsets[v], offsets[v + 1]):
-                u = neighbors[j]
-                product[u] = add(get(u, zero), mul(col_flat[j], x))
-        if any(product.values()):
-            return False
-    return True
 
 
 def _cmd_transfer(args) -> int:

@@ -5,16 +5,15 @@ independent-set enumeration, and a minimum-total-support search over
 column subsets.  Nothing here shares matching/support/scaling code with
 the rest of the package, nor imports ``kernel``, ``scaling`` or
 ``rank``; it exists to catch systematic bugs and is wired into tests,
-the CLI's ``--check`` and ``oracle`` commands, and
+the CLI's ``--check`` (the certificate) and ``oracle`` commands, and
 ``matrixio.parse_basis``, whose independence check is
 ``first_dependent``.
 
-A certificate (``certifies_span``) settles the CLI's own bases with no
-elimination, at any n: r vertices paired along stored entries prove
-rank >= r, and n - r annihilated null vectors that peel prove
-rank <= r.  The caller checks M x = 0 on the witness and the
-certificate checks the rest; when it proves nothing, the elimination
-decides, up to ``ORACLE_BOUND`` only.
+A certificate (``certifies_span``) alone decides the CLI's ``--check``,
+with no elimination, at any n: r vertices paired along stored entries
+prove rank >= r, and n - r null vectors that peel, each of which it
+finds annihilated by M itself, prove rank <= r.  It trusts no claim of
+the caller, and the CLI refuses a run it does not certify.
 
 Cost: the elimination touches only nonzeros (``_echelon``), so a
 forest matrix, which barely fills in, costs about its fill, not n^2
@@ -297,8 +296,7 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
     """Whether a certificate proves, with no elimination, that rank(m) is
     the number r of vertices u with ``partner[u] >= 0``, that
     span(witness) = null(m) and, given a row_basis, that span(row_basis)
-    = row(m); False is inconclusive, not a refusal.  The caller checks
-    that m annihilates the witness.
+    = row(m); False is inconclusive: the claims prove nothing.
 
     Each such u must be paired: p = partner[u] is a vertex other than u
     with partner[p] = u, and the pair is stored in m's CSR arrays, found
@@ -309,7 +307,8 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
     2-cycles, as a longer one would be a cycle of the forest: a perfect
     matching of S, and a forest has at most one.  So det M[S, S] =
     +-prod M[u, p] M[p, u] over the pairs, which is not zero.  The
-    witness has n - r vectors that peel (``_peel``), so nullity >= n - r.
+    witness has n - r vectors that peel (``_peel``) and that m
+    annihilates (``_annihilated``), so nullity >= n - r.
     A row basis of r vectors that peel and are orthogonal to the witness
     lies in null(m)^perp = row(m), of dimension r."""
     n, neighbors, offsets = m.n, m.pattern.neighbors, m.pattern.offsets
@@ -323,7 +322,8 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
             r += 2
         elif p >= 0 and (p == u or partner[p] != u):
             return False
-    if witness.dimension != n - r or _peel([vec.entries for vec in witness.vectors], n):
+    if (witness.dimension != n - r or _peel([vec.entries for vec in witness.vectors], n)
+            or not _annihilated(m, witness)):
         return False
     if row_basis is None:
         return True
@@ -340,6 +340,24 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
             for k, x in holders.get(v, ()):
                 dots[k] = add(dots.get(k, zero), mul(x, y))
         if any(dots.values()):
+            return False
+    return True
+
+
+def _annihilated(m: AcyclicMatrix, basis: Basis) -> bool:
+    """M x = 0 for every vector x of the basis, in one loop over M's CSR
+    arrays and column-side values: nothing the fast path derived from M
+    is read."""
+    add, mul, zero = m.field.add, m.field.mul, m.field.zero
+    neighbors, offsets, col_flat = m.pattern.neighbors, m.pattern.offsets, m.col_flat
+    for vec in basis.vectors:
+        product = {}
+        get = product.get
+        for v, x in vec.entries.items():
+            for j in range(offsets[v], offsets[v + 1]):
+                u = neighbors[j]
+                product[u] = add(get(u, zero), mul(col_flat[j], x))
+        if any(product.values()):
             return False
     return True
 

@@ -21,20 +21,9 @@ row(A), and D carries it back.  D only maps; it decides nothing.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .kernel import Analysis, maximum_matching, sparsest_null_basis, support
+from .kernel import maximum_matching, sparsest_null_basis, support
 from .matrix import AcyclicMatrix, Basis, SparseVector
 from .scaling import _transfer_analysis, transversal_scaling
-
-
-def supported_neighborhood_vector(m: AcyclicMatrix, analysis: Analysis,
-                                  v: int) -> SparseVector:
-    """Row v of m restricted to v's support neighbors.  May be zero."""
-    supp = analysis.support.supp
-    if v in supp:
-        raise ValidationError("vertex %d is a support vertex", v)
-    # row_flat holds only nonzero values, so no entry needs dropping
-    return SparseVector._trusted(m.n, m.field,
-                                 {w: x for w, x in m.row_items(v) if w in supp})
 
 
 def rank_basis(m: AcyclicMatrix) -> Basis:

@@ -1,8 +1,9 @@
 """Slow, direct helpers on forests, matrices and vectors that only the
 test suite uses: paths between vertices, component lists, induced
 subforests, single entries, dense vectors, the null dimension, the
-pattern's {-1, 0, +1} null basis, the null scaling by its own tree walk,
-the restriction test of a null vector and the equality of two bases'
+pattern's {-1, 0, +1} null basis, the supported-neighborhood vectors of
+the row-space basis, the null scaling by its own tree walk, the
+restriction test of a null vector and the equality of two bases'
 spans.  They read the public data of ``Forest`` and ``AcyclicMatrix``
 (and the oracle's echelon form) and favour plainness over speed.
 ``test_forest_helpers.py`` checks the path, induced-subforest,
@@ -11,8 +12,8 @@ null-dimension and restriction laws.
 
 from bisect import bisect_left
 
-from forestnull import (QQ, ValidationError, adjacency_matrix, analyze, build_forest,
-                        maximum_matching, null_basis)
+from forestnull import (QQ, SparseVector, ValidationError, adjacency_matrix, analyze,
+                        build_forest, maximum_matching, null_basis)
 from forestnull.fields import require_same_field
 from forestnull.oracle import _Echelon
 
@@ -100,6 +101,15 @@ def pattern_basis(f, field=QQ):
     """The pattern's {-1, 0, +1} null basis: the null-basis walk on the
     adjacency matrix."""
     return null_basis(adjacency_matrix(f, field))
+
+
+def supported_neighborhood_vector(m, analysis, v: int):
+    """Row v of m restricted to v's support neighbors, for a vertex v
+    outside the support.  May be zero."""
+    supp = analysis.support.supp
+    if v in supp:
+        raise ValidationError("vertex %d is a support vertex", v)
+    return SparseVector(m.n, m.field, {w: x for w, x in m.row_items(v) if w in supp})
 
 
 def tree_edges_scaling(m, supp) -> list:

@@ -1,26 +1,21 @@
 """``--check`` on null-basis and rank-basis.
 
-At every n the check first tries a certificate that needs no
-elimination (``oracle.certifies_span``): the r vertices that the
-matching of ``kernel.maximum_matching`` pairs, each pair a stored entry
-of M, prove rank >= r; a null witness of n - r annihilated vectors
-peels, so rank = r and it spans the null space.  The witness is the
-output for null-basis and ``kernel.sparsest_null_basis`` on the same
-matching for rank-basis, whose r vectors must then peel and be
-orthogonal to it.  Only when that is inconclusive, and only up to
-``ORACLE_BOUND`` vertices, does one forward elimination of M
-(``oracle.row_echelon``) decide: the basis has as many vectors as the
-target space's dimension, they are independent
-(``oracle.first_dependent``: a peel, then one echelon form for the
-vectors it leaves), and each lies in the space (M x = 0 for the null
-space, reduction to zero against the elimination's rows for the row
-space); above the bound an inconclusive certificate is refused.  The
-differential tests here hold the verdict to mutual span reduction
-against a reference basis, on the right basis and on spoiled ones,
-below the bound and at a real n above it; others hold that the CLI's
-own bases never need the elimination, that a bad witness or a matching
-that is not maximum falls back to it, that forged pairings prove
-nothing, and that a refused run writes no output.
+At every n one certificate decides, with no elimination
+(``oracle.certifies_span``): the r vertices that the matching of
+``kernel.maximum_matching`` pairs, each pair a stored entry of M,
+prove rank >= r; a null witness of n - r vectors that M annihilates
+and that peel proves rank = r and spans the null space.  The witness
+is the output for null-basis and ``kernel.sparsest_null_basis`` on the
+same matching for rank-basis, whose r vectors must then peel and be
+orthogonal to it.  A run the certificate does not certify is refused
+in one line, ``error: check failed: span not certified``, and writes
+nothing.  The differential tests here hold the verdict to mutual span
+reduction against a reference basis, on the right basis and on
+spoiled ones, at small n and at n = 650, with every elimination of the
+oracle made to raise; others hold that the CLI's own bases pass, that
+a bad witness or a matching that is not maximum is refused, that
+forged pairings and a witness M does not annihilate prove nothing,
+and that a refused run writes no output.
 """
 
 import random
@@ -39,10 +34,7 @@ from test_acceptance import matrix_on
 from treegen import free_forests
 
 FIELDS = (QQ, PrimeField(7), PrimeField(1000003))
-SPAN_ERROR = "error: check failed: span differs from the oracle\n"
-ANNIHILATION_ERROR = "error: check failed: output vector is not annihilated\n"
-BOUND_ERROR = ("error: check failed: span not certified, and no elimination runs "
-               "above n = 512\n")
+SPAN_ERROR = "error: check failed: span not certified\n"
 
 
 def random_instances():
@@ -94,15 +86,20 @@ def spoiled_bases(m, basis, null, outside):
 
 
 def certificate_verdict(m, basis, null):
-    try:
-        if null and not cli._annihilated(m, basis):
-            return False
-        matching = kernel.maximum_matching(m.pattern)
-        witness = basis if null else kernel.sparsest_null_basis(m, matching)
-        cli._check_span_certificate(m, basis, null, matching.partner, witness)
-    except ValidationError:
-        return False
-    return True
+    """The verdict of ``--check`` on basis: the certificate, on the
+    maximum matching and, for the row space, the kernel's witness."""
+    matching = kernel.maximum_matching(m.pattern)
+    witness = basis if null else kernel.sparsest_null_basis(m, matching)
+    return oracle.certifies_span(m, matching.partner, witness, None if null else basis)
+
+
+def forbid_elimination(monkeypatch):
+    """Make every elimination of the oracle raise."""
+    def no_elimination(*args):
+        raise AssertionError("--check ran an elimination")
+
+    for name in ("row_echelon", "dense_analysis", "first_dependent"):
+        monkeypatch.setattr(oracle, name, no_elimination)
 
 
 def cases(m):
@@ -128,19 +125,18 @@ def test_certificate_agrees_with_same_span_on_random_matrices_and_small_forests(
     assert min(verdicts.values()) > 300, verdicts
 
 
-@pytest.mark.parametrize("bound", [None, 8])
+@pytest.mark.parametrize("command", ["null-basis", "rank-basis"])
 def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, capsys,
-                                                                  monkeypatch, bound):
-    # n <= 8, so even the lowered bound runs the certificate
-    if bound is not None:
-        monkeypatch.setattr(oracle, "ORACLE_BOUND", bound)
+                                                                  monkeypatch, command):
     path, out = tmp_path / "m.mtx", str(tmp_path / "b")
+    instances = [(m, [case for case in cases(m) if case[0] == (command == "null-basis")])
+                 for m in small_forest_instances()]
+    forbid_elimination(monkeypatch)
     refused = 0
     witness = kernel.sparsest_null_basis  # the rank-basis check's witness stays right
-    for m in small_forest_instances():
+    for m, verdicts in instances:
         matrixio.write_matrix(m, path)
-        for null, basis, want in cases(m):
-            command = "null-basis" if null else "rank-basis"
+        for null, basis, want in verdicts:
             monkeypatch.setattr(kernel, "sparsest_null_basis",
                                 (lambda m, matching, basis=basis: basis) if null else witness)
             monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
@@ -151,8 +147,8 @@ def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, caps
                 assert err.startswith("check: ok") and "oracle span verified" in err
             else:
                 refused += 1
-                assert err == SPAN_ERROR or (null and err == ANNIHILATION_ERROR)
-    assert refused > 300
+                assert err == SPAN_ERROR
+    assert refused > 600
 
 
 def test_row_echelon_rows_are_an_echelon_form_of_the_dense_row_basis():
@@ -196,12 +192,13 @@ def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matr
                          ids=["Q-1", "Q-3", "GF7-1", "GF7-3"])
 def test_cli_check_above_the_bound_agrees_with_same_span(tmp_path, capsys, monkeypatch,
                                                          field, components):
-    # a real n above ORACLE_BOUND: the certificate alone decides, so the
-    # right basis and the span-keeping sums pass and every other spoil
-    # is refused in one line, with nothing written
+    # a real n above ORACLE_BOUND: the right basis and the span-keeping
+    # sums pass and every other spoil is refused in one line, with
+    # nothing written, as below it
     m = random_matrix(650, 23 + components, field, components)
     assert m.n > oracle.ORACLE_BOUND
     path = write_instance(m, tmp_path)
+    forbid_elimination(monkeypatch)
     outside = sorted(kernel.support(m.pattern, kernel.maximum_matching(m.pattern)).supp)
     witness = kernel.sparsest_null_basis  # the rank-basis check's witness stays right
     verdicts = Counter()
@@ -216,7 +213,7 @@ def test_cli_check_above_the_bound_agrees_with_same_span(tmp_path, capsys, monke
             want = same_span(basis, fast)
             assert capsys.readouterr() == ("", (
                 "check: ok (dimension %d, oracle span verified)\n" % basis.dimension
-                if want else BOUND_ERROR))
+                if want else SPAN_ERROR))
             assert (code, out.exists()) == ((0, True) if want else (1, False))
             verdicts[command, want] += 1
     # the right basis and two sums with the vector itself keep the span;
@@ -266,10 +263,7 @@ def certificate_instances():
 
 
 def test_cli_bases_are_certified_without_the_elimination(tmp_path, capsys, monkeypatch):
-    def no_elimination(m):
-        raise AssertionError("the certificate was inconclusive")
-
-    monkeypatch.setattr(oracle, "row_echelon", no_elimination)
+    forbid_elimination(monkeypatch)
     sizes = []
     for m in certificate_instances():
         path = write_instance(m, tmp_path)
@@ -280,35 +274,30 @@ def test_cli_bases_are_certified_without_the_elimination(tmp_path, capsys, monke
     assert len(sizes) == 155 + 24 and sizes.count(512) == 12
 
 
-def test_rank_basis_check_falls_back_to_the_elimination_on_a_bad_witness(tmp_path, capsys,
-                                                                        monkeypatch):
+def test_rank_basis_check_refuses_a_bad_witness(tmp_path, capsys, monkeypatch):
     # a witness that is short, repeats a vector or is not annihilated
-    # proves nothing, so the elimination decides, as it would have alone
-    calls = []
-    row_echelon = oracle.row_echelon
-    monkeypatch.setattr(oracle, "row_echelon", lambda m: calls.append(m.n) or row_echelon(m))
+    # proves nothing, so even the right row basis is refused
     witness = kernel.sparsest_null_basis
-    for field in FIELDS:
+    for j, field in enumerate(FIELDS):
         m = random_matrix(40, 9, field, components=2)
-        path, out = write_instance(m, tmp_path), str(tmp_path / "b")
-        right = rank_basis(m).vectors
+        path = write_instance(m, tmp_path)
+        right = rank_basis(m)
         vectors = witness(m, kernel.maximum_matching(m.pattern)).vectors
         k, w = next((k, min(vec.entries)) for k, vec in enumerate(vectors)
                     if len(vec.entries) >= 2)
         doubled = vectors[k].add(sv(m.n, {w: vectors[k].entries[w]}, field))
         spoils = (vectors[1:], vectors[:-1] + vectors[:1],
                   vectors[:k] + [doubled] + vectors[k + 1:])
-        for spoiled in (vectors,) + spoils:
+        monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: right)
+        for i, spoiled in enumerate((vectors,) + spoils):
             monkeypatch.setattr(kernel, "sparsest_null_basis",
                                 lambda m, matching, spoiled=spoiled: Basis(spoiled))
-            del calls[:]
-            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: Basis(right))
-            assert cli.main(["rank-basis", path, "--check", "-o", out]) == 0
-            assert "oracle span verified" in capsys.readouterr().err
-            assert calls == ([] if spoiled is vectors else [m.n])
-            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: Basis(right[1:]))
-            assert cli.main(["rank-basis", path, "--check", "-o", out]) == 1
-            assert capsys.readouterr().err == SPAN_ERROR
+            out = tmp_path / ("b%d-%d" % (j, i))
+            code = cli.main(["rank-basis", path, "--check", "-o", str(out)])
+            assert capsys.readouterr().err == (
+                SPAN_ERROR if i else
+                "check: ok (dimension %d, oracle span verified)\n" % right.dimension)
+            assert (code, out.exists()) == ((1, False) if i else (0, True))
 
 
 def without_pair(partner, u):
@@ -357,7 +346,9 @@ def forged_pairings(m, partner):
 def test_certificate_refuses_forged_claims():
     # every prefix of the witness peels, so whatever rank a forged
     # pairing claims, one prefix has the matching length; the pairing
-    # checks must refuse it
+    # checks must refuse it.  A witness of the right count that peels
+    # but holds one vector M does not annihilate (one entry doubled,
+    # the support kept) must be refused by the certificate itself
     seen = set()
     for m in random_instances():
         matching = kernel.maximum_matching(m.pattern)
@@ -369,37 +360,42 @@ def test_certificate_refuses_forged_claims():
         for name, forged in forged_pairings(m, partner):
             assert not any(oracle.certifies_span(m, forged, w) for w in prefixes), (name, m)
             seen.add(name)
-    assert len(seen) == 5, seen
+        vectors = witness.vectors
+        for k, vec in enumerate(vectors):
+            if len(vec.entries) >= 2:
+                w = min(vec.entries)
+                doubled = vec.add(sv(m.n, {w: vec.entries[w]}, m.field))
+                forged = Basis(vectors[:k] + [doubled] + vectors[k + 1:])
+                assert oracle._peel([v.entries for v in forged.vectors], m.n) == []
+                assert not oracle.certifies_span(m, partner, forged), m
+                assert not oracle.certifies_span(m, partner, forged, rank_basis(m)), m
+                seen.add("not annihilated")
+                break
+    assert len(seen) == 6, seen
 
 
 @pytest.mark.parametrize("command, producer",
                          [("null-basis", "forestnull.kernel.sparsest_null_basis"),
                           ("rank-basis", "forestnull.rank.rank_basis")])
-def test_check_reaches_its_verdict_by_elimination_on_a_matching_that_is_not_maximum(
-        tmp_path, capsys, monkeypatch, command, producer):
+def test_check_refuses_a_matching_that_is_not_maximum(tmp_path, capsys, monkeypatch,
+                                                      command, producer):
     # a valid matching one pair short of maximum claims rank 2 nu - 2:
     # no witness of n - 2 nu + 2 annihilated vectors peels, so the
-    # certificate is inconclusive and the elimination gives the verdict
-    # it gives on the maximum matching
-    calls = []
-    row_echelon = oracle.row_echelon
-    monkeypatch.setattr(oracle, "row_echelon", lambda m: calls.append(m.n) or row_echelon(m))
+    # certificate proves nothing, and even the right basis is refused
     maximum = kernel.maximum_matching
-    for field in FIELDS:
+    for j, field in enumerate(FIELDS):
         monkeypatch.setattr(kernel, "maximum_matching", maximum)  # rank_basis calls it
         m = random_matrix(40, 13, field, components=2)
-        path, out = write_instance(m, tmp_path), str(tmp_path / "b")
+        path = write_instance(m, tmp_path)
         right = (null_basis if command == "null-basis" else rank_basis)(m).vectors
         best = maximum(m.pattern)
         partner = without_pair(best.partner, best.partner.index(max(best.partner)))
         short = kernel.MatchingInfo(partner, best.nu - 1,
                                     tuple(v for v, p in enumerate(partner) if p < 0))
         monkeypatch.setattr(kernel, "maximum_matching", lambda f, short=short: short)
-        for vectors, code in ((right, 0), (right[1:], 1), (right[:-1] + right[:1], 1)):
+        for i, vectors in enumerate((right, right[1:], right[:-1] + right[:1])):
             monkeypatch.setattr(producer, lambda m, *matching, vectors=vectors: Basis(vectors))
-            del calls[:]
-            assert cli.main([command, path, "--check", "-o", out]) == code
-            assert calls == [m.n]
-            assert capsys.readouterr().err == (
-                SPAN_ERROR if code else
-                "check: ok (dimension %d, oracle span verified)\n" % len(right))
+            out = tmp_path / ("b%d-%d" % (j, i))
+            assert cli.main([command, path, "--check", "-o", str(out)]) == 1
+            assert capsys.readouterr().err == SPAN_ERROR
+            assert not out.exists()

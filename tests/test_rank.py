@@ -5,13 +5,12 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, DiagonalScaling,
                         SparseVector, ValidationError, adjacency_matrix, analyze,
-                        rank_basis, supported_neighborhood_vector, transfer_rank,
-                        transversal_scaling)
+                        rank_basis, transfer_rank, transversal_scaling)
 from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import kernel, oracle
 from forestnull import rank as rank_module, scaling as scaling_module
 from conftest import F, sv
-from forest_helpers import same_span, tree_edges_scaling
+from forest_helpers import same_span, supported_neighborhood_vector, tree_edges_scaling
 from test_acceptance import matrix_on
 
 GF = PrimeField(10007)
