@@ -15,11 +15,10 @@ prove rank >= r, and n - r null vectors that peel, each of which it
 finds annihilated by M itself, prove rank <= r.  It trusts no claim of
 the caller, and the CLI refuses a run it does not certify.
 
-Cost: the elimination touches only nonzeros (``_echelon``), so a
-forest matrix, which barely fills in, costs about its fill, not n^2
-probes; ``_rref``'s reduced form is unique, so ``dense_analysis`` does
-not depend on the pivot rule.  Span tests reduce a vector only by the
-pivots it holds (``_Echelon.reduce``), independence tests peel first
+Cost: the one elimination, ``_Echelon``, reduces a vector only by the
+pivots it holds, so a forest matrix, which barely fills in, costs about
+its fill; the reduced form is unique, so ``dense_analysis`` does not
+depend on the order rows go in.  Independence tests peel first
 (``first_dependent``), and the certificate costs O(n + nonzeros).
 
 Size caps: the elimination routines refuse instances above
@@ -47,92 +46,24 @@ def _check_bound(n: int, cap: int, what: str):
         raise OracleBoundError("%s limited to n <= %d, got n = %d" % (what, cap, n))
 
 
-def _echelon(rows, n_cols, field):
-    """Forward elimination of sparse dict rows, in place, to an echelon
-    form: each pivot row is 1 at its pivot column and holds no column
-    below it.
-
-    Columns are taken left to right.  A column -> rows incidence, kept
-    up to date as entries appear and cancel, names the unused rows
-    holding each column.  The pivot is the shortest of them, ties going
-    to the lowest index, which keeps fill low (Markowitz's rule on a
-    row count alone), and only the other unused holders are eliminated.
-    Returns the pivot rows in pivot order and the pivot columns.
-    """
-    inv, mul, sub, neg = field.inv, field.mul, field.sub, field.neg
-    holders = [set() for _ in range(n_cols)]
-    for r, row in enumerate(rows):
-        for k in row:
-            holders[k].add(r)
-    pivot_rows, pivots = [], []
-    for c in range(n_cols):
-        targets = holders[c]
-        if not targets:
-            continue
-        p = min(targets, key=lambda r: (len(rows[r]), r))
-        prow = rows[p]
-        scale = inv(prow[c])
-        for k in prow:
-            prow[k] = mul(prow[k], scale)
-            holders[k].discard(p)  # a pivot row is never eliminated again
-        pivot_rows.append(prow)
-        pivots.append(c)
-        if not targets:
-            continue
-        tail = [(k, v) for k, v in prow.items() if k != c]
-        for r in list(targets):
-            row = rows[r]
-            coef = row.pop(c)
-            for k, v in tail:
-                old = row.get(k)
-                if old is None:
-                    row[k] = neg(mul(coef, v))
-                    holders[k].add(r)
-                    continue
-                s = sub(old, mul(coef, v))
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
-                    holders[k].discard(r)
-        targets.clear()
-    return pivot_rows, pivots
-
-
 def _rref(rows, n_cols, field):
-    """Reduced row echelon form of sparse dict rows, reduced in place:
-    ``_echelon``, then a back phase that clears each pivot column from
-    the pivot rows above it, last pivot first.  A pivot row then holds
-    no other pivot column, so clearing one brings in free columns only,
-    and the rows above that hold each pivot column, listed once, stay
-    the rows to clear.  Returns the pivot rows in pivot order and the
-    pivot columns."""
-    pivot_rows, pivots = _echelon(rows, n_cols, field)
-    mul, sub, neg = field.mul, field.sub, field.neg
-    position = {c: i for i, c in enumerate(pivots)}
-    above = [[] for _ in pivots]  # above[j]: the rows before j holding pivots[j]
-    for i, row in enumerate(pivot_rows):
-        for k in row:
-            j = position.get(k)
-            if j is not None and j != i:
-                above[j].append(i)
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        tail = [(k, v) for k, v in pivot_rows[i].items() if k != c]
-        for r in above[i]:
-            row = pivot_rows[r]
-            coef = row.pop(c)
-            for k, v in tail:
-                old = row.get(k)
-                if old is None:
-                    row[k] = neg(mul(coef, v))
-                    continue
-                s = sub(old, mul(coef, v))
-                if s:
-                    row[k] = s
-                else:
-                    del row[k]
-    return pivot_rows, pivots
+    """Reduced row echelon form of sparse dict rows, which are left as
+    they are: each row goes into one ``_Echelon``, shortest first (a
+    leaf's row is a unit vector, so the rows after it lose its column
+    with no fill), then, last pivot first, a stored row's tail is
+    reduced by the rows after it, already reduced, and the row is set
+    back to 1 at its pivot.  Returns the rows and their pivots, in
+    ascending pivot order."""
+    echelon = _Echelon(field)
+    for row in sorted(rows, key=len):
+        echelon.insert(SparseVector._trusted(n_cols, field, row))
+    stored, one = echelon.rows, field.one
+    pivots = sorted(stored)
+    for p in reversed(pivots):
+        tail = stored[p]
+        del tail[p]
+        stored[p] = {p: one, **echelon.reduce(SparseVector._trusted(n_cols, field, tail))}
+    return [stored[p] for p in pivots], pivots
 
 
 def _null_vectors(rref_rows, pivots, n_cols, field):
@@ -159,15 +90,15 @@ DenseAnalysis = namedtuple("DenseAnalysis", "null_basis row_basis rank null_supp
 
 
 def row_echelon(m: AcyclicMatrix) -> "_Echelon":
-    """An echelon form of m's rows as an ``_Echelon``: one forward
-    elimination, whose rows keyed by pivot, ascending, satisfy the
-    form's invariant (a row stored at p is 1 at p and has keys >= p).
-    Its rank is ``len(rows)``, and ``contains`` tests row-space
-    membership."""
+    """An echelon form of m's rows: they go into one ``_Echelon``,
+    shortest first as in ``_rref``, whose rows are then keyed by pivot,
+    ascending.  Its rank is ``len(rows)``, and ``contains`` tests
+    row-space membership."""
     _check_bound(m.n, ORACLE_BOUND, "dense elimination oracle")
-    pivot_rows, pivots = _echelon(_matrix_rows(m), m.n, m.field)
     echelon = _Echelon(m.field)
-    echelon.rows = dict(zip(pivots, pivot_rows))
+    for row in sorted(_matrix_rows(m), key=len):
+        echelon.insert(SparseVector._trusted(m.n, m.field, row))
+    echelon.rows = dict(sorted(echelon.rows.items()))
     return echelon
 
 
@@ -192,7 +123,8 @@ def dense_row_space(m: AcyclicMatrix) -> Basis:
 
 
 class _Echelon:
-    """Incremental echelon form used for independence and span tests."""
+    """The oracle's one elimination: an echelon form built a vector at a
+    time, whose row stored at p is 1 at p and has keys >= p."""
 
     def __init__(self, field):
         self.field = field
@@ -247,10 +179,9 @@ class _Echelon:
 def _peel(supports, n: int) -> list:
     """The indices, ascending, of the supports left after peeling:
     removing, again and again, one that holds a coordinate no other
-    remaining one holds.  A support lists coordinates in [0, n): those
-    of a vector's nonzero entries (its ``entries``) or of a row of M (a
-    slice of its CSR ``neighbors``; stored entries are nonzero).  Such a
-    vector has coefficient 0 in every linear dependency among the
+    remaining one holds.  A support lists the coordinates, in [0, n),
+    of a vector's nonzero entries (its ``entries``).  A vector peeled
+    so has coefficient 0 in every linear dependency among the
     vectors, so every dependency lies among those left, and none are
     left when the vectors peel completely, which proves them
     independent.  A count of the remaining holders of each coordinate,
@@ -296,7 +227,8 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
     """Whether a certificate proves, with no elimination, that rank(m) is
     the number r of vertices u with ``partner[u] >= 0``, that
     span(witness) = null(m) and, given a row_basis, that span(row_basis)
-    = row(m); False is inconclusive: the claims prove nothing.
+    = row(m); False is inconclusive: the claims prove nothing, or a
+    vector's length is not n or its field not m's.
 
     Each such u must be paired: p = partner[u] is a vertex other than u
     with partner[p] = u, and the pair is stored in m's CSR arrays, found
@@ -322,14 +254,17 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
             r += 2
         elif p >= 0 and (p == u or partner[p] != u):
             return False
-    if (witness.dimension != n - r or _peel([vec.entries for vec in witness.vectors], n)
+    field = m.field
+    if (witness.dimension != n - r or not _typed(witness, n, field)
+            or _peel([vec.entries for vec in witness.vectors], n)
             or not _annihilated(m, witness)):
         return False
     if row_basis is None:
         return True
-    if row_basis.dimension != r or _peel([vec.entries for vec in row_basis.vectors], n):
+    if (row_basis.dimension != r or not _typed(row_basis, n, field)
+            or _peel([vec.entries for vec in row_basis.vectors], n)):
         return False
-    add, mul, zero = m.field.add, m.field.mul, m.field.zero
+    add, mul, zero = field.add, field.mul, field.zero
     holders = {}  # coordinate -> [(witness index, entry)]
     for k, vec in enumerate(witness.vectors):
         for v, x in vec.entries.items():
@@ -342,6 +277,11 @@ def certifies_span(m: AcyclicMatrix, partner, witness: Basis, row_basis=None) ->
         if any(dots.values()):
             return False
     return True
+
+
+def _typed(basis: Basis, n: int, field) -> bool:
+    return all(vec.n == n and (vec.field is field or vec.field == field)
+               for vec in basis.vectors)
 
 
 def _annihilated(m: AcyclicMatrix, basis: Basis) -> bool:

@@ -23,7 +23,7 @@ from collections import Counter
 
 import pytest
 
-from forestnull import Basis, PrimeField, QQ, ValidationError
+from forestnull import Basis, PrimeField, QQ, SparseVector, ValidationError
 from forestnull import build_forest, cli, kernel, matrixio, oracle
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
@@ -152,8 +152,9 @@ def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, caps
 
 
 def test_row_echelon_rows_are_an_echelon_form_of_the_dense_row_basis():
-    # forward elimination only: the rows are not the reduced ones, but
-    # they have the same pivots, the form's invariant, and the same span
+    # insertion only, with no back substitution: the rows are not the
+    # reduced ones, but they have the same pivots, the form's invariant,
+    # and the same span
     for m in random_instances():
         echelon = oracle.row_echelon(m)
         rows = oracle.dense_analysis(m).row_basis
@@ -343,19 +344,45 @@ def forged_pairings(m, partner):
         yield "partner out of range", forged
 
 
+def mistyped(m, vectors):
+    """(name, vectors) with the first vector made n + 7 long, with its
+    entries or with one more at n + 3, or re-typed to another field."""
+    if not vectors:
+        return
+    n, field, entries = m.n, m.field, vectors[0].entries
+    other = next(f for f in FIELDS if f != field)
+    for name, vec in (("too long", sv(n + 7, entries, field)),
+                      ("entry past n", sv(n + 7, {**entries, n + 3: field.one}, field)),
+                      ("other field", SparseVector._trusted(n, other, entries))):
+        yield name, Basis([vec] + vectors[1:])
+
+
 def test_certificate_refuses_forged_claims():
     # every prefix of the witness peels, so whatever rank a forged
     # pairing claims, one prefix has the matching length; the pairing
     # checks must refuse it.  A witness of the right count that peels
     # but holds one vector M does not annihilate (one entry doubled,
-    # the support kept) must be refused by the certificate itself
+    # the support kept) must be refused by the certificate itself, and
+    # so must a witness or row basis with a vector of the wrong length
+    # or field, whose entries would otherwise prove the claim
     seen = set()
     for m in random_instances():
         matching = kernel.maximum_matching(m.pattern)
         partner = matching.partner
         witness = kernel.sparsest_null_basis(m, matching)
+        rows = rank_basis(m)
         prefixes = [Basis(witness.vectors[:k]) for k in range(witness.dimension + 1)]
-        assert oracle.certifies_span(m, partner, witness, rank_basis(m))
+        assert oracle.certifies_span(m, partner, witness, rows)
+        for name, forged in mistyped(m, witness.vectors):
+            assert not oracle.certifies_span(m, partner, forged), (name, m)
+            seen.add("witness " + name)
+        for name, forged in mistyped(m, rows.vectors):
+            assert not oracle.certifies_span(m, partner, witness, forged), (name, m)
+            seen.add("row basis " + name)
+        if m.field != QQ:  # an equal field that is another object is the same field
+            same = PrimeField(m.field.p)
+            retyped = [SparseVector._trusted(m.n, same, v.entries) for v in witness.vectors]
+            assert oracle.certifies_span(m, partner, Basis(retyped), rows)
         assert not any(oracle.certifies_span(m, partner[:-1], w) for w in prefixes)
         for name, forged in forged_pairings(m, partner):
             assert not any(oracle.certifies_span(m, forged, w) for w in prefixes), (name, m)
@@ -371,7 +398,7 @@ def test_certificate_refuses_forged_claims():
                 assert not oracle.certifies_span(m, partner, forged, rank_basis(m)), m
                 seen.add("not annihilated")
                 break
-    assert len(seen) == 6, seen
+    assert len(seen) == 12, seen
 
 
 @pytest.mark.parametrize("command, producer",

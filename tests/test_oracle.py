@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from forestnull import (OracleBoundError, PrimeField, QQ, AcyclicMatrix, Basis,
                         SparseVector, adjacency_matrix, build_forest, maximum_matching)
-from forestnull import oracle
+from forestnull import cli, matrixio, oracle
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
@@ -125,7 +125,7 @@ def random_matrix_on_pattern(f, seed):
 # --- differential: the sparse oracle against the former dense code -------
 #
 # Test-local copies of the elimination, null-vector extraction and span
-# reduction as they were before the column incidence and the pivot heap:
+# reduction of the former dense code, which ``_Echelon`` replaced:
 # first-row pivoting over every remaining row, every row visited per
 # pivot, a free x pivot double loop, and a re-sort of every stored pivot
 # per reduction.
@@ -381,6 +381,33 @@ def test_first_dependent_matches_sequential_insertion(case):
             == (sequential_first_dependent(field, vectors) >= 0))
 
 
+def relabelled(m, rng):
+    """m with its vertices renamed by a random permutation."""
+    labels = list(range(m.n))
+    rng.shuffle(labels)
+    return AcyclicMatrix.from_entries(m.n, [(labels[u], labels[v], x) for u in range(m.n)
+                                            for v, x in m.row_items(u)], m.field)
+
+
+def test_oracle_command_prints_the_reference_analysis(tmp_path, capsys):
+    path = str(tmp_path / "m.mtx")
+    fields = (QQ, PrimeField(7), PrimeField(1000003))
+    for i, n in enumerate((9, 33, 100, 257, 512) * 3):
+        rng = random.Random(i)
+        field = fields[i % 3]
+        m = relabelled(random_matrix(n, 700 + i, field, 1 + i % 4), rng)
+        matrixio.write_matrix(m, path)
+        rows = [dict(m.row_items(u)) for u in range(m.n)]
+        want = reference_analysis(m, *reference_rref(rows, m.n, m.field))
+        for fmt in ("mm", "json"):
+            assert cli.main(["oracle", "null-basis", path, "--format", fmt]) == 0
+            assert capsys.readouterr().out == \
+                matrixio.format_basis(want.null_basis, m.n, m.field, fmt)
+        assert cli.main(["oracle", "rank", path]) == 0
+        assert capsys.readouterr().out == \
+            "rank: %d\nnull-dimension: %d\n" % (want.rank, n - want.rank)
+
+
 def test_oracle_doubling_ratio(monkeypatch):
     # guards against a return of the quadratic scans: the former
     # elimination and reduction took 0.09 s -> 0.44 s here (ratio 4.7)
@@ -408,8 +435,8 @@ def test_oracle_doubling_ratio(monkeypatch):
 
 
 def test_row_echelon_doubling_ratio(monkeypatch):
-    # the forward elimination alone, as --check runs it: a pivot rule or
-    # an incidence update that scanned every row would be quadratic here
+    # the insertions alone, with no back substitution: a reduction that
+    # scanned every stored row would be quadratic here
     monkeypatch.setattr(oracle, "ORACLE_BOUND", 2048)
     field = PrimeField(1000003)
     cases = [random_matrix(n, n, field) for n in (1024, 2048)]
