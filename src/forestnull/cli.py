@@ -167,10 +167,10 @@ def _cmd_basis(args) -> int:
     from .kernel import maximum_matching, sparsest_null_basis
     m = matrixio.read_matrix(args.file)
     null = args.command == "null-basis"
-    matching = maximum_matching(m.pattern) if null or args.check else None  # shared
+    matching = maximum_matching(m.pattern)  # shared by the basis and the check
     if not null:
         from .rank import rank_basis
-    basis = sparsest_null_basis(m, matching) if null else rank_basis(m)
+    basis = (sparsest_null_basis if null else rank_basis)(m, matching)
     if args.check:  # before the output, so that a refused run writes nothing
         from .oracle import certifies_span
         witness = basis if null else sparsest_null_basis(m, matching)
@@ -187,12 +187,9 @@ def _cmd_transfer(args) -> int:
     from .rank import transfer_rank
     from .scaling import transfer_null
     m = matrixio.read_matrix(args.source)
-    n_mat = matrixio.read_matrix(args.target)
+    n_mat = matrixio.read_matrix(args.target, m.pattern)  # no second sweep on one layout
     x = matrixio.read_vector(args.vector)
-    if args.space == "null":
-        result = transfer_null(m, n_mat, x)
-    else:
-        result = transfer_rank(m, n_mat, x)
+    result = (transfer_null if args.space == "null" else transfer_rank)(m, n_mat, x)
     _emit(matrixio.format_vector(result), args.out)
     return 0
 

@@ -224,11 +224,19 @@ class AcyclicMatrix:
 
     @classmethod
     def _from_csr(cls, n: int, field: Field, neighbors, offsets,
-                  row_flat: list) -> "AcyclicMatrix":
+                  row_flat: list, pattern: Forest = None) -> "AcyclicMatrix":
         """The matrix whose row-major CSR arrays hold entries already
         checked one by one; the component sweep refuses an asymmetric or
-        cyclic pattern."""
-        pattern, col_flat = _indexed_forest(n, neighbors, offsets, row_flat)
+        cyclic pattern.  A ``pattern`` of this very layout, which its own
+        sweep proved, is shared instead, and no sweep runs."""
+        if pattern is None or pattern.offsets != offsets or pattern.neighbors != neighbors:
+            pattern, col_flat = _indexed_forest(n, neighbors, offsets, row_flat)
+        else:  # the twin of the slot k of t in its parent's row is the slot j of s
+            col_flat = [None] * len(row_flat)
+            for t, s, k in zip(range(n), pattern.parent, pattern.parent_slot):
+                if s >= 0:
+                    j = neighbors.index(s, offsets[t], offsets[t + 1])
+                    col_flat[j], col_flat[k] = row_flat[k], row_flat[j]
         return cls(n, field, pattern, row_flat, col_flat)
 
     def nnz(self) -> int:

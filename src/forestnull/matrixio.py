@@ -119,9 +119,9 @@ def _row_major(m: AcyclicMatrix):
 def _ids_as_written(parse):
     """``parse``, with the vertex ids its validation errors name counted
     from 1, as the files write them; the library counts from 0."""
-    def read(source):
+    def read(source, *pattern):
         try:
-            return parse(source)
+            return parse(source, *pattern)
         except ValidationError as exc:
             raise exc.one_based() from None
     read.__name__, read.__qualname__ = parse.__name__, parse.__qualname__
@@ -130,16 +130,17 @@ def _ids_as_written(parse):
 
 
 @_ids_as_written
-def parse_matrix(source) -> AcyclicMatrix:
+def parse_matrix(source, pattern=None) -> AcyclicMatrix:
     """Read a matrix from a string or an open text file.
 
     Matrix Market text is consumed line by line as it is read; only the
-    JSON layout is read in full first.
+    JSON layout is read in full first.  A row-major file on the layout of
+    the forest ``pattern`` shares it (``AcyclicMatrix._from_csr``).
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     first = next(lines, "")
     if first.startswith("%%MatrixMarket"):
-        return _parse_matrix_mm(first, lines)
+        return _parse_matrix_mm(first, lines, pattern)
     text = first + "".join(lines)
     if text.lstrip().startswith("{"):
         return _parse_matrix_json(text)
@@ -209,7 +210,7 @@ def _coordinate_entries(lines, idx: int, parse) -> list:
     return triples
 
 
-def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
+def _parse_matrix_mm(banner: str, lines, pattern) -> AcyclicMatrix:
     """Entries in row-major order, as ``format_matrix`` writes them, go
     straight into the CSR arrays: an entry in the row of the one before
     has a larger column, one in a new row a larger row, so the columns
@@ -264,7 +265,8 @@ def _parse_matrix_mm(banner: str, lines) -> AcyclicMatrix:
         return _sorted_matrix(n, nnz, field, [])
     _check_entry_count(nnz, len(neighbors))
     return AcyclicMatrix._from_csr(n, field, array("i", neighbors),
-                                   _row_offsets(n, heads, starts, len(neighbors)), row_flat)
+                                   _row_offsets(n, heads, starts, len(neighbors)), row_flat,
+                                   pattern)
 
 
 def _sorted_matrix(n: int, nnz: int, field: Field, triples: list) -> AcyclicMatrix:
@@ -354,8 +356,8 @@ def _read_ascii(path, parse):
             raise ParseError("not an ASCII text file: %s" % exc)
 
 
-def read_matrix(path) -> AcyclicMatrix:
-    return _read_ascii(path, parse_matrix)
+def read_matrix(path, pattern=None) -> AcyclicMatrix:
+    return _read_ascii(path, lambda handle: parse_matrix(handle, pattern))
 
 
 def write_matrix(m: AcyclicMatrix, path, fmt: str = "mm"):

@@ -16,22 +16,24 @@ D of m (``scaling.transversal_scaling``) carries null(m) onto null(A)
 for the pattern's adjacency matrix A, so for y in row(m) and b in
 null(A), (D^-1 y) . b = y . (D^-1 b) = 0: D^-1 carries row(m) onto
 row(A), and D carries it back.  D only maps; it decides nothing.
+D_N D_M^-1 is den / num of both transfers' one multiply-only walk.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
-from .kernel import maximum_matching, sparsest_null_basis, support
+from .kernel import MatchingInfo, sparsest_null_basis, support
 from .matrix import AcyclicMatrix, Basis, SparseVector
-from .scaling import _transfer_analysis, transversal_scaling
+from .scaling import _edge_products, _scaled, _transfer_analysis
 
 
-def rank_basis(m: AcyclicMatrix) -> Basis:
-    """Basis of the row space of m, of size twice the matching number:
-    unit vectors first (ascending vertex), then the nonzero
+def rank_basis(m: AcyclicMatrix, matching: MatchingInfo) -> Basis:
+    """Basis of the row space of m, from the matching that
+    ``maximum_matching`` finds on m's pattern, of size twice the matching
+    number: unit vectors first (ascending vertex), then the nonzero
     supported-neighborhood vectors (ascending vertex), each read from
     the vertex's CSR slice of ``row_flat``."""
-    supp = support(m.pattern, maximum_matching(m.pattern)).supp
+    supp = support(m.pattern, matching).supp
     non_supp = [v for v in range(m.n) if v not in supp]
     one = m.field.one
     vectors = [SparseVector._trusted(m.n, m.field, {v: one}) for v in non_supp]
@@ -49,12 +51,11 @@ def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
                   x: SparseVector) -> SparseVector:
     """Map a row-space vector of m to one of n_mat (same pattern).
 
-    Applies the inverse of m's transversal scaling and then n_mat's, the
-    reverse of ``transfer_null``; the support of x is preserved.
+    Applies D_N D_M^-1, the reverse of ``transfer_null``; the support of
+    x is preserved.
     """
     analysis = _transfer_analysis(m, n_mat, x)
     if any(x.dot(b) for b in sparsest_null_basis(m, analysis.matching).vectors):
         raise ValidationError("vector is not in the row space of the source matrix")
-    d_m = transversal_scaling(m, analysis)
-    d_n = transversal_scaling(n_mat, analysis)
-    return d_n.apply(d_m.apply_inverse(x))
+    num, den = _edge_products(m, n_mat, analysis)
+    return _scaled(x, den, num)

@@ -1,10 +1,13 @@
 """The diagonal scaling that carries the null space of a matrix onto
 that of its pattern's adjacency matrix, and back; and the null basis.
 
-The scaling walks the preorder the pattern forest stored when it was
-built, taking each vertex t's parent edge s -> t from ``parent`` and
-``parent_slot``; each step sets D[t] from D[s] and the two entries of
-the edge, so it costs O(n) field operations.
+One walk, ``_edge_products``, serves the scaling and both transfers.
+It takes the preorder the pattern forest stored when it was built, each
+vertex t's parent edge s -> t from ``parent`` and ``parent_slot``, and
+keeps D_M / D_N for two matrices on the pattern (D_N = 1 for one
+scaling) as two products, num and den: each step multiplies them by
+entries of the edge, so the walk costs O(n) multiplications and no
+inversion, and a transfer inverts one product per entry of x.
 
 The null scaling (``transversal_scaling``) is anchored, in every
 component that has support, at its smallest support vertex, the
@@ -100,38 +103,48 @@ def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling
     """The null scaling of m, anchored at the analysis's transversal: D x
     is a null vector of the adjacency matrix for every null vector x of m.
     """
-    field = m.field
-    mul, inv = field.mul, field.inv
+    num, den = _edge_products(m, None, analysis)
+    mul, inv = m.field.mul, m.field.inv
+    # products and inverses of nonzero field elements: nonzero
+    return DiagonalScaling._trusted(m.n, m.field, [mul(a, inv(b)) for a, b in zip(num, den)])
+
+
+def _edge_products(m: AcyclicMatrix, n_mat, analysis: Analysis):
+    """num and den with D_m / D_n = num / den (D_n = 1 when n_mat is
+    None): a step into a support vertex multiplies them by M[s, t] and
+    N[s, t], one out of it by N[t, s] and M[t, s]; a sweep root's seed
+    swaps them on the way up."""
+    mul, one = m.field.mul, m.field.one
+    n_row, n_col = (None, None) if n_mat is None else (n_mat.row_flat, n_mat.col_flat)
+    into, out_of = (m.row_flat, n_row), (n_col, m.col_flat)  # None: factors of 1
     supp = analysis.support.supp
-    row_flat = m.row_flat  # slot j of vertex s: M[s, neighbors[j]]
-    col_flat = m.col_flat  # slot j of vertex s: M[neighbors[j], s]
-    f = m.pattern
-    parent, parent_slot = f.parent, f.parent_slot
-    diag = [field.one] * m.n
-    for v in analysis.transversal:  # seed v's sweep root so that D[v] = 1
-        d = field.one
+    parent, parent_slot = m.pattern.parent, m.pattern.parent_slot
+    num, den = [one] * m.n, [one] * m.n
+    for v in analysis.transversal:  # seed v's sweep root so that num[v] = den[v] = 1
+        a = b = one
         t, s = v, parent[v]
         while s >= 0:
+            p, q = into if t in supp else out_of if s in supp else (None, None)
             j = parent_slot[t]
-            if t in supp:
-                d = mul(d, inv(row_flat[j]))
-            elif s in supp:
-                d = mul(d, col_flat[j])
+            a = a if q is None else mul(a, q[j])
+            b = b if p is None else mul(b, p[j])
             t, s = s, parent[s]
-        diag[t] = d
-    for t in f.order:
+        num[t], den[t] = a, b
+    for t in m.pattern.order:
         s = parent[t]
-        if s < 0:
-            continue
-        j = parent_slot[t]
-        if t in supp:
-            diag[t] = mul(diag[s], row_flat[j])
-        elif s in supp:
-            diag[t] = mul(diag[s], inv(col_flat[j]))
-        else:
-            diag[t] = diag[s]
-    # products and inverses of nonzero field elements: nonzero
-    return DiagonalScaling._trusted(m.n, field, diag)
+        if s >= 0:
+            p, q = into if t in supp else out_of if s in supp else (None, None)
+            j = parent_slot[t]
+            num[t] = num[s] if p is None else mul(num[s], p[j])
+            den[t] = den[s] if q is None else mul(den[s], q[j])
+    return num, den
+
+
+def _scaled(x: SparseVector, num: list, den: list) -> SparseVector:
+    """The vector num[v] x_v / den[v], inverting once per entry of x."""
+    mul, inv = x.field.mul, x.field.inv
+    return SparseVector._trusted(x.n, x.field, {v: mul(mul(num[v], xv), inv(den[v]))
+                                                for v, xv in x.entries.items()})
 
 
 def null_basis(m: AcyclicMatrix) -> Basis:
@@ -146,15 +159,13 @@ def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
                   x: SparseVector) -> SparseVector:
     """Map a null vector of m to a null vector of n_mat (same pattern).
 
-    Applies m's transversal scaling and then the inverse of n_mat's; the
-    support of x is preserved.
+    Applies D_N^-1 D_M for the two matrices' transversal scalings, as
+    num / den of ``_edge_products``; the support of x is preserved.
     """
     analysis = _transfer_analysis(m, n_mat, x)
     if not m.apply(x).is_zero():
         raise ValidationError("vector is not in the null space of the source matrix")
-    d_m = transversal_scaling(m, analysis)
-    d_n = transversal_scaling(n_mat, analysis)
-    return d_n.apply_inverse(d_m.apply(x))
+    return _scaled(x, *_edge_products(m, n_mat, analysis))
 
 
 def _transfer_analysis(m: AcyclicMatrix, n_mat: AcyclicMatrix, x: SparseVector) -> Analysis:

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
-                        analyze, build_forest, null_basis, rank_basis,
+                        analyze, build_forest, maximum_matching, null_basis, rank_basis,
                         transfer_null, transfer_rank, transversal_scaling)
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
@@ -199,15 +199,15 @@ def test_criterion_5_transfer_corollaries():
 def test_criterion_6_rank_structure(corpus, m_p3):
     for rec in corpus.records:
         m = rec["m"]
-        basis = rank_basis(m)
+        basis = rank_basis(m, rec["analysis"].matching)
         assert same_span(basis, rec["oracle"].row_basis)
         a = adjacency_matrix(m.pattern, m.field)
         d = transversal_scaling(m, rec["analysis"])
-        scaled = [d.apply(vec) for vec in rank_basis(a).vectors]
+        scaled = [d.apply(vec) for vec in rank_basis(a, rec["analysis"].matching).vectors]
         assert same_span(Basis(scaled), rec["oracle"].row_basis)
     # the structured basis spans the ROW space; for the standard
     # non-symmetric path fixture it must NOT span the column space
-    row_reading = rank_basis(m_p3)
+    row_reading = rank_basis(m_p3, maximum_matching(m_p3.pattern))
     column_space = oracle.dense_row_space(m_p3.transpose())
     assert not same_span(row_reading, column_space)
     assert same_span(row_reading, oracle.dense_row_space(m_p3))

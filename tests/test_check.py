@@ -106,8 +106,9 @@ def cases(m):
     """(null, basis, same_span verdict against the dense reference)."""
     analysis = oracle.dense_analysis(m)
     outside = sorted(analysis.null_support)
+    rows = rank_basis(m, kernel.maximum_matching(m.pattern))
     for null, fast, reference in ((True, null_basis(m), analysis.null_basis),
-                                  (False, rank_basis(m), analysis.row_basis)):
+                                  (False, rows, analysis.row_basis)):
         for basis in spoiled_bases(m, fast, null, outside):
             yield null, basis, same_span(basis, reference)
 
@@ -139,7 +140,8 @@ def test_cli_check_verdict_agrees_with_same_span_on_small_forests(tmp_path, caps
         for null, basis, want in verdicts:
             monkeypatch.setattr(kernel, "sparsest_null_basis",
                                 (lambda m, matching, basis=basis: basis) if null else witness)
-            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
+            monkeypatch.setattr("forestnull.rank.rank_basis",
+                                lambda m, matching, basis=basis: basis)
             code = cli.main([command, str(path), "--check", "-o", out])
             err = capsys.readouterr().err
             assert code == (0 if want else 1), (m, command, basis.vectors)
@@ -164,7 +166,8 @@ def test_row_echelon_rows_are_an_echelon_form_of_the_dense_row_basis():
         forward = Basis([sv(m.n, row, m.field) for row in echelon.rows.values()])
         assert same_span(forward, rows)
         assert all(map(echelon.contains, rows.vectors))
-        assert all(map(echelon.contains, rank_basis(m).vectors))
+        matching = kernel.maximum_matching(m.pattern)
+        assert all(map(echelon.contains, rank_basis(m, matching).vectors))
 
 
 def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matrices():
@@ -182,7 +185,7 @@ def test_fast_bases_peel_completely_on_forests_up_to_10_vertices_and_random_matr
         for components in (1, 3):
             instances.append(random_matrix(600, components, field, components))
     for m in instances:
-        for basis in (null_basis(m), rank_basis(m)):
+        for basis in (null_basis(m), rank_basis(m, kernel.maximum_matching(m.pattern))):
             supports = [vec.entries for vec in basis.vectors]
             assert oracle._peel(supports, m.n) == [], (m, basis.vectors)
     assert k == 637  # unlabeled forests on 1 to 10 vertices
@@ -203,12 +206,14 @@ def test_cli_check_above_the_bound_agrees_with_same_span(tmp_path, capsys, monke
     outside = sorted(kernel.support(m.pattern, kernel.maximum_matching(m.pattern)).supp)
     witness = kernel.sparsest_null_basis  # the rank-basis check's witness stays right
     verdicts = Counter()
-    for null, fast in ((True, null_basis(m)), (False, rank_basis(m))):
+    rows = rank_basis(m, kernel.maximum_matching(m.pattern))
+    for null, fast in ((True, null_basis(m)), (False, rows)):
         command = "null-basis" if null else "rank-basis"
         for k, basis in enumerate(spoiled_bases(m, fast, null, outside)):
             monkeypatch.setattr(kernel, "sparsest_null_basis",
                                 (lambda m, matching, basis=basis: basis) if null else witness)
-            monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, basis=basis: basis)
+            monkeypatch.setattr("forestnull.rank.rank_basis",
+                                lambda m, matching, basis=basis: basis)
             out = tmp_path / ("%s-%d" % (command, k))
             code = cli.main([command, path, "--check", "-o", str(out)])
             want = same_span(basis, fast)
@@ -238,8 +243,8 @@ def test_refused_check_writes_no_output(tmp_path, capsys, monkeypatch, command, 
     path = write_instance(m, tmp_path)
     fresh, kept = tmp_path / "fresh", tmp_path / "kept"
     kept.write_text("earlier output\n")
-    produce = {"null-basis": null_basis, "rank-basis": rank_basis}[command]
-    right = produce(m).vectors
+    produce = {"null-basis": kernel.sparsest_null_basis, "rank-basis": rank_basis}[command]
+    right = produce(m, kernel.maximum_matching(m.pattern)).vectors
     assert len(right) >= 2
     monkeypatch.setattr(producer, lambda m, *matching: Basis(right[:-1]))
     for out in ([], ["-o", str(fresh)], ["-o", str(kept)]):
@@ -282,14 +287,14 @@ def test_rank_basis_check_refuses_a_bad_witness(tmp_path, capsys, monkeypatch):
     for j, field in enumerate(FIELDS):
         m = random_matrix(40, 9, field, components=2)
         path = write_instance(m, tmp_path)
-        right = rank_basis(m)
+        right = rank_basis(m, kernel.maximum_matching(m.pattern))
         vectors = witness(m, kernel.maximum_matching(m.pattern)).vectors
         k, w = next((k, min(vec.entries)) for k, vec in enumerate(vectors)
                     if len(vec.entries) >= 2)
         doubled = vectors[k].add(sv(m.n, {w: vectors[k].entries[w]}, field))
         spoils = (vectors[1:], vectors[:-1] + vectors[:1],
                   vectors[:k] + [doubled] + vectors[k + 1:])
-        monkeypatch.setattr("forestnull.rank.rank_basis", lambda m: right)
+        monkeypatch.setattr("forestnull.rank.rank_basis", lambda m, matching: right)
         for i, spoiled in enumerate((vectors,) + spoils):
             monkeypatch.setattr(kernel, "sparsest_null_basis",
                                 lambda m, matching, spoiled=spoiled: Basis(spoiled))
@@ -370,7 +375,7 @@ def test_certificate_refuses_forged_claims():
         matching = kernel.maximum_matching(m.pattern)
         partner = matching.partner
         witness = kernel.sparsest_null_basis(m, matching)
-        rows = rank_basis(m)
+        rows = rank_basis(m, matching)
         prefixes = [Basis(witness.vectors[:k]) for k in range(witness.dimension + 1)]
         assert oracle.certifies_span(m, partner, witness, rows)
         for name, forged in mistyped(m, witness.vectors):
@@ -395,7 +400,7 @@ def test_certificate_refuses_forged_claims():
                 forged = Basis(vectors[:k] + [doubled] + vectors[k + 1:])
                 assert oracle._peel([v.entries for v in forged.vectors], m.n) == []
                 assert not oracle.certifies_span(m, partner, forged), m
-                assert not oracle.certifies_span(m, partner, forged, rank_basis(m)), m
+                assert not oracle.certifies_span(m, partner, forged, rows), m
                 seen.add("not annihilated")
                 break
     assert len(seen) == 12, seen
@@ -410,12 +415,12 @@ def test_check_refuses_a_matching_that_is_not_maximum(tmp_path, capsys, monkeypa
     # no witness of n - 2 nu + 2 annihilated vectors peels, so the
     # certificate proves nothing, and even the right basis is refused
     maximum = kernel.maximum_matching
+    produce = {"null-basis": kernel.sparsest_null_basis, "rank-basis": rank_basis}[command]
     for j, field in enumerate(FIELDS):
-        monkeypatch.setattr(kernel, "maximum_matching", maximum)  # rank_basis calls it
         m = random_matrix(40, 13, field, components=2)
         path = write_instance(m, tmp_path)
-        right = (null_basis if command == "null-basis" else rank_basis)(m).vectors
         best = maximum(m.pattern)
+        right = produce(m, best).vectors
         partner = without_pair(best.partner, best.partner.index(max(best.partner)))
         short = kernel.MatchingInfo(partner, best.nu - 1,
                                     tuple(v for v, p in enumerate(partner) if p < 0))

@@ -376,7 +376,7 @@ def _basis_and_vector_seed_texts():
     for i, field in enumerate((QQ, PrimeField(7), PrimeField(1000003))):
         for n, k in ((1, 1), (6, 1), (9, 3)):
             m = random_matrix(n, 23 * i + n, field, k)
-            for basis in (null_basis(m), rank_basis(m)):
+            for basis in (null_basis(m), rank_basis(m, maximum_matching(m.pattern))):
                 for fmt in ("mm", "json"):
                     bases.append(matrixio.format_basis(basis, m.n, m.field, fmt))
                 vectors.extend(matrixio.format_vector(vec) for vec in basis.vectors[:2])

@@ -18,6 +18,7 @@ from forestnull import ParseError, PrimeField, QQ, ValidationError
 from forestnull import matrixio, oracle
 from forestnull.cli import _build_parser, main
 from forestnull.generate import random_matrix
+from forestnull.kernel import maximum_matching, sparsest_null_basis
 from forestnull.rank import rank_basis
 from forestnull.scaling import null_basis
 from conftest import sv
@@ -354,6 +355,62 @@ def test_cli_transfer(tmp_path, p3_file, m_p3, capsys):
                  "--to", p3_file, "--vector", str(x_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["vector"] == {"1": "1", "3": "5/3"}
+
+
+def test_target_read_against_the_source_pattern_equals_a_plain_read():
+    for k, field in enumerate((QQ, PrimeField(7), PrimeField(1000003))):
+        for components in (1, 4):
+            m = random_matrix(200, 10 * k + components, field, components)
+            text = matrixio.format_matrix(random_matrix(200, 10 * k + components, field,
+                                                        components).transpose())
+            plain = matrixio.parse_matrix(text)
+            shared = matrixio.parse_matrix(text, m.pattern)
+            assert shared == plain and shared.col_flat == plain.col_flat
+            assert shared.pattern is m.pattern and plain.pattern is not m.pattern
+    # another layout is read as without the known forest
+    other = random_matrix(200, 99, QQ)
+    read = matrixio.parse_matrix(matrixio.format_matrix(other), m.pattern)
+    assert read == other and read.pattern is not m.pattern
+
+
+MM_RATIONAL = "%%MatrixMarket matrix coordinate rational general\n"
+
+
+@pytest.mark.parametrize("target, out, err", [
+    (M_P3_TEXT.replace("2 3 5", "2 3 4"), '"3": "-15/4"', ""),
+    (MM_RATIONAL + "3 3 4\n3 2 7\n2 3 5\n2 1 3\n1 2 2\n", '"3": "-3"', ""),
+    ('{"n": 3, "entries": [[1, 2, "2"], [2, 1, "1"], [2, 3, "5"], [3, 2, "1"]]}',
+     '"3": "-1"', ""),
+    (MM_RATIONAL + "3 3 4\n1 2 1\n1 3 1\n2 1 1\n3 1 1\n", "",
+     "error: matrices do not share a pattern\n"),
+    (MM_RATIONAL + "3 3 6\n1 2 1\n1 3 1\n2 1 1\n2 3 1\n3 1 1\n3 2 1\n", "",
+     "error: cycle detected at edge (2, 3)\n"),
+    (MM_RATIONAL + "3 3 6\n3 2 1\n3 1 1\n2 3 1\n2 1 1\n1 3 1\n1 2 1\n", "",
+     "error: cycle detected at edge (2, 3)\n"),
+    (MM_RATIONAL + "3 3 3\n1 2 1\n2 1 1\n2 3 1\n", "",
+     "error: asymmetric pattern: entry (2, 3) present but (3, 2) missing\n"),
+    (MM_RATIONAL + "3 3 3\n2 3 1\n2 1 1\n1 2 1\n", "",
+     "error: asymmetric pattern: entry (2, 3) present but (3, 2) missing\n"),
+    ('{"n": 3, "entries": [[1, 2, "2"], [2, 1, "3"], [2, 3, "5"]]}', "",
+     "error: asymmetric pattern: entry (2, 3) present but (3, 2) missing\n"),
+    (M_P3_GF7_TEXT, "", "error: field mismatch: matrices are over rational and gf 7\n"),
+], ids=["same layout", "out of order", "json", "other layout", "cycle",
+        "cycle out of order", "asymmetric", "asymmetric out of order", "json asymmetric",
+        "other field"])
+def test_cli_transfer_target_forms(tmp_path, p3_file, capsys, target, out, err):
+    # a target on the source's layout shares its forest; every other
+    # form is read and refused as it is without one
+    target_path, x_path = tmp_path / "n.mtx", tmp_path / "x.json"
+    target_path.write_text(target)
+    x_path.write_text(matrixio.format_vector(sv(3, {0: 5, 2: -3})))
+    code = main(["transfer", "--space", "null", "--from", p3_file,
+                 "--to", str(target_path), "--vector", str(x_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1 if err else 0, err)
+    if out:
+        assert json.loads(captured.out)["vector"] == json.loads('{"1": "5", %s}' % out)
+    else:
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("space", ["null", "rank"])
@@ -853,7 +910,9 @@ def test_cli_check_at_and_above_the_oracle_cap(tmp_path, capsys, command):
         m = random_matrix(n, n, QQ, components=2)
         matrixio.write_matrix(m, path)
         assert main([command, str(path), "--check", "-o", str(tmp_path / "b")]) == 0
-        dimension = (null_basis(m) if command == "null-basis" else rank_basis(m)).dimension
+        matching = maximum_matching(m.pattern)
+        dimension = (sparsest_null_basis if command == "null-basis"
+                     else rank_basis)(m, matching).dimension
         assert capsys.readouterr().err == (
             "check: ok (dimension %d, oracle span verified)\n" % dimension)
 
@@ -897,8 +956,8 @@ def test_cli_non_ascii_file_gives_one_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, right, producer", [
-    ("null-basis", "null_basis", "forestnull.kernel.sparsest_null_basis"),
-    ("rank-basis", "rank_basis", "forestnull.rank.rank_basis")])
+    ("null-basis", sparsest_null_basis, "forestnull.kernel.sparsest_null_basis"),
+    ("rank-basis", rank_basis, "forestnull.rank.rank_basis")], ids=["null-basis", "rank-basis"])
 def test_cli_check_refuses_a_basis_with_the_wrong_span(tmp_path, capsys, monkeypatch,
                                                        command, right, producer):
     from forestnull import Basis
@@ -906,12 +965,11 @@ def test_cli_check_refuses_a_basis_with_the_wrong_span(tmp_path, capsys, monkeyp
     path = tmp_path / "m.mtx"
     m = random_matrix(60, 5, QQ, components=3)
     matrixio.write_matrix(m, path)
-    right = getattr(forestnull, right)
-    assert right(m).dimension >= 2
+    assert right(m, maximum_matching(m.pattern)).dimension >= 2
 
-    def last_replaced_by_first(m, *matching):
+    def last_replaced_by_first(m, matching):
         # M x = 0 still holds and the dimension is unchanged
-        vectors = right(m).vectors
+        vectors = right(m, matching).vectors
         return Basis(vectors[:-1] + vectors[:1])
 
     monkeypatch.setattr(producer, last_replaced_by_first)

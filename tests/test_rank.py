@@ -5,7 +5,7 @@ import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, DiagonalScaling,
                         SparseVector, ValidationError, adjacency_matrix, analyze,
-                        rank_basis, transfer_rank, transversal_scaling)
+                        maximum_matching, rank_basis, transfer_rank, transversal_scaling)
 from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import kernel, oracle
 from forestnull import rank as rank_module, scaling as scaling_module
@@ -51,19 +51,19 @@ def test_supported_neighborhood_vector_zero_when_no_support():
 
 
 def test_rank_basis_m_p3(m_p3):
-    basis = rank_basis(m_p3)
+    basis = rank_basis(m_p3, maximum_matching(m_p3.pattern))
     assert [v.entries for v in basis.vectors] == [{1: 1}, {0: 3, 2: 5}]
     assert basis.dimension == 2
 
 
 def test_rank_basis_adjacency(p3):
-    basis = rank_basis(adjacency_matrix(p3))
+    basis = rank_basis(adjacency_matrix(p3), maximum_matching(p3))
     assert [v.entries for v in basis.vectors] == [{1: 1}, {0: 1, 2: 1}]
 
 
 def test_rank_basis_zero_matrix():
     m = AcyclicMatrix.from_entries(1, [])
-    assert rank_basis(m).vectors == []
+    assert rank_basis(m, maximum_matching(m.pattern)).vectors == []
 
 
 def test_rank_basis_spans_row_space():
@@ -72,8 +72,9 @@ def test_rank_basis_spans_row_space():
         n = rng.randint(1, 40)
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 71 * trial + 5, field, rng.randint(1, min(3, n)))
-        basis = rank_basis(m)
-        nu = analyze(m.pattern).matching.nu
+        matching = analyze(m.pattern).matching
+        basis = rank_basis(m, matching)
+        nu = matching.nu
         assert basis.dimension == 2 * nu
         reference = oracle.dense_row_space(m)
         assert same_span(basis, reference)
@@ -97,7 +98,7 @@ def test_transversal_scaling_carries_pattern_row_space():
         a = adjacency_matrix(m.pattern)
         analysis = analyze(m.pattern)
         d = transversal_scaling(m, analysis)
-        scaled = [d.apply(vec) for vec in rank_basis(a).vectors]
+        scaled = [d.apply(vec) for vec in rank_basis(a, analysis.matching).vectors]
         assert same_span(Basis(scaled), oracle.dense_row_space(m))
         # per-vector: scaled pattern vectors are scalar multiples of the
         # matrix's own structured vectors
@@ -156,11 +157,12 @@ def test_transfer_rank_round_trip():
 
 
 class CountingField(PrimeField):
-    """GF(p) that counts its multiplications and inversions."""
+    """GF(p) that counts its multiplications and inversions (``ops``),
+    and its inversions alone (``inversions``)."""
 
     def __init__(self, p):
         super().__init__(p)
-        self.ops = 0
+        self.ops = self.inversions = 0
 
     def mul(self, a, b):
         self.ops += 1
@@ -168,28 +170,36 @@ class CountingField(PrimeField):
 
     def inv(self, a):
         self.ops += 1
+        self.inversions += 1
         return super().inv(a)
 
 
 def row_basis_sum(m):
-    """The sum of the vectors of ``rank_basis(m)``, in one pass."""
+    """The sum of the vectors of m's row basis, in one pass."""
     add, zero = m.field.add, m.field.zero
     entries = {}
-    for vec in rank_basis(m).vectors:
+    for vec in rank_basis(m, maximum_matching(m.pattern)).vectors:
         for v, a in vec.entries.items():
             entries[v] = add(entries.get(v, zero), a)
     return SparseVector(m.n, m.field, entries)
 
 
 def test_transfer_rank_is_linear():
+    # the walk multiplies only: the transfer inverts one product per
+    # entry of x, and the membership null basis one entry per matched
+    # vertex it reaches
     field = CountingField(1000003)
     m = random_matrix(4096, 5, field, 4)
     other = matrix_on(m.pattern, 6, field)
+    matching = maximum_matching(m.pattern)
     x = row_basis_sum(m)
     assert x.nnz() > m.n // 2
-    field.ops = 0
-    transfer_rank(m, other, x)
-    assert field.ops <= 10 * m.n
+    one_row = rank_basis(m, matching).vectors[-1]
+    for y in (x, one_row):
+        field.ops = field.inversions = 0
+        transfer_rank(m, other, y)
+        assert field.ops <= 10 * m.n
+        assert field.inversions <= y.nnz() + matching.nu
 
 
 def wide_rational_matrix(n, edges, rng):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, ParseError, SparseVector,
-                        ValidationError)
+                        ValidationError, maximum_matching)
 from forestnull import fields, matrixio
 from forestnull.fields import RationalField
 from forestnull.rank import rank_basis
@@ -20,7 +20,8 @@ from test_acceptance import Corpus
 @pytest.fixture(scope="module")
 def corpus_cases():
     """Each corpus matrix with its null and row-space bases."""
-    return [(m, (null_basis(m), rank_basis(m))) for m in Corpus().instances]
+    return [(m, (null_basis(m), rank_basis(m, maximum_matching(m.pattern))))
+            for m in Corpus().instances]
 
 
 # --- reference documents: the layouts json.dumps gave before ------------

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, DiagonalScaling, SparseVector,
                         ValidationError, adjacency_matrix, analyze,
-                        build_forest, maximum_matching, null_basis,
+                        build_forest, maximum_matching, null_basis, rank_basis,
                         transfer_null, transfer_rank, transversal_scaling)
-from forestnull.generate import random_matrix
+from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import oracle
 from conftest import sv
 from forest_helpers import (entries, neighbors_of, path, pattern_basis, same_component,
@@ -382,6 +382,63 @@ def test_support_equality_across_values():
         combinatorial = analyze(m.pattern).support.supp
         assert oracle.dense_analysis(m).null_support == combinatorial
         assert oracle.dense_analysis(a).null_support == combinatorial
+
+
+def test_transfer_null_is_linear():
+    # the walk multiplies only: the transfer inverts one product per
+    # entry of x
+    field = CountingField(1000003)
+    m = random_matrix(4096, 5, field, 4)
+    other = matrix_on(m.pattern, 6, field)
+    vectors = null_basis(m).vectors
+    x = SparseVector(m.n, field, {})
+    for vec in vectors:
+        x = x.add(vec)
+    assert x.nnz() > m.n // 4
+    for y in (x, vectors[0]):
+        field.ops = field.inversions = 0
+        transfer_null(m, other, y)
+        assert field.ops <= 10 * m.n
+        assert field.inversions <= y.nnz()
+
+
+def combination(zero, vectors, rng):
+    """A random combination of vectors, zero when every draw is 0."""
+    out, field = zero, zero.field
+    for vec in vectors:
+        out = out.add(vec.scale(field.coerce(rng.randint(-2, 2))))
+    return out
+
+
+def test_transfers_equal_two_scalings_applied_in_turn():
+    # differential check against the code the one walk replaced: both
+    # transversal scalings, then DiagonalScaling.apply and apply_inverse
+    without_support = 0  # forests with a component that has no support
+    for field in NULL_FIELDS:
+        for trial in range(12):
+            rng = random.Random(trial)
+            k = rng.randint(1, 3 if trial % 2 else 4)
+            size = rng.randint(k, 40)
+            edges = random_forest_edges(size, rng, k)
+            if trial % 2:  # one more component, a path with a perfect matching
+                edges += [(size + i, size + i + 1) for i in range(3)]
+            f = build_forest(size + 4 * (trial % 2), edges)
+            m, other = matrix_on(f, 2 * trial, field), matrix_on(f, 2 * trial + 1, field)
+            analysis = analyze(f)
+            d_m, d_n = transversal_scaling(m, analysis), transversal_scaling(other, analysis)
+            # both scalings share the walk under test: pin them to a walk of its own
+            for a, d in ((m, d_m), (other, d_n)):
+                assert d.diag == tree_edges_scaling(a, analysis.support.supp)
+            with_support = {f.component_id[v] for v in analysis.support.supp}
+            without_support += len(with_support) < f.component_count
+            zero = SparseVector(f.vertex_count, field, {})
+            nulls = null_basis(m).vectors
+            for x in [zero, combination(zero, nulls, rng)] + nulls[:2]:
+                assert transfer_null(m, other, x) == d_n.apply_inverse(d_m.apply(x))
+            rows = rank_basis(m, analysis.matching).vectors
+            for y in [zero, combination(zero, rows, rng)] + rows[:2]:
+                assert transfer_rank(m, other, y) == d_n.apply(d_m.apply_inverse(y))
+    assert without_support >= 6 * len(NULL_FIELDS)
 
 
 def test_transfer_null(m_p3):
