@@ -23,11 +23,11 @@ _EXPORTS = {
     "fields": ("Field", "PrimeField", "QQ", "RationalField", "parse_field_spec"),
     "forest": ("Forest", "build_forest"),
     "generate": ("random_matrix",),
-    "kernel": ("Analysis", "MatchingInfo", "SupportInfo", "analyze", "maximum_matching",
+    "kernel": ("MatchingInfo", "SupportInfo", "maximum_matching", "sparsest_null_basis",
                "support"),
     "matrix": ("AcyclicMatrix", "Basis", "SparseVector", "adjacency_matrix"),
     "rank": ("rank_basis", "transfer_rank"),
-    "scaling": ("DiagonalScaling", "null_basis", "transfer_null", "transversal_scaling"),
+    "scaling": ("DiagonalScaling", "transfer_null", "transversal_scaling"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -5,12 +5,12 @@ nonzero coordinate in a null vector), and a sparsest null basis: one
 alternating walk per exposed vertex over a matrix's own values, which
 on the forest's adjacency matrix is the pattern's {-1, 0, +1} basis.
 
-The results are named tuples (``MatchingInfo``, ``SupportInfo``,
-``Analysis``): immutable records that unpack like plain tuples.
-``analyze`` bundles the matching, the support and the support
-transversal of one pattern into one ``Analysis``; everything
-downstream that needs this structure takes the ``Analysis`` as an
-argument, so it is computed once per call and never cached on objects.
+The results are named tuples (``MatchingInfo``, ``SupportInfo``):
+immutable records that unpack like plain tuples.  The matching is the
+one pattern structure: ``support``, ``sparsest_null_basis``,
+``rank.rank_basis`` and ``scaling.transversal_scaling`` take it as an
+argument and each transfer computes it once, so it is never cached on
+objects.
 
 Everything here is deterministic.  The matching walks no tree of its
 own: it takes vertices in the reverse of the preorder the forest stored
@@ -37,22 +37,6 @@ MatchingInfo = namedtuple("MatchingInfo", "partner nu exposed")
 #: ``supp``: the vertices with a nonzero coordinate in some null vector;
 #: ``core``: the neighbors of supp.
 SupportInfo = namedtuple("SupportInfo", "supp core")
-
-#: The pattern-only structure every fast path needs, built once from a
-#: forest the caller keeps (nothing here refers back to it); the
-#: ``transversal`` is the smallest support vertex per component, ascending.
-Analysis = namedtuple("Analysis", "matching support transversal")
-
-
-def analyze(f: Forest) -> Analysis:
-    """Matching, support and support transversal of the pattern f."""
-    matching = maximum_matching(f)
-    info = support(f, matching)
-    first = {}
-    for v in sorted(info.supp):
-        first.setdefault(f.component_id[v], v)
-    return Analysis(matching, info, tuple(first.values()))
-
 
 def maximum_matching(f: Forest) -> MatchingInfo:
     """Greedy leaf-first matching; maximum on forests.

@@ -17,6 +17,9 @@ for the pattern's adjacency matrix A, so for y in row(m) and b in
 null(A), (D^-1 y) . b = y . (D^-1 b) = 0: D^-1 carries row(m) onto
 row(A), and D carries it back.  D only maps; it decides nothing.
 D_N D_M^-1 is den / num of both transfers' one multiply-only walk.
+The matching is the one pattern structure: ``rank_basis`` takes it as
+an argument, and ``transfer_rank`` computes it once, for the
+membership null basis and the walk alike.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .kernel import MatchingInfo, sparsest_null_basis, support
 from .matrix import AcyclicMatrix, Basis, SparseVector
-from .scaling import _edge_products, _scaled, _transfer_analysis
+from .scaling import _edge_products, _scaled, _transfer_matching
 
 
 def rank_basis(m: AcyclicMatrix, matching: MatchingInfo) -> Basis:
@@ -54,8 +57,8 @@ def transfer_rank(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     Applies D_N D_M^-1, the reverse of ``transfer_null``; the support of
     x is preserved.
     """
-    analysis = _transfer_analysis(m, n_mat, x)
-    if any(x.dot(b) for b in sparsest_null_basis(m, analysis.matching).vectors):
+    matching = _transfer_matching(m, n_mat, x)
+    if any(x.dot(b) for b in sparsest_null_basis(m, matching).vectors):
         raise ValidationError("vector is not in the row space of the source matrix")
-    num, den = _edge_products(m, n_mat, analysis)
+    num, den = _edge_products(m, n_mat, matching)
     return _scaled(x, den, num)

@@ -1,8 +1,9 @@
 """The diagonal scaling that carries the null space of a matrix onto
-that of its pattern's adjacency matrix, and back; and the null basis.
+that of its pattern's adjacency matrix, and back.
 
 One walk, ``_edge_products``, serves the scaling and both transfers.
-It takes the preorder the pattern forest stored when it was built, each
+It takes the matching that ``kernel.maximum_matching`` finds on the
+pattern, the preorder the pattern forest stored when it was built, each
 vertex t's parent edge s -> t from ``parent`` and ``parent_slot``, and
 keeps D_M / D_N for two matrices on the pattern (D_N = 1 for one
 scaling) as two products, num and den: each step multiplies them by
@@ -33,18 +34,14 @@ row(M) onto row(A).
 
 A ``DiagonalScaling`` coerces each diagonal value into its field and
 refuses a zero one, so it is nonsingular by construction.
-
-``null_basis`` builds no scaling: each step of its walk is fixed by one
-row of M, and every vector is 1 at its exposed vertex instead of
-carrying D's edge product from the transversal vertex.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .fields import Field, require_same_field
-from .kernel import Analysis, analyze, maximum_matching, sparsest_null_basis
-from .matrix import AcyclicMatrix, Basis, SparseVector, require_compatible
+from .kernel import MatchingInfo, maximum_matching, support
+from .matrix import AcyclicMatrix, SparseVector, require_compatible
 
 
 class DiagonalScaling:
@@ -99,29 +96,40 @@ class DiagonalScaling:
         return "DiagonalScaling(n=%d, field=%s)" % (self.n, self.field.name)
 
 
-def transversal_scaling(m: AcyclicMatrix, analysis: Analysis) -> DiagonalScaling:
-    """The null scaling of m, anchored at the analysis's transversal: D x
-    is a null vector of the adjacency matrix for every null vector x of m.
+def transversal_scaling(m: AcyclicMatrix, matching: MatchingInfo) -> DiagonalScaling:
+    """The null scaling of m, from the matching that ``maximum_matching``
+    finds on m's pattern: D x is a null vector of the adjacency matrix
+    for every null vector x of m.  den is inverted at each sweep root
+    and below each step out of a support vertex; every other vertex
+    shares its parent's den, and so its inverse.
     """
-    num, den = _edge_products(m, None, analysis)
+    num, den = _edge_products(m, None, matching)
     mul, inv = m.field.mul, m.field.inv
+    parent = m.pattern.parent
+    inverse = [None] * m.n
+    for t in m.pattern.order:
+        s = parent[t]
+        inverse[t] = inverse[s] if s >= 0 and den[t] is den[s] else inv(den[t])
     # products and inverses of nonzero field elements: nonzero
-    return DiagonalScaling._trusted(m.n, m.field, [mul(a, inv(b)) for a, b in zip(num, den)])
+    return DiagonalScaling._trusted(m.n, m.field, list(map(mul, num, inverse)))
 
 
-def _edge_products(m: AcyclicMatrix, n_mat, analysis: Analysis):
+def _edge_products(m: AcyclicMatrix, n_mat, matching: MatchingInfo):
     """num and den with D_m / D_n = num / den (D_n = 1 when n_mat is
     None): a step into a support vertex multiplies them by M[s, t] and
-    N[s, t], one out of it by N[t, s] and M[t, s]; a sweep root's seed
-    swaps them on the way up."""
+    N[s, t], one out of it by N[t, s] and M[t, s], and a vertex with no
+    factor keeps its parent's objects; a sweep root's seed swaps them on
+    the way up."""
     mul, one = m.field.mul, m.field.one
     n_row, n_col = (None, None) if n_mat is None else (n_mat.row_flat, n_mat.col_flat)
     into, out_of = (m.row_flat, n_row), (n_col, m.col_flat)  # None: factors of 1
-    supp = analysis.support.supp
-    parent, parent_slot = m.pattern.parent, m.pattern.parent_slot
+    f = m.pattern
+    supp = support(f, matching).supp
+    parent, parent_slot, component_id = f.parent, f.parent_slot, f.component_id
     num, den = [one] * m.n, [one] * m.n
-    for v in analysis.transversal:  # seed v's sweep root so that num[v] = den[v] = 1
-        a = b = one
+    # one pass, descending: each component keeps its smallest support vertex
+    for v in {component_id[v]: v for v in reversed(range(m.n)) if v in supp}.values():
+        a = b = one  # seed v's sweep root so that num[v] = den[v] = 1
         t, s = v, parent[v]
         while s >= 0:
             p, q = into if t in supp else out_of if s in supp else (None, None)
@@ -130,7 +138,7 @@ def _edge_products(m: AcyclicMatrix, n_mat, analysis: Analysis):
             b = b if p is None else mul(b, p[j])
             t, s = s, parent[s]
         num[t], den[t] = a, b
-    for t in m.pattern.order:
+    for t in f.order:
         s = parent[t]
         if s >= 0:
             p, q = into if t in supp else out_of if s in supp else (None, None)
@@ -147,14 +155,6 @@ def _scaled(x: SparseVector, num: list, den: list) -> SparseVector:
                                                 for v, xv in x.entries.items()})
 
 
-def null_basis(m: AcyclicMatrix) -> Basis:
-    """Sparsest basis of the null space of m: for each exposed vertex u of
-    ``maximum_matching``, ascending, the null vector that is 1 at u and 0
-    at every other exposed vertex (``kernel.sparsest_null_basis``).
-    O(n + total nonzeros) field operations."""
-    return sparsest_null_basis(m, maximum_matching(m.pattern))
-
-
 def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
                   x: SparseVector) -> SparseVector:
     """Map a null vector of m to a null vector of n_mat (same pattern).
@@ -162,17 +162,18 @@ def transfer_null(m: AcyclicMatrix, n_mat: AcyclicMatrix,
     Applies D_N^-1 D_M for the two matrices' transversal scalings, as
     num / den of ``_edge_products``; the support of x is preserved.
     """
-    analysis = _transfer_analysis(m, n_mat, x)
+    matching = _transfer_matching(m, n_mat, x)
     if not m.apply(x).is_zero():
         raise ValidationError("vector is not in the null space of the source matrix")
-    return _scaled(x, *_edge_products(m, n_mat, analysis))
+    return _scaled(x, *_edge_products(m, n_mat, matching))
 
 
-def _transfer_analysis(m: AcyclicMatrix, n_mat: AcyclicMatrix, x: SparseVector) -> Analysis:
+def _transfer_matching(m: AcyclicMatrix, n_mat: AcyclicMatrix,
+                       x: SparseVector) -> MatchingInfo:
     """Both transfers' entry checks, in order: the matrices' field, their
-    pattern, x's field and length; then the pattern's one analysis."""
+    pattern, x's field and length; then the pattern's one matching."""
     require_same_field(m.field, n_mat.field, "matrices")
     if m.pattern != n_mat.pattern:
         raise ValidationError("matrices do not share a pattern")
     require_compatible(m, x, "matrix and vector")
-    return analyze(m.pattern)
+    return maximum_matching(m.pattern)

@@ -1,19 +1,20 @@
 """Slow, direct helpers on forests, matrices and vectors that only the
 test suite uses: paths between vertices, component lists, induced
-subforests, single entries, dense vectors, the null dimension, the
-pattern's {-1, 0, +1} null basis, the supported-neighborhood vectors of
-the row-space basis, the null scaling by its own tree walk, the
-restriction test of a null vector and the equality of two bases'
-spans.  They read the public data of ``Forest`` and ``AcyclicMatrix``
-(and the oracle's echelon form) and favour plainness over speed.
+subforests, single entries, dense vectors, the null dimension, the null
+basis from a matching of its own, the pattern's {-1, 0, +1} null basis,
+the supported-neighborhood vectors of the row-space basis, the null
+scaling by its own tree walk, the restriction test of a null vector
+and the equality of two bases' spans.  They read the public data of
+``Forest`` and ``AcyclicMatrix`` (and the oracle's echelon form) and
+favour plainness over speed.
 ``test_forest_helpers.py`` checks the path, induced-subforest,
 null-dimension and restriction laws.
 """
 
 from bisect import bisect_left
 
-from forestnull import (QQ, SparseVector, ValidationError, adjacency_matrix, analyze,
-                        build_forest, maximum_matching, null_basis)
+from forestnull import (QQ, SparseVector, ValidationError, adjacency_matrix, build_forest,
+                        maximum_matching, sparsest_null_basis, support)
 from forestnull.fields import require_same_field
 from forestnull.oracle import _Echelon
 
@@ -97,16 +98,22 @@ def null_dimension(f) -> int:
     return f.vertex_count - 2 * maximum_matching(f).nu
 
 
+def null_basis(m):
+    """The sparsest null basis of m, from a matching of its own."""
+    return sparsest_null_basis(m, maximum_matching(m.pattern))
+
+
 def pattern_basis(f, field=QQ):
     """The pattern's {-1, 0, +1} null basis: the null-basis walk on the
     adjacency matrix."""
     return null_basis(adjacency_matrix(f, field))
 
 
-def supported_neighborhood_vector(m, analysis, v: int):
+def supported_neighborhood_vector(m, matching, v: int):
     """Row v of m restricted to v's support neighbors, for a vertex v
-    outside the support.  May be zero."""
-    supp = analysis.support.supp
+    outside the support that the matching of m's pattern gives.  May be
+    zero."""
+    supp = support(m.pattern, matching).supp
     if v in supp:
         raise ValidationError("vertex %d is a support vertex", v)
     return SparseVector(m.n, m.field, {w: x for w, x in m.row_items(v) if w in supp})
@@ -116,7 +123,7 @@ def tree_edges_scaling(m, supp) -> list:
     """The null scaling's diagonal by a walk of its own, D = 1 at each
     component's smallest vertex in supp, stack-driven with neighbors
     pushed ascending: the walk the stored sweep replaced.  It reads
-    neither the sweep nor ``analyze``; components without support keep
+    neither the sweep nor a matching; components without support keep
     D = 1."""
     field = m.field
     neighbors, offsets = m.pattern.neighbors, m.pattern.offsets
@@ -173,7 +180,7 @@ def restriction_check(m, x) -> bool:
     if x.n != m.n:
         raise ValidationError("dimension mismatch: %d vs %d" % (m.n, x.n))
     require_same_field(m.field, x.field, "matrix and vector")
-    info = analyze(m.pattern).support
+    info = support(m.pattern, maximum_matching(m.pattern))
     s_set = info.supp | info.core
     if any(v not in s_set for v in x.entries):
         return False

@@ -18,12 +18,12 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, adjacency_matrix,
-                        analyze, build_forest, maximum_matching, null_basis, rank_basis,
-                        transfer_null, transfer_rank, transversal_scaling)
+                        build_forest, maximum_matching, rank_basis, support, transfer_null,
+                        transfer_rank, transversal_scaling)
 from forestnull.cli import main as cli_main
 from forestnull import matrixio, oracle
 from forestnull.generate import random_entry_triples
-from forest_helpers import pattern_basis, restriction_check, same_span
+from forest_helpers import null_basis, pattern_basis, restriction_check, same_span
 from treegen import free_forests, free_trees
 
 GF = PrimeField(10007)
@@ -83,12 +83,11 @@ class Corpus:
             t0 = time.time()
             recs = []
             for m in self.instances:
-                analysis = analyze(m.pattern)
+                matching = maximum_matching(m.pattern)
                 recs.append({
                     "m": m,
-                    "analysis": analysis,
-                    "matching": analysis.matching,
-                    "support": analysis.support,
+                    "matching": matching,
+                    "support": support(m.pattern, matching),
                     "fast": null_basis(m),
                     "oracle": oracle.dense_analysis(m),
                 })
@@ -140,7 +139,7 @@ def test_criterion_3_support_laws(corpus):
     for n in range(1, 13):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert analyze(f).support.supp == oracle.support_by_mis(f)
+            assert support(f, maximum_matching(f)).supp == oracle.support_by_mis(f)
             count += 1
     print("ACCEPTANCE 3 PASS - support characterizations agree "
           "(%d instances; %d forests vs exhaustive independent sets)"
@@ -199,11 +198,11 @@ def test_criterion_5_transfer_corollaries():
 def test_criterion_6_rank_structure(corpus, m_p3):
     for rec in corpus.records:
         m = rec["m"]
-        basis = rank_basis(m, rec["analysis"].matching)
+        basis = rank_basis(m, rec["matching"])
         assert same_span(basis, rec["oracle"].row_basis)
         a = adjacency_matrix(m.pattern, m.field)
-        d = transversal_scaling(m, rec["analysis"])
-        scaled = [d.apply(vec) for vec in rank_basis(a, rec["analysis"].matching).vectors]
+        d = transversal_scaling(m, rec["matching"])
+        scaled = [d.apply(vec) for vec in rank_basis(a, rec["matching"]).vectors]
         assert same_span(Basis(scaled), rec["oracle"].row_basis)
     # the structured basis spans the ROW space; for the standard
     # non-symmetric path fixture it must NOT span the column space

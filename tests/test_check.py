@@ -27,9 +27,8 @@ from forestnull import Basis, PrimeField, QQ, SparseVector, ValidationError
 from forestnull import build_forest, cli, kernel, matrixio, oracle
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
-from forestnull.scaling import null_basis
 from conftest import sv
-from forest_helpers import same_span
+from forest_helpers import null_basis, same_span
 from test_acceptance import matrix_on
 from treegen import free_forests
 

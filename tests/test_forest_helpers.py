@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from forestnull import QQ, ValidationError, analyze, build_forest
+from forestnull import QQ, ValidationError, build_forest, maximum_matching, support
 from forestnull.generate import random_matrix
 from conftest import sv
 from forest_helpers import (induced_subgraph, null_dimension, path,
@@ -75,7 +75,7 @@ def test_restriction_check_iff_null_membership():
         m = random_matrix(n, trial, QQ, rng.randint(1, min(3, n)))
         x = random_null_vector(m, rng)
         assert restriction_check(m, x)
-        info = analyze(m.pattern).support
+        info = support(m.pattern, maximum_matching(m.pattern))
         s_set = info.supp | info.core
         outside = [v for v in range(n) if v not in s_set]
         if outside:

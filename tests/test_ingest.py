@@ -17,8 +17,7 @@ from forestnull import (PrimeField, QQ, AcyclicMatrix, ParseError, ValidationErr
 from forestnull import matrixio
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
-from forestnull.scaling import null_basis
-from forest_helpers import entry
+from forest_helpers import entry, null_basis
 from test_acceptance import Corpus
 from treegen import free_forests
 

@@ -3,8 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from forestnull import (QQ, adjacency_matrix, analyze, build_forest,
-                        maximum_matching, support)
+from forestnull import QQ, adjacency_matrix, build_forest, maximum_matching, support
 from forestnull.generate import random_forest_edges
 from forestnull import oracle
 from forest_helpers import neighbors_of, pattern_basis
@@ -111,14 +110,14 @@ def test_support_matches_deletion_oracle():
     for n in range(1, 10):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert analyze(f).support.supp == oracle.support_by_matching(f)
+            assert support(f, maximum_matching(f)).supp == oracle.support_by_matching(f)
 
 
 def test_support_matches_mis_intersection_small():
     for n in range(1, 9):
         for edges in free_forests(n):
             f = build_forest(n, list(edges))
-            assert analyze(f).support.supp == oracle.support_by_mis(f)
+            assert support(f, maximum_matching(f)).supp == oracle.support_by_mis(f)
 
 
 def test_sparsest_basis_examples():
@@ -162,24 +161,16 @@ def test_isolated_vertices_give_unit_vectors():
     assert basis.vectors[0].entries == {0: 1}
 
 
-def test_analyze_bundles_matching_support_and_transversal():
-    # P3 + P2 + P2 + an isolated vertex: the P2s carry no support
-    f = build_forest(8, [(0, 1), (1, 2), (3, 4), (5, 6)])
-    a = analyze(f)
-    assert a.matching == maximum_matching(f)
-    assert a.support == support(f, a.matching)
-    assert a.transversal == (0, 7)
-    with pytest.raises(AttributeError):
-        a.transversal = ()
-
-
 def test_records_are_immutable_named_tuples():
     f = build_forest(3, [(0, 1), (1, 2)])
-    a = analyze(f)
+    matching = maximum_matching(f)
+    info = support(f, matching)
     dense = oracle.dense_analysis(adjacency_matrix(f))
-    for record in (a.matching, a.support, a, dense):
+    for record in (matching, info, dense):
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    matching, info, transversal = a
-    assert info == (frozenset({0, 2}), frozenset({1})) and transversal == (0,)
+    partner, nu, exposed = matching
+    assert (partner, nu, exposed) == ([-1, 2, 1], 1, (0,))
+    supp, core = info
+    assert info == (frozenset({0, 2}), frozenset({1})) and (supp, core) == info
     assert hash(info) == hash(support(f, matching))

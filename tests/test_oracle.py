@@ -10,9 +10,8 @@ from forestnull import (OracleBoundError, PrimeField, QQ, AcyclicMatrix, Basis,
 from forestnull import cli, matrixio, oracle
 from forestnull.generate import random_matrix
 from forestnull.rank import rank_basis
-from forestnull.scaling import null_basis
 from conftest import sv
-from forest_helpers import same_span
+from forest_helpers import null_basis, same_span
 from treegen import free_trees
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, DiagonalScaling,
-                        SparseVector, ValidationError, adjacency_matrix, analyze,
-                        maximum_matching, rank_basis, transfer_rank, transversal_scaling)
+                        SparseVector, ValidationError, adjacency_matrix, maximum_matching,
+                        rank_basis, support, transfer_rank, transversal_scaling)
 from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import kernel, oracle
 from forestnull import rank as rank_module, scaling as scaling_module
@@ -17,18 +17,18 @@ GF = PrimeField(10007)
 
 
 def test_supported_neighborhood_vector(m_p3, m_star):
-    analysis = analyze(m_p3.pattern)
-    assert supported_neighborhood_vector(m_p3, analysis, 1) == sv(3, {0: 3, 2: 5})
-    assert supported_neighborhood_vector(m_star, analyze(m_star.pattern), 0) \
+    matching = maximum_matching(m_p3.pattern)
+    assert supported_neighborhood_vector(m_p3, matching, 1) == sv(3, {0: 3, 2: 5})
+    assert supported_neighborhood_vector(m_star, maximum_matching(m_star.pattern), 0) \
         == sv(4, {1: 1, 2: 2, 3: 3})
     with pytest.raises(ValidationError, match="support"):
-        supported_neighborhood_vector(m_p3, analysis, 0)
+        supported_neighborhood_vector(m_p3, matching, 0)
 
 
 def test_vertex_errors_renumber_from_one(m_p3):
     # the library counts from 0; one_based() restates for the file formats
     with pytest.raises(ValidationError) as exc:
-        supported_neighborhood_vector(m_p3, analyze(m_p3.pattern), 2)
+        supported_neighborhood_vector(m_p3, maximum_matching(m_p3.pattern), 2)
     assert str(exc.value) == "vertex 2 is a support vertex"
     assert str(exc.value.one_based()) == "vertex 3 is a support vertex"
     with pytest.raises(ValidationError) as exc:
@@ -45,9 +45,9 @@ def p4_matrix():
 
 def test_supported_neighborhood_vector_zero_when_no_support():
     p4 = p4_matrix()
-    analysis = analyze(p4.pattern)
+    matching = maximum_matching(p4.pattern)
     for v in range(4):
-        assert supported_neighborhood_vector(p4, analysis, v).is_zero()
+        assert supported_neighborhood_vector(p4, matching, v).is_zero()
 
 
 def test_rank_basis_m_p3(m_p3):
@@ -72,7 +72,7 @@ def test_rank_basis_spans_row_space():
         n = rng.randint(1, 40)
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 71 * trial + 5, field, rng.randint(1, min(3, n)))
-        matching = analyze(m.pattern).matching
+        matching = maximum_matching(m.pattern)
         basis = rank_basis(m, matching)
         nu = matching.nu
         assert basis.dimension == 2 * nu
@@ -83,9 +83,12 @@ def test_rank_basis_spans_row_space():
 
 
 def test_core_vertices(m_p3, m_star):
-    assert analyze(m_p3.pattern).support.core == {1}
-    assert analyze(m_star.pattern).support.core == {0}
-    assert analyze(p4_matrix().pattern).support.core == frozenset()
+    def core(m):
+        return support(m.pattern, maximum_matching(m.pattern)).core
+
+    assert core(m_p3) == {1}
+    assert core(m_star) == {0}
+    assert core(p4_matrix()) == frozenset()
 
 
 def test_transversal_scaling_carries_pattern_row_space():
@@ -96,16 +99,16 @@ def test_transversal_scaling_carries_pattern_row_space():
         n = rng.randint(2, 25)
         m = random_matrix(n, 400 + trial, QQ, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern)
-        analysis = analyze(m.pattern)
-        d = transversal_scaling(m, analysis)
-        scaled = [d.apply(vec) for vec in rank_basis(a, analysis.matching).vectors]
+        matching = maximum_matching(m.pattern)
+        d = transversal_scaling(m, matching)
+        scaled = [d.apply(vec) for vec in rank_basis(a, matching).vectors]
         assert same_span(Basis(scaled), oracle.dense_row_space(m))
         # per-vector: scaled pattern vectors are scalar multiples of the
         # matrix's own structured vectors
-        non_supp = [v for v in range(n) if v not in analysis.support.supp]
+        non_supp = [v for v in range(n) if v not in support(m.pattern, matching).supp]
         for v in non_supp:
-            sv_m = supported_neighborhood_vector(m, analysis, v)
-            sv_a = d.apply(supported_neighborhood_vector(a, analysis, v))
+            sv_m = supported_neighborhood_vector(m, matching, v)
+            sv_a = d.apply(supported_neighborhood_vector(a, matching, v))
             if sv_m.is_zero():
                 assert sv_a.is_zero()
                 continue
@@ -158,11 +161,24 @@ def test_transfer_rank_round_trip():
 
 class CountingField(PrimeField):
     """GF(p) that counts its multiplications and inversions (``ops``),
-    and its inversions alone (``inversions``)."""
+    its inversions alone (``inversions``), and its additions,
+    subtractions and negations (``additions``)."""
 
     def __init__(self, p):
         super().__init__(p)
-        self.ops = self.inversions = 0
+        self.ops = self.inversions = self.additions = 0
+
+    def add(self, a, b):
+        self.additions += 1
+        return super().add(a, b)
+
+    def sub(self, a, b):
+        self.additions += 1
+        return super().sub(a, b)
+
+    def neg(self, a):
+        self.additions += 1
+        return super().neg(a)
 
     def mul(self, a, b):
         self.ops += 1
@@ -240,7 +256,7 @@ def membership_cases():
             m = random_matrix(n, 500 + trial, field, rng.randint(1, min(4, n)))
             other = matrix_on(m.pattern, 900 + trial, field)
             rows = oracle.dense_row_space(m).vectors
-            supp = sorted(analyze(m.pattern).support.supp)
+            supp = sorted(support(m.pattern, maximum_matching(m.pattern)).supp)
             for _ in range(3):
                 x = SparseVector(n, field, {})
                 for vec in rows:
@@ -262,11 +278,12 @@ def test_row_space_membership_agrees_with_the_oracle(monkeypatch):
 
     def counted(f):
         calls.append(f)
-        return kernel.analyze(f)
+        return kernel.maximum_matching(f)
 
-    # rank.py imports no analyze; set one there anyway, so that no call escapes the count
+    # rank.py imports no maximum_matching; set one there anyway, so that no
+    # call escapes the count
     for module in (rank_module, scaling_module):
-        monkeypatch.setattr(module, "analyze", counted, raising=False)
+        monkeypatch.setattr(module, "maximum_matching", counted, raising=False)
     members = outsiders = 0
     for m, other, x in membership_cases():
         member = echelon_of(m).contains(x)

@@ -12,8 +12,7 @@ from forestnull import (PrimeField, QQ, AcyclicMatrix, Basis, ParseError, Sparse
 from forestnull import fields, matrixio
 from forestnull.fields import RationalField
 from forestnull.rank import rank_basis
-from forestnull.scaling import null_basis
-from forest_helpers import entries
+from forest_helpers import entries, null_basis
 from test_acceptance import Corpus
 
 

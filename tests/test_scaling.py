@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from forestnull import (PrimeField, QQ, AcyclicMatrix, DiagonalScaling, SparseVector,
-                        ValidationError, adjacency_matrix, analyze,
-                        build_forest, maximum_matching, null_basis, rank_basis,
-                        transfer_null, transfer_rank, transversal_scaling)
+                        ValidationError, adjacency_matrix, build_forest, maximum_matching,
+                        rank_basis, support, transfer_null, transfer_rank,
+                        transversal_scaling)
 from forestnull.generate import random_forest_edges, random_matrix
 from forestnull import oracle
 from conftest import sv
-from forest_helpers import (entries, neighbors_of, path, pattern_basis, same_component,
-                            tree_edges_scaling)
+from forest_helpers import (entries, neighbors_of, null_basis, path, pattern_basis,
+                            same_component, tree_edges_scaling)
 from test_acceptance import Corpus, matrix_on
 from test_rank import CountingField
 from treegen import free_trees
@@ -44,7 +44,7 @@ def direct_path_scaling(m, supp, v):
 def direct_null_scaling(m):
     """Every component with support anchored at its smallest support
     vertex, by per-path products; 1 on components without support."""
-    supp = analyze(m.pattern).support.supp
+    supp = support(m.pattern, maximum_matching(m.pattern)).supp
     component_id = m.pattern.component_id
     anchors = {}
     for v in sorted(supp):
@@ -69,7 +69,7 @@ def random_null_vector(m, rng):
 
 
 def test_vertex_scaling_m_p3(m_p3):
-    d = transversal_scaling(m_p3, analyze(m_p3.pattern))
+    d = transversal_scaling(m_p3, maximum_matching(m_p3.pattern))
     assert d.diag == [Fraction(1), Fraction(1, 3), Fraction(5, 3)]
     scaled = d.apply(sv(3, {0: 5, 2: -3}))
     assert scaled == sv(3, {0: 5, 2: -5})
@@ -77,7 +77,7 @@ def test_vertex_scaling_m_p3(m_p3):
 
 
 def test_vertex_scaling_m_star(m_star):
-    d = transversal_scaling(m_star, analyze(m_star.pattern))
+    d = transversal_scaling(m_star, maximum_matching(m_star.pattern))
     assert d.diag == [1, 1, 2, 3]
     x = sv(4, {1: -2, 2: 1})
     assert m_star.apply(x).is_zero()
@@ -86,7 +86,7 @@ def test_vertex_scaling_m_star(m_star):
 
 def test_vertex_scaling_of_adjacency_is_identity(p3):
     a = adjacency_matrix(p3)
-    assert transversal_scaling(a, analyze(p3)).diag == [1, 1, 1]
+    assert transversal_scaling(a, maximum_matching(p3)).diag == [1, 1, 1]
 
 
 def test_diagonal_scaling_invariants(m_p3):
@@ -115,7 +115,7 @@ def test_vertex_scaling_matches_direct_path_products():
             instances.append(matrix_on(f, 77 * n + idx, GF))
     instances += Corpus().instances
     for m in instances:
-        got = transversal_scaling(m, analyze(m.pattern))
+        got = transversal_scaling(m, maximum_matching(m.pattern))
         assert got.diag == direct_null_scaling(m)
 
 
@@ -146,10 +146,10 @@ def test_sweep_scaling_equals_tree_edge_walk():
                                            rng.randint(1, min(7, n))))
         instances.append(deep_transversal_matrix(40, field, 3))
     for m in instances:
-        analysis = analyze(m.pattern)
-        scaling = transversal_scaling(m, analysis)
+        matching = maximum_matching(m.pattern)
+        scaling = transversal_scaling(m, matching)
         got = scaling.diag
-        want = tree_edges_scaling(m, analysis.support.supp)
+        want = tree_edges_scaling(m, support(m.pattern, matching).supp)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
         # built without the constructor's checks, which it would pass
@@ -160,15 +160,18 @@ def test_transversal_scaling_is_linear_below_a_deep_transversal():
     field = CountingField(1000003)
     m = deep_transversal_matrix(2048, field, 5)
     f = m.pattern
-    analysis = analyze(f)
-    assert analysis.transversal == (1,)
+    matching = maximum_matching(f)
+    supp = support(f, matching).supp
+    assert min(supp) == 1
     depth, v = 0, 1
     while f.parent[v] >= 0:
         depth, v = depth + 1, f.parent[v]
     assert (v, depth) == (0, m.n - 2)
-    field.ops = 0
-    d = transversal_scaling(m, analysis)
+    field.ops = field.inversions = 0
+    d = transversal_scaling(m, matching)
     assert field.ops <= 4 * m.n
+    # den changes only at the root and below a step out of the support
+    assert field.inversions <= 1 + sum(f.parent[t] in supp for t in range(m.n)) <= m.n // 2 + 1
     assert d.diag[1] == 1
 
 
@@ -192,12 +195,12 @@ def test_proportionality_law():
     for n in range(3, 8):
         for idx, edges in enumerate(free_trees(n)):
             f = build_forest(n, list(edges))
-            analysis = analyze(f)
-            supp = analysis.support.supp
+            matching = maximum_matching(f)
+            supp = support(f, matching).supp
             if not supp:
                 continue
             m = random_matrix_on(f, seed=1000 + idx, field=QQ)
-            d = transversal_scaling(m, analysis).diag
+            d = transversal_scaling(m, matching).diag
             values = entries(m)
             for u in range(n):
                 nbrs = [w for w in neighbors_of(f, u) if w in supp]
@@ -206,11 +209,24 @@ def test_proportionality_law():
 
 
 def test_support_transversal(m_p3):
-    assert analyze(m_p3.pattern).transversal == (0,)
+    # D = 1 at each component's transversal vertex, its smallest support
+    # vertex, and at no other support vertex on these values
+    def anchors(m):
+        matching = maximum_matching(m.pattern)
+        d = transversal_scaling(m, matching).diag
+        return tuple(v for v in sorted(support(m.pattern, matching).supp) if d[v] == 1)
+
+    assert anchors(m_p3) == (0,)
     p4 = random_matrix_on(build_forest(4, [(0, 1), (1, 2), (2, 3)]), 5, QQ)
-    assert analyze(p4.pattern).transversal == ()
+    assert anchors(p4) == ()
     two = two_component_p3_matrix()
-    assert analyze(two.pattern).transversal == (0, 3)
+    assert anchors(two) == (0, 3)
+    # P3 + P2 + P2 + an isolated vertex: the P2s carry no support and keep D = 1
+    triples = [(0, 1, 2), (1, 0, 3), (1, 2, 5), (2, 1, 7)]
+    triples += [(3, 4, 2), (4, 3, 3), (5, 6, 4), (6, 5, 5)]
+    m = AcyclicMatrix.from_entries(8, triples)
+    assert anchors(m) == (0, 7)
+    assert transversal_scaling(m, maximum_matching(m.pattern)).diag[3:] == [1] * 5
 
 
 def two_component_p3_matrix():
@@ -220,15 +236,15 @@ def two_component_p3_matrix():
 
 
 def test_transversal_scaling_componentwise(m_p3):
-    d = transversal_scaling(m_p3, analyze(m_p3.pattern))
+    d = transversal_scaling(m_p3, maximum_matching(m_p3.pattern))
     assert d.diag == [Fraction(1), Fraction(1, 3), Fraction(5, 3)]
 
     two = two_component_p3_matrix()
-    d2 = transversal_scaling(two, analyze(two.pattern))
+    d2 = transversal_scaling(two, maximum_matching(two.pattern))
     assert d2.diag == [Fraction(1), Fraction(1, 3), Fraction(5, 3)] * 2
 
     p2 = random_matrix_on(build_forest(2, [(0, 1)]), 9, QQ)
-    d3 = transversal_scaling(p2, analyze(p2.pattern))
+    d3 = transversal_scaling(p2, maximum_matching(p2.pattern))
     assert d3.diag == [1, 1]
 
 
@@ -328,7 +344,7 @@ def test_null_basis_is_a_multiple_of_the_pulled_back_pattern_basis():
         n = rng.randint(1, 80)
         field = NULL_FIELDS[trial % 3]
         m = random_matrix(n, 4242 + trial, field, rng.randint(1, min(4, n)))
-        d = transversal_scaling(m, analyze(m.pattern))
+        d = transversal_scaling(m, maximum_matching(m.pattern))
         pattern = pattern_basis(m.pattern, field)
         for x, b in zip(null_basis(m).vectors, pattern.vectors, strict=True):
             y = d.apply_inverse(b)
@@ -363,7 +379,7 @@ def test_null_space_transfer_both_directions():
         field = QQ if trial % 2 else GF
         m = random_matrix(n, 31 * trial, field, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern, field)
-        d = transversal_scaling(m, analyze(m.pattern))
+        d = transversal_scaling(m, maximum_matching(m.pattern))
         x = random_null_vector(m, rng)
         assert m.apply(x).is_zero()
         assert a.apply(d.apply(x)).is_zero()
@@ -379,7 +395,7 @@ def test_support_equality_across_values():
         n = rng.randint(1, 30)
         m = random_matrix(n, 900 + trial, QQ, rng.randint(1, min(3, n)))
         a = adjacency_matrix(m.pattern)
-        combinatorial = analyze(m.pattern).support.supp
+        combinatorial = support(m.pattern, maximum_matching(m.pattern)).supp
         assert oracle.dense_analysis(m).null_support == combinatorial
         assert oracle.dense_analysis(a).null_support == combinatorial
 
@@ -424,18 +440,19 @@ def test_transfers_equal_two_scalings_applied_in_turn():
                 edges += [(size + i, size + i + 1) for i in range(3)]
             f = build_forest(size + 4 * (trial % 2), edges)
             m, other = matrix_on(f, 2 * trial, field), matrix_on(f, 2 * trial + 1, field)
-            analysis = analyze(f)
-            d_m, d_n = transversal_scaling(m, analysis), transversal_scaling(other, analysis)
+            matching = maximum_matching(f)
+            supp = support(f, matching).supp
+            d_m, d_n = transversal_scaling(m, matching), transversal_scaling(other, matching)
             # both scalings share the walk under test: pin them to a walk of its own
             for a, d in ((m, d_m), (other, d_n)):
-                assert d.diag == tree_edges_scaling(a, analysis.support.supp)
-            with_support = {f.component_id[v] for v in analysis.support.supp}
+                assert d.diag == tree_edges_scaling(a, supp)
+            with_support = {f.component_id[v] for v in supp}
             without_support += len(with_support) < f.component_count
             zero = SparseVector(f.vertex_count, field, {})
             nulls = null_basis(m).vectors
             for x in [zero, combination(zero, nulls, rng)] + nulls[:2]:
                 assert transfer_null(m, other, x) == d_n.apply_inverse(d_m.apply(x))
-            rows = rank_basis(m, analysis.matching).vectors
+            rows = rank_basis(m, matching).vectors
             for y in [zero, combination(zero, rows, rng)] + rows[:2]:
                 assert transfer_rank(m, other, y) == d_n.apply(d_m.apply_inverse(y))
     assert without_support >= 6 * len(NULL_FIELDS)
